@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionViolated
-from .exact import (CertifiedReal, Exact, LogValue, QuadNum, exact_sign,
-                    pow_interval)
+from .exact import CertifiedReal, Exact, LogValue, compare, pow_interval
 from .numerics import BetaSystem, Real, eval_word, orbit
 
 
@@ -204,15 +203,6 @@ def scaled_errors(x: Real, system: BetaSystem, horizon: int) -> list[Real]:
     return [t for _, t in orbit(x, system, horizon)]
 
 
-def _lt(a: Real, b) -> bool:
-    """Certified strict less-than between orbit values and psi values."""
-    if isinstance(a, CertifiedReal) or isinstance(b, CertifiedReal):
-        ca = a if isinstance(a, CertifiedReal) else CertifiedReal.from_exact(a)
-        return ca.cmp(b) < 0
-    d = a - b
-    return (d.sign() if isinstance(d, QuadNum) else exact_sign(d)) < 0
-
-
 @dataclass
 class HitRecord:
     """Indices n <= horizon where the truncation beats psi(n)/beta^n."""
@@ -241,7 +231,7 @@ def detect_hits(x: Real, system: BetaSystem, psi: PsiFunction,
     rec = HitRecord(str(x), system.spec, psi.describe(), horizon)
     for n, err in enumerate(scaled_errors(x, system, horizon), start=1):
         pv = psi.value(n)
-        if _lt(err, pv):
+        if compare(err, pv) < 0:
             fpv = float(pv)
             rec.hits.append({
                 "n": n,
@@ -300,10 +290,10 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
     violations: dict[float, list[int]] = {float(c): [] for c in cs}
     for n, err in enumerate(scaled_errors(x, system, horizon), start=1):
         pv = psi.value(n)
-        if _lt(err, pv):
+        if compare(err, pv) < 0:
             hits.append(n)
         for c in cs:
-            if _lt(err, pv * CertifiedReal.from_exact(c)):
+            if compare(err, pv * CertifiedReal.from_exact(c)) < 0:
                 violations[float(c)].append(n)
     return EvidenceReport(str(x), system.spec, psi.describe(), horizon,
                           [float(c) for c in cs], hits, violations)

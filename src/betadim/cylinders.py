@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import (CapExceeded, InvariantFailure, NotAdmissible,
-                     PreconditionViolated)
-from .exact import CertifiedReal, Exact
+from .errors import InvariantFailure, NotAdmissible, PreconditionViolated
+from .exact import Exact, compare
 from .numerics import BetaSystem, Word, eval_word, expand
-from .words import DEFAULT_ENUM_CAP, automaton, words_with_states
+from .words import DEFAULT_ENUM_CAP, automaton, check_cap, words_with_states
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,7 @@ def full_census(n: int, system: BetaSystem,
     The full ones recur with gaps at most n: among any n+1 consecutive
     order-n cylinders at least one is full.
     """
-    from .words import _upper_count_bound  # local: shares the cap policy
-
-    if _upper_count_bound(system, n) > cap:
-        raise CapExceeded(f"census at order {n} may exceed cap {cap}")
+    check_cap(system, n, cap, "census")
     count = 0
     count_full = 0
     gap = 0
@@ -148,26 +144,12 @@ def full_census(n: int, system: BetaSystem,
 
 def iter_cylinders(n: int, system: BetaSystem,
                    cap: int = DEFAULT_ENUM_CAP) -> Iterator[CylinderInterval]:
-    from .words import _upper_count_bound
-
-    if _upper_count_bound(system, n) > cap:
-        raise CapExceeded(f"cylinder sweep at order {n} may exceed cap {cap}")
+    check_cap(system, n, cap, "cylinder sweep")
     pm = system.pow(-n)
     for w, state in words_with_states(system, n):
         yield CylinderInterval(w, eval_word(w, system),
                                pm * system.tail_sup(state),
                                system.is_full_state(state))
-
-
-def _cmp(a, b) -> int:
-    """Three-way compare for mixed Exact / CertifiedReal operands."""
-    if isinstance(a, CertifiedReal) or isinstance(b, CertifiedReal):
-        ca = a if isinstance(a, CertifiedReal) else CertifiedReal.from_exact(a)
-        return ca.cmp(b if not isinstance(b, CertifiedReal) else b)
-    d = a - b
-    if isinstance(d, Fraction) or isinstance(d, int):
-        return (d > 0) - (d < 0)
-    return d.sign()
 
 
 def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
@@ -180,13 +162,13 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     non-strict case.
     """
     pm = system.pow(-n)
-    if _cmp((n + 1) * pm, hi - lo) >= 0:
+    if compare((n + 1) * pm, hi - lo) >= 0:
         raise PreconditionViolated(
             f"interval too small for a guaranteed full cylinder of order {n}")
 
     # first cylinder whose left endpoint can satisfy the containment
-    lo_clamped = lo if _cmp(lo, 0) > 0 else Fraction(0)
-    if _cmp(lo_clamped, 1) >= 0:
+    lo_clamped = lo if compare(lo, 0) > 0 else Fraction(0)
+    if compare(lo_clamped, 1) >= 0:
         raise PreconditionViolated("interval lies outside [0, 1)")
     word = expand(lo_clamped, system, n)
 
@@ -195,10 +177,10 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     w: Word | None = word
     while w is not None:
         left = eval_word(w, system)
-        if _cmp(left, hi) >= 0:
+        if compare(left, hi) >= 0:
             break
-        if (_cmp(left, lo) >= need
-                and _cmp(left + pm, hi) <= -need
+        if (compare(left, lo) >= need
+                and compare(left + pm, hi) <= -need
                 and system.is_full_state(auto.walk(w))):
             return w
         w = successor(w, system)

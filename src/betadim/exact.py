@@ -1,15 +1,19 @@
 """Exact and certified real arithmetic.
 
-Three layers live here:
+Four layers live here:
 
 * ``QuadNum`` -- exact elements a + b*sqrt(d) of a real quadratic field,
-  with exact comparisons and floors.  Rationals are the b == 0 case; the
-  golden ratio is QuadNum(1/2, 1/2, 5).
+  with exact comparisons and exact floors (one integer square root, no
+  enclosure).  Rationals are the b == 0 case; the golden ratio is
+  QuadNum(1/2, 1/2, 5).
 * ``CertifiedReal`` -- a real number known either exactly (Fraction or
   QuadNum core) or through a rational interval enclosure that may or may
   not be refinable.  Floor decisions are made only when both endpoints
-  agree; otherwise the precision ladder doubles the working precision up
-  to a hard cap and then raises ``PrecisionExhausted``.
+  agree.
+* ``decide`` -- the one precision ladder.  Every certified decision (the
+  floor of a ``CertifiedReal``, ``compare`` between exact and certified
+  reals, the sign of a ``LogValue``) tests enclosures at doubling
+  precision up to a hard cap and then raises ``PrecisionExhausted``.
 * enclosure utilities -- integer k-th roots, rational b-th root
   enclosures, and rigorously bounded natural logarithms.  All enclosure
   widths are honest upper bounds, never float estimates.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, TypeVar, Union
 
 from .errors import PrecisionExhausted
 
@@ -215,19 +219,18 @@ class QuadNum:
     # -- floor and enclosure ---------------------------------------------
 
     def __floor__(self) -> int:
-        if self.is_rational:
-            return self.a.numerator // self.a.denominator
-        lo, hi = self.enclosure(PRECISION_START)
-        bits = PRECISION_START
-        while True:
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            bits *= 2
-            if bits > PRECISION_CAP:  # pragma: no cover - irrational never ties
-                raise PrecisionExhausted("floor of quadratic number undecided")
-            lo, hi = self.enclosure(bits)
+        """Exact floor: with the value written (p + q*sqrt(d))/r for integers
+        p, q and r > 0, floor = floor((p + floor(q*sqrt(d)))/r)."""
+        a, b = self.a, self.b
+        if b == 0:
+            return a.numerator // a.denominator
+        r = math.lcm(a.denominator, b.denominator)
+        p = a.numerator * (r // a.denominator)
+        q = b.numerator * (r // b.denominator)
+        # q*q*d is not a square (d nonsquare, q != 0), so for q < 0 the
+        # floor of q*sqrt(d) = -sqrt(q*q*d) is one below -isqrt(q*q*d)
+        s = math.isqrt(q * q * self.d)
+        return (p + (s if q > 0 else -s - 1)) // r
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """Rational interval containing the value, width <= 2**-bits."""
@@ -252,18 +255,6 @@ class QuadNum:
         return f"QuadNum({self.a} + {self.b}*sqrt({self.d}))"
 
 
-def exact_floor(x: Exact) -> int:
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    return math.floor(x)
-
-
-def exact_ceil(x: Exact) -> int:
-    return -exact_floor(-x if not isinstance(x, int) else -x)
-
-
 def exact_sign(x: Exact) -> int:
     if isinstance(x, QuadNum):
         return x.sign()
@@ -275,6 +266,52 @@ def exact_enclosure(x: Exact, bits: int) -> tuple[Fraction, Fraction]:
         return x.enclosure(bits)
     f = Fraction(x)
     return f, f
+
+
+# ---------------------------------------------------------------------------
+# The precision ladder
+# ---------------------------------------------------------------------------
+
+E = TypeVar("E")
+Interval = tuple[Fraction, Fraction]
+_ZERO: Interval = (Fraction(0), Fraction(0))
+
+
+def decide(enclose: Callable[[int], E], test: Callable[[E], int | None],
+           refinable: bool, what: str) -> int:
+    """Run ``test`` on ``enclose(bits)`` for bits = PRECISION_START, doubling
+    up to PRECISION_CAP, and return its first answer other than None.
+
+    Without ``refinable`` the enclosure cannot tighten, so one rung is all
+    there is.  An undecided ladder raises ``PrecisionExhausted`` naming the
+    decision and the bits reached; nothing here guesses.
+    """
+    bits = PRECISION_START
+    while True:
+        answer = test(enclose(bits))
+        if answer is not None:
+            return answer
+        if not refinable or bits >= PRECISION_CAP:
+            raise PrecisionExhausted(f"{what} undecided at {bits} bits")
+        bits *= 2
+
+
+def _order(pair: tuple[Interval, Interval]) -> int | None:
+    """-1 or 1 when the two enclosures are apart, 0 when both are one same
+    point, None while they overlap otherwise.  Endpoints are only compared:
+    a difference of huge exact endpoints would cost a gcd."""
+    (alo, ahi), (blo, bhi) = pair
+    if ahi < blo:
+        return -1
+    if alo > bhi:
+        return 1
+    return 0 if alo == ahi == blo == bhi else None
+
+
+def _floor_if_agree(enc: Interval) -> int | None:
+    lo, hi = enc
+    f = lo.numerator // lo.denominator
+    return f if f == hi.numerator // hi.denominator else None
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +378,6 @@ class CertifiedReal:
     @property
     def refinable(self) -> bool:
         return self.exact is not None or self._refiner is not None
-
-    def width_bits(self) -> int | None:
-        """bits b such that current width <= 2**-b, None if exact."""
-        if self.exact is not None:
-            return None
-        lo, hi = self.enclosure(self._bits or PRECISION_START)
-        w = hi - lo
-        if w == 0:
-            return None
-        return -(w.numerator.bit_length() - w.denominator.bit_length()) - 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -420,8 +447,6 @@ class CertifiedReal:
         if o.exact is not None:
             if exact_sign(o.exact) == 0:
                 raise ZeroDivisionError
-            if isinstance(o.exact, QuadNum):
-                return self * o.exact.inverse()
             return self * (1 / o.exact)
 
         def inv(j):
@@ -441,51 +466,18 @@ class CertifiedReal:
 
     # -- decisions -----------------------------------------------------------
 
-    def _ladder(self):
-        bits = PRECISION_START
-        while bits <= PRECISION_CAP:
-            yield bits
-            bits *= 2
-
     def floor(self) -> int:
         """Certified floor; raises PrecisionExhausted on persistent ties."""
         if self.exact is not None:
-            return exact_floor(self.exact)
-        for bits in self._ladder():
-            lo, hi = self.enclosure(bits)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            if self._refiner is None:
-                break
-        raise PrecisionExhausted("floor undecided at precision cap")
+            return math.floor(self.exact)
+        return decide(self.enclosure, _floor_if_agree, self.refinable, "floor")
 
     def cmp(self, other) -> int:
         """Certified three-way comparison; 0 only for provable equality."""
-        o = self._wrap(other)
-        if self.exact is not None and o.exact is not None:
-            try:
-                return exact_sign(self.exact - o.exact)
-            except ValueError:
-                pass
-        for bits in self._ladder():
-            alo, ahi = self.enclosure(bits)
-            blo, bhi = o.enclosure(bits)
-            if ahi < blo:
-                return -1
-            if alo > bhi:
-                return 1
-            if alo == ahi == blo == bhi:
-                return 0
-            if not (self.refinable or o.refinable):
-                break
-        raise PrecisionExhausted("comparison undecided at precision cap")
+        return compare(self, other)
 
     def __float__(self):
         if self.exact is not None:
-            if isinstance(self.exact, QuadNum):
-                return float(self.exact)
             return float(self.exact)
         lo, hi = self.enclosure(64)
         return float((lo + hi) / 2)
@@ -496,6 +488,25 @@ class CertifiedReal:
         if self._lo is not None:
             return f"CertifiedReal([{float(self._lo)}, {float(self._hi)}])"
         return "CertifiedReal(<lazy>)"
+
+
+def compare(a, b) -> int:
+    """Certified three-way comparison of exact or certified reals; 0 only
+    for provable equality.
+
+    Two exact values (same or rational radicands) compare exactly, with no
+    ``CertifiedReal`` built; anything else compares enclosures.
+    """
+    ea = a.exact if isinstance(a, CertifiedReal) else a
+    eb = b.exact if isinstance(b, CertifiedReal) else b
+    if ea is not None and eb is not None:
+        try:
+            return exact_sign(ea - eb)
+        except ValueError:
+            pass  # mixed radicands: fall through to enclosures
+    ca, cb = CertifiedReal._wrap(a), CertifiedReal._wrap(b)
+    return decide(lambda bits: (ca.enclosure(bits), cb.enclosure(bits)), _order,
+                  ca.refinable or cb.refinable, "comparison")
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +594,7 @@ def _log2_floor_fraction(x: Fraction) -> int:
 
 def ln_interval(x, bits: int) -> tuple[Fraction, Fraction]:
     """Rigorous enclosure of ln(x) for x rational, QuadNum, or CertifiedReal."""
-    if isinstance(x, CertifiedReal):
-        lo, hi = x.enclosure(bits + 4)
-        if lo <= 0:
-            raise ValueError("log of non-positive value")
-        return ln_interval(lo, bits + 2)[0], ln_interval(hi, bits + 2)[1]
-    if isinstance(x, QuadNum):
+    if isinstance(x, (CertifiedReal, QuadNum)):
         lo, hi = x.enclosure(bits + 4)
         if lo <= 0:
             raise ValueError("log of non-positive value")
@@ -611,20 +617,6 @@ def ln_interval(x, bits: int) -> tuple[Fraction, Fraction]:
         lo = Fraction(e * l2hi + mlo_lo, 1 << w)
         hi = Fraction(e * l2lo + mlo_hi, 1 << w)
     return lo, hi
-
-
-def log_ratio_floor(num_log: "LogValue", den_log: "LogValue") -> int:
-    """Largest integer m with m * den <= num, via certified refinement."""
-    for bits in (128, 256, 512, 1024, 2048, 4096, PRECISION_CAP):
-        nlo, nhi = num_log.enclosure(bits)
-        dlo, dhi = den_log.enclosure(bits)
-        if dlo <= 0:
-            raise ValueError("denominator log must be positive")
-        m_lo = exact_floor(nlo / dhi)
-        m_hi = exact_floor(nhi / dlo)
-        if m_lo == m_hi:
-            return m_lo
-    raise PrecisionExhausted("log ratio floor undecided")
 
 
 class LogValue:
@@ -673,17 +665,8 @@ class LogValue:
 
     def sign(self) -> int:
         """Certified sign; raises PrecisionExhausted on persistent ties."""
-        bits = PRECISION_START
-        while bits <= PRECISION_CAP:
-            lo, hi = self.enclosure(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if lo == hi == 0:
-                return 0
-            bits *= 2
-        raise PrecisionExhausted("log-linear sign undecided")
+        return decide(lambda bits: (self.enclosure(bits), _ZERO), _order, True,
+                      "log-linear sign")
 
     def __float__(self) -> float:
         lo, hi = self.enclosure(64)

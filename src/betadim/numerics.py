@@ -12,19 +12,20 @@ Beta specifications (the ``make_beta`` grammar):
 * ``"dec:<digits>@<bits>"``           -- a real known only to +-2**-bits
   around the given decimal; floor decisions may exhaust precision.
 
-All operations are pure; digit streams memoize behind a lock and systems
-are safe to share across threads.
+All operations are pure; digit streams and automata memoize behind locks,
+and systems are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated, ProbeExhausted
-from .exact import CertifiedReal, Exact, QuadNum, exact_ceil, exact_floor, exact_sign
+from .exact import CertifiedReal, Exact, QuadNum, compare, exact_sign
 
 Word = tuple[int, ...]
 Real = Union[int, Fraction, QuadNum, CertifiedReal]
@@ -182,7 +183,7 @@ class BetaSystem:
             if not exact > 1:
                 raise InvalidBeta(f"beta must exceed 1, got spec {spec!r}")
             self.beta = CertifiedReal.from_exact(exact)
-            ceil_b = exact_ceil(exact)
+            ceil_b = -math.floor(-exact)
         else:
             lo, hi = interval
             if hi <= 1:
@@ -205,6 +206,7 @@ class BetaSystem:
         self._star_value_lock = threading.Lock()
         self.one_expansion = _OneExpansion(self)
         self.star = StarExpansion(self.one_expansion)
+        self._automaton = None  # built on first use by words.automaton
         # simple Parry detection, attempted up to the probe depth
         try:
             self.one_expansion.extend_to(probe_depth)
@@ -312,16 +314,12 @@ def _step(x: Real, system: BetaSystem) -> tuple[int, Real]:
         return d, y - d
     b = system.beta_exact
     y = b * x if isinstance(b, QuadNum) or isinstance(x, QuadNum) else b * Fraction(x)
-    d = exact_floor(y)
+    d = math.floor(y)
     return d, y - d
 
 
 def _check_unit_interval(x: Real) -> None:
-    if isinstance(x, CertifiedReal):
-        if x.cmp(0) < 0 or x.cmp(1) >= 0:
-            raise PreconditionViolated("point must lie in [0, 1)")
-        return
-    if not (x >= 0 and x < 1):
+    if compare(x, 0) < 0 or compare(x, 1) >= 0:
         raise PreconditionViolated("point must lie in [0, 1)")
 
 

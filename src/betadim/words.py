@@ -11,12 +11,11 @@ that needs checking.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import threading
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, ProbeExhausted
-from .exact import QuadNum
 from .numerics import BetaSystem, Word
 
 DEFAULT_ENUM_CAP = 10 ** 8
@@ -54,20 +53,23 @@ class ParryAutomaton:
         self.system = system
         self._star: list[int] = [0]  # 1-indexed; index 0 unused
         self._fail: list[int] = [0, 0]
+        self._lock = threading.Lock()
 
     def _ensure(self, n: int) -> None:
-        star, fail = self._star, self._fail
-        while len(star) <= n:
-            i = len(star)
-            star.append(self.system.star.digit(i))
-            if i == 1:
-                continue
-            k = fail[i - 1]
-            while k and star[i] != star[k + 1]:
-                k = fail[k]
-            if star[i] == star[k + 1]:
-                k += 1
-            fail.append(k)
+        if len(self._star) > n:
+            return
+        with self._lock:
+            star, fail = self._star, self._fail
+            while len(star) <= n:
+                i = len(star)
+                d = self.system.star.digit(i)
+                if i > 1:
+                    k = fail[i - 1]
+                    while k and d != star[k + 1]:
+                        k = fail[k]
+                    fail.append(k + 1 if d == star[k + 1] else k)
+                # appended last: a reader that finds star[i] also finds fail[i]
+                star.append(d)
 
     def star_digit(self, i: int) -> int:
         self._ensure(i)
@@ -109,16 +111,18 @@ class ParryAutomaton:
         return trans, maxd
 
 
-_AUTOMATA: dict[int, ParryAutomaton] = {}
+_BUILD_LOCK = threading.Lock()
 
 
 def automaton(system: BetaSystem) -> ParryAutomaton:
-    """Per-system automaton cache (systems are immutable)."""
-    key = id(system)
-    auto = _AUTOMATA.get(key)
-    if auto is None or auto.system is not system:
-        auto = ParryAutomaton(system)
-        _AUTOMATA[key] = auto
+    """The system's automaton, built on first use and kept on the system
+    (systems are immutable), so it lives exactly as long as the system."""
+    auto = system._automaton
+    if auto is None:
+        with _BUILD_LOCK:
+            if system._automaton is None:
+                system._automaton = ParryAutomaton(system)
+            auto = system._automaton
     return auto
 
 
@@ -128,15 +132,19 @@ def is_admissible(word: Sequence[int], system: BetaSystem) -> bool:
     return automaton(system).walk(word) is not None
 
 
-def _upper_count_bound(system: BetaSystem, n: int) -> Fraction:
-    b = system.beta_exact
-    if b is None:
-        lo, _ = system.beta.enclosure(64)
-        return Fraction(lo) ** (n + 1) / (lo - 1)
-    v = system.pow(n + 1) / (b - 1)
-    if isinstance(v, QuadNum):
-        return v.enclosure(32)[1]
-    return v
+def check_cap(system: BetaSystem, n: int, cap: int, what: str) -> None:
+    """The one cap policy: raise CapExceeded unless the upper bound
+    beta**(n+1)/(beta-1) on the number of admissible order-n words is
+    within ``cap``.  An interval beta takes the bound at its worst
+    endpoints, so the bound stays an upper bound."""
+    if system.is_exact:
+        upper = renyi_bounds(n, system)[1]
+    else:
+        lo, hi = system.beta.enclosure(64)
+        upper = hi ** (n + 1) / (lo - 1)
+    if upper > cap:
+        raise CapExceeded(
+            f"{what} at order {n} may exceed cap {cap} for beta {system.spec!r}")
 
 
 def words_with_states(system: BetaSystem, n: int) -> Iterator[tuple[Word, int]]:
@@ -165,9 +173,7 @@ def words_with_states(system: BetaSystem, n: int) -> Iterator[tuple[Word, int]]:
 def enumerate_admissible(n: int, system: BetaSystem,
                          cap: int = DEFAULT_ENUM_CAP) -> Iterator[Word]:
     """Stream the set of admissible length-n words, sorted, no duplicates."""
-    if _upper_count_bound(system, n) > cap:
-        raise CapExceeded(
-            f"order-{n} enumeration may exceed cap {cap} for beta {system.spec!r}")
+    check_cap(system, n, cap, "enumeration")
     return (w for w, _ in words_with_states(system, n))
 
 
@@ -195,8 +201,7 @@ def count_admissible(n: int, system: BetaSystem) -> int:
 def _assert_renyi(count: int, n: int, system: BetaSystem) -> None:
     if not system.is_exact:
         return
-    lower = system.pow(n)
-    upper = system.pow(n + 1) / (system.beta_exact - 1)
+    lower, upper = renyi_bounds(n, system)
     if not (lower <= count and count <= upper):
         raise AssertionError(
             f"count {count} violates growth bounds for beta {system.spec!r}, n={n}")

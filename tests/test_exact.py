@@ -12,6 +12,7 @@ from betadim.exact import (
     CertifiedReal,
     LogValue,
     QuadNum,
+    compare,
     iroot,
     ln_interval,
     pow_interval,
@@ -31,9 +32,20 @@ class TestQuadNum:
     def test_floor_and_sign(self):
         assert math.floor(PHI) == 1
         assert math.floor(PHI ** 3) == 4  # phi^3 = 2phi + 1 ~ 4.236
+        assert math.floor(1 - PHI) == -1  # negative sqrt coefficient
+        assert math.floor(-PHI) == -2
         assert (PHI - 2).sign() == -1
         assert (PHI - 1).sign() == 1
         assert QuadNum(Fraction(3, 2)).sign() == 1
+
+    @given(st.sampled_from([5, 13]),
+           st.integers(-2 ** 400, 2 ** 400), st.integers(1, 2 ** 64),
+           st.integers(-2 ** 400, 2 ** 400), st.integers(1, 2 ** 64))
+    @settings(max_examples=200)
+    def test_floor_is_exact(self, d, a, a_den, b, b_den):
+        x = QuadNum(Fraction(a, a_den), Fraction(b, b_den), d)
+        f = math.floor(x)
+        assert f <= x < f + 1  # exact QuadNum comparisons
 
     def test_mixed_arithmetic_with_rationals(self):
         x = PHI + Fraction(1, 3)
@@ -137,7 +149,7 @@ class TestLn:
 
     def test_logvalue_exact_zero(self):
         v = LogValue.of(Fraction(8), 1) - LogValue.of(Fraction(2), 3)
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(PrecisionExhausted, match="log-linear sign undecided at 8192 bits"):
             v.sign()  # genuinely zero: certified sign must refuse, not guess
 
 
@@ -152,8 +164,8 @@ class TestCertifiedReal:
 
     def test_interval_floor_exhausts(self):
         x = CertifiedReal.from_interval(Fraction(999, 1000), Fraction(1001, 1000))
-        with pytest.raises(PrecisionExhausted):
-            x.floor()
+        with pytest.raises(PrecisionExhausted, match="floor undecided at 128 bits"):
+            x.floor()  # a fixed interval cannot refine: one rung only
 
     def test_arithmetic_mixes_exact_and_interval(self):
         a = CertifiedReal.from_exact(Fraction(1, 3))
@@ -172,6 +184,8 @@ class TestCertifiedReal:
         assert a.cmp(b) == -1
         assert b.cmp(a) == 1
         assert a.cmp(PHI) == 0
+        # mixed radicands have no exact difference: enclosures decide
+        assert compare(QuadNum(0, 1, 2), QuadNum(0, 1, 3)) == -1
 
     def test_refinable_comparison(self):
         # sqrt(2) as a refinable enclosure vs exact 1.41421356...

@@ -1,4 +1,8 @@
+import gc
 import itertools
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from betadim.errors import CapExceeded
 from betadim.numerics import expand, make_beta
 from betadim.words import (
+    automaton,
     count_admissible,
     enumerate_admissible,
     format_word,
@@ -133,6 +138,10 @@ class TestEnumerate:
         b = make_beta("2")
         with pytest.raises(CapExceeded):
             list(enumerate_admissible(40, b, cap=1000))
+        # interval beta: the bound takes the upper endpoint in the numerator
+        # (about 637177 words here), not the lower one (about 148135)
+        with pytest.raises(CapExceeded):
+            list(enumerate_admissible(20, make_beta("dec:1.8@4"), cap=200000))
 
 
 class TestCount:
@@ -199,3 +208,39 @@ class TestWordsWithStates:
                 if w[5 - length:] == b.star.prefix(length):
                     best = length
             assert state == best
+
+
+class TestAutomatonPerSystem:
+    def test_systems_are_not_kept_alive(self):
+        refs = []
+        for _ in range(200):
+            b = make_beta("golden")
+            count_admissible(5, b)
+            refs.append(weakref.ref(b))
+        del b
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+
+    def test_one_automaton_shared_across_threads(self):
+        n, workers = 300, 8
+        expected = automaton(make_beta("1.8")).transition_table(n)
+        b = make_beta("1.8")
+        autos, tables = [None] * workers, [None] * workers
+
+        def work(i):
+            autos[i] = automaton(b)
+            tables[i] = autos[i].transition_table(n)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(a is autos[0] for a in autos)
+        assert tables == [expected] * workers
