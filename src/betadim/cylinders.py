@@ -115,31 +115,50 @@ class CensusRecord:
 CENSUS_CSV_HEADER = "beta,n,count_admissible,count_full,max_gap"
 
 
-def full_census(n: int, system: BetaSystem,
-                cap: int = DEFAULT_ENUM_CAP) -> CensusRecord:
+def full_census(n: int, system: BetaSystem) -> CensusRecord:
     """Counts and the maximal run of consecutive non-full cylinders.
 
-    The full ones recur with gaps at most n: among any n+1 consecutive
-    order-n cylinders at least one is full.
+    Folded over the Renyi-Parry decomposition of the words module, with no
+    enumeration.  Write t1 t2 ... for the quasi-greedy digits of 1: the
+    order-r words are, in lexicographic order, t_i blocks of all order-(r-i)
+    words behind the prefixes t1...t_{i-1}d, d < t_i, for i = 1..r, then
+    the single word t1...tr, which ends in automaton state r.  A prefix
+    t1...t_{i-1}d with d < t_i is full, and a full word u followed by a
+    word v is full exactly when v is (Fan-Wang, Nonlinearity 2012), so each
+    block repeats the census of order r-i.  Hence
+
+        c_r = 1 + sum t_i c_{r-i},   f_r = [t1...tr full] + sum t_i f_{r-i}.
+
+    Every block opens with the full word 0...0, so a non-full run lies
+    inside one block or trails the last block into t1...tr; with j the
+    last i such that t_i > 0, that trailing run is 0 when t1...tr is full
+    and trail_{r-j} + 1 otherwise.  The first block is the whole order r-1
+    (t1 >= 1), so the longest run at order n is the longest trailing run
+    at orders 1..n.  That is O(n * #{i <= n : t_i > 0}) work.
+
+    The full cylinders recur with gaps at most n (Bugeaud-Wang, J. Fractal
+    Geom. 2014): among any n+1 consecutive order-n cylinders at least one
+    is full; a longer run raises InvariantFailure.
     """
-    check_cap(system, n, cap, "census")
-    count = 0
-    count_full = 0
-    gap = 0
-    max_gap = 0
-    for _, state in words_with_states(system, n):
-        count += 1
-        if system.is_full_state(state):
-            count_full += 1
-            gap = 0
-        else:
-            gap += 1
-            if gap > max_gap:
-                max_gap = gap
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    auto = automaton(system)
+    steps: list[tuple[int, int]] = []  # (i, t_i) for the nonzero t_i
+    # order 0: the empty word, full
+    counts, fulls, trails = [1], [1], [0]
+    for r in range(1, n + 1):
+        t = auto.star_digit(r)
+        if t:
+            steps.append((r, t))
+        last_full = system.is_full_state(r)
+        counts.append(1 + sum(t * counts[r - i] for i, t in steps))
+        fulls.append(last_full + sum(t * fulls[r - i] for i, t in steps))
+        trails.append(0 if last_full else trails[r - steps[-1][0]] + 1)
+    max_gap = max(trails)
     if max_gap > n:
         raise InvariantFailure(
             f"non-full run {max_gap} exceeds order {n} for beta {system.spec!r}")
-    return CensusRecord(system.spec, n, count, count_full, max_gap)
+    return CensusRecord(system.spec, n, counts[n], fulls[n], max_gap)
 
 
 def iter_cylinders(n: int, system: BetaSystem,

@@ -207,7 +207,8 @@ class BetaSystem:
         self.one_expansion = _OneExpansion(self)
         self.star = StarExpansion(self.one_expansion)
         self._automaton = None  # built on first use by words.automaton
-        # simple Parry detection, attempted up to the probe depth
+        # simple Parry detection, attempted up to the probe depth; informational
+        # (and the zero-run probe's cap): is_full_state decides exactly
         try:
             self.one_expansion.extend_to(probe_depth)
         except PrecisionExhausted:
@@ -271,12 +272,20 @@ class BetaSystem:
 
     def is_full_state(self, state: int) -> bool:
         """Whether the shifted quasi-greedy sequence equals itself at this
-        offset (continuation supremum 1)."""
+        offset (continuation supremum 1).
+
+        Decided exactly, without the Parry probe: a state s >= 1 is full iff
+        the expansion of 1 ends at some length m dividing s.  An expansion
+        ending at m > s cannot make s full, so s digits settle the answer;
+        an interval beta that cannot decide them raises PrecisionExhausted.
+        (m is the minimal period of the quasi-greedy block: a shorter period
+        would contradict Parry's condition on the expansion of 1.)
+        """
         if state == 0:
             return True
-        if self.is_simple_parry:
-            return state % self.star.period == 0
-        return False
+        self.one_expansion.extend_to(state)
+        m = self.one_expansion.finite_length
+        return m is not None and state % m == 0
 
     def zero_run_after(self, n: int, probe: int | None = None) -> int:
         """Longest run of zero quasi-greedy digits right after position n."""

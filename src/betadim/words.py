@@ -1,12 +1,23 @@
 """Admissible digit words: lexicographic order, the Parry criterion,
 enumeration and counting.
 
-The workhorse is a deterministic automaton whose state after reading a
-word w is the length of the longest suffix of w equal to a prefix of the
-quasi-greedy expansion of 1.  A word is admissible iff the walk never
-dies; the classical domination property (shifts of the quasi-greedy
-sequence never exceed it) makes the longest match the only constraint
-that needs checking.
+Write t1 t2 ... for the quasi-greedy expansion of 1.  A word is admissible
+iff each of its suffixes is lexicographically at or below the prefix of
+t of the same length (Parry 1960).  Two views of that set are used.
+
+* The follower automaton, whose state after reading a word w is the length
+  of the longest suffix of w equal to a prefix of t.  A word is admissible
+  iff the walk never dies; the classical domination property (shifts of t
+  never exceed it) makes the longest match the only constraint that needs
+  checking.  It tests and streams single words (``is_admissible``,
+  ``words_with_states``).
+* The Renyi-Parry recursion.  In lexicographic order the admissible words
+  of length r are, for i = 1..r, t_i copies of the block of all admissible
+  words of length r-i (each copy behind one prefix t1...t_{i-1}d, d < t_i),
+  followed by the single word t1...tr.  So the counts obey
+  c_r = 1 + sum_{i<=r} t_i c_{r-i} with c_0 = 1 (``count_admissible``),
+  and no word is ever enumerated.  ``cylinders.full_census`` folds the
+  same decomposition together with fullness.
 """
 
 from __future__ import annotations
@@ -178,22 +189,25 @@ def enumerate_admissible(n: int, system: BetaSystem,
 
 
 def count_admissible(n: int, system: BetaSystem) -> int:
-    """Number of admissible words of length n, by dynamic programming over
-    automaton states; certified against the classical bounds
-    beta**n <= count <= beta**(n+1)/(beta-1)."""
+    """Number of admissible words of length n.
+
+    Computed by the Renyi-Parry recursion c_r = 1 + sum_{i<=r} t_i c_{r-i},
+    c_0 = 1, over the quasi-greedy digits t_i (see the module docstring):
+    O(n * #{i <= n : t_i > 0}) integer additions, with no enumeration and
+    no automaton walk.  Certified against the classical bounds
+    beta**n <= count <= beta**(n+1)/(beta-1) when beta is exact.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
-    trans, maxd = automaton(system).transition_table(n)
-    counts = {0: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        for s, c in counts.items():
-            row = trans[s]
-            for d in range(maxd[s] + 1):
-                t = row[d]
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    total = sum(counts.values())
+    auto = automaton(system)
+    steps: list[tuple[int, int]] = []  # (i, t_i) for the nonzero t_i
+    counts = [1]
+    for r in range(1, n + 1):
+        t = auto.star_digit(r)
+        if t:
+            steps.append((r, t))
+        counts.append(1 + sum(t * counts[r - i] for i, t in steps))
+    total = counts[n]
     _assert_renyi(total, n, system)
     return total
 

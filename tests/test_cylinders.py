@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from betadim.errors import NotAdmissible, PreconditionViolated
+from betadim.errors import NotAdmissible, PrecisionExhausted, PreconditionViolated
 from betadim.exact import QuadNum
 from betadim.numerics import GOLDEN, eval_word, make_beta
 from betadim.cylinders import (
@@ -17,10 +17,13 @@ from betadim.cylinders import (
     length_by_partition,
     successor,
 )
-from betadim.words import enumerate_admissible, is_admissible
+from betadim.words import (count_admissible, enumerate_admissible, is_admissible,
+                           words_with_states)
 
 PHI = GOLDEN
 BETAS = ["golden", "1.8", "2.5", "2"]
+S13 = "quad:(1+1*sqrt(13))/2"
+DEC = "dec:1.8@200"
 
 
 def extension_full_oracle(word, system, depth=4):
@@ -31,6 +34,21 @@ def extension_full_oracle(word, system, depth=4):
             if not is_admissible(tuple(word) + u, system):
                 return False
     return True
+
+
+def reference_census(n, system):
+    """Enumeration oracle: (count, count_full, max_gap) from one pass over
+    the order-n words and their final automaton states."""
+    count = count_full = gap = max_gap = 0
+    for _, state in words_with_states(system, n):
+        count += 1
+        if system.is_full_state(state):
+            count_full += 1
+            gap = 0
+        else:
+            gap += 1
+            max_gap = max(max_gap, gap)
+    return count, count_full, max_gap
 
 
 class TestCylinderBasics:
@@ -131,6 +149,22 @@ class TestFullness:
             b = make_beta(spec)
             assert is_full((0,) * 4, b)
 
+    def test_short_parry_probe_does_not_decide_fullness(self):
+        # a one-digit probe misses the finite expansion 1 = .11 of golden;
+        # fullness must not depend on it: F(6) = 13 order-6 words are full
+        b = make_beta("golden", probe_depth=1)
+        assert full_census(6, b).count_full == 13
+        assert sum(c.is_full for c in iter_cylinders(6, b)) == 13
+
+    def test_undecided_expansion_is_not_read_as_non_full(self):
+        # the expansion of 1 in dec:1.8@200 is decided to 232 digits only
+        b = make_beta(DEC)
+        assert not b.is_full_state(200)
+        with pytest.raises(PrecisionExhausted):
+            b.is_full_state(300)
+        with pytest.raises(PrecisionExhausted):
+            full_census(300, b)
+
 
 class TestCensus:
     def test_dyadic(self):
@@ -154,6 +188,23 @@ class TestCensus:
         rec = full_census(6, make_beta("golden"))
         assert rec.max_gap <= 6
         assert rec.count_admissible == 21  # fib(8)
+
+    def test_fold_matches_enumeration(self):
+        for spec in BETAS + [S13, DEC]:
+            b = make_beta(spec)
+            for n in range(1, 13):
+                rec = full_census(n, b)
+                got = (rec.count_admissible, rec.count_full, rec.max_gap)
+                assert got == reference_census(n, b), (spec, n)
+
+    def test_gap_bound_at_order_400(self):
+        # Bugeaud-Wang: non-full runs at order n are at most n, checked
+        # where enumeration (about beta**400 words) never could
+        for spec in ("2", "golden", "9/5", "5/2", S13, "10.5"):
+            b = make_beta(spec)
+            rec = full_census(400, b)
+            assert rec.max_gap <= 400, spec
+            assert rec.count_admissible == count_admissible(400, b), spec
 
 
 class TestFindFull:

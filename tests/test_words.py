@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadim.errors import CapExceeded
+from betadim.errors import CapExceeded, PrecisionExhausted
 from betadim.numerics import expand, make_beta
 from betadim.words import (
     automaton,
@@ -25,6 +25,8 @@ from betadim.words import (
 )
 
 BETAS = ["golden", "1.8", "2.5", "2"]
+S13 = "quad:(1+1*sqrt(13))/2"
+DEC = "dec:1.8@200"
 
 
 def brute_admissible(word, system):
@@ -37,6 +39,20 @@ def brute_admissible(word, system):
         if suffix > prefix:
             return False
     return True
+
+
+def automaton_dp_count(n, system):
+    """Independent counter: dynamic programming over the follower
+    automaton's states, one digit at a time."""
+    trans, _ = automaton(system).transition_table(n)
+    counts = {0: 1}
+    for _ in range(n):
+        nxt = {}
+        for s, c in counts.items():
+            for t in trans[s]:
+                nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    return sum(counts.values())
 
 
 def fib(n):
@@ -167,6 +183,16 @@ class TestCount:
             b = make_beta(spec)
             for n in (1, 2, 4, 6):
                 assert count_admissible(n, b) == len(list(enumerate_admissible(n, b)))
+
+    def test_recursion_matches_automaton_dp(self):
+        for spec in BETAS + [S13]:
+            b = make_beta(spec)
+            assert count_admissible(300, b) == automaton_dp_count(300, b), spec
+        # the expansion of 1 in DEC is decided to 232 digits only
+        b = make_beta(DEC)
+        assert count_admissible(200, b) == automaton_dp_count(200, b)
+        with pytest.raises(PrecisionExhausted):
+            count_admissible(300, b)
 
     def test_renyi_bounds_explicit(self):
         b = make_beta("golden")
