@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 from .errors import InvariantFailure, NotAdmissible, PreconditionViolated
 from .exact import Exact, compare
 from .numerics import BetaSystem, Word, eval_word, expand
-from .words import DEFAULT_ENUM_CAP, automaton, check_cap, words_with_states
+from .words import DEFAULT_ENUM_CAP, ParryAutomaton, check_cap, words_with_states
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class CylinderInterval:
 
 
 def _final_state(word: Sequence[int], system: BetaSystem) -> int:
-    state = automaton(system).walk(word)
+    state = ParryAutomaton(system).walk(word)
     if state is None:
         raise NotAdmissible(f"word {tuple(word)} is not admissible for beta "
                             f"{system.spec!r}")
@@ -68,7 +68,7 @@ def is_full(word: Sequence[int], system: BetaSystem) -> bool:
 
 def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
     """Next admissible word of the same length, or None at the end."""
-    auto = automaton(system)
+    auto = ParryAutomaton(system)
     states = [0]
     for d in word:
         s = auto.step(states[-1], d)
@@ -142,12 +142,11 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    auto = automaton(system)
     steps: list[tuple[int, int]] = []  # (i, t_i) for the nonzero t_i
     # order 0: the empty word, full
     counts, fulls, trails = [1], [1], [0]
     for r in range(1, n + 1):
-        t = auto.star_digit(r)
+        t = system.star.digit(r)
         if t:
             steps.append((r, t))
         last_full = system.is_full_state(r)
@@ -192,7 +191,7 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     word = expand(lo_clamped, system, n)
 
     need = 1 if strict else 0
-    auto = automaton(system)
+    auto = ParryAutomaton(system)
     w: Word | None = word
     while w is not None:
         left = eval_word(w, system)

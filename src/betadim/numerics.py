@@ -12,8 +12,10 @@ Beta specifications (the ``make_beta`` grammar):
 * ``"dec:<digits>@<bits>"``           -- a real known only to +-2**-bits
   around the given decimal; floor decisions may exhaust precision.
 
-All operations are pure; digit streams and automata memoize behind locks,
-and systems are safe to share across threads.
+All operations are pure.  The digit stream of 1, the quasi-greedy digits
+and the power caches memoize under locks, and the automaton of the
+``words`` module holds no state, so systems are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -66,21 +68,6 @@ def parse_beta_spec(spec: str) -> tuple[Exact | None, tuple[Fraction, Fraction] 
         raise InvalidBeta(f"cannot parse beta spec {spec!r}") from None
 
 
-def _minimal_period(block: Sequence[int]) -> int:
-    """Smallest p such that the block is (block[:p]) repeated."""
-    m = len(block)
-    fail = [0] * (m + 1)
-    k = 0
-    for i in range(1, m):
-        while k and block[i] != block[k]:
-            k = fail[k]
-        if block[i] == block[k]:
-            k += 1
-        fail[i + 1] = k
-    p = m - fail[m]
-    return p if m % p == 0 else m
-
-
 class _OneExpansion:
     """Memoized digit stream of the expansion of 1 under x -> beta*x - floor."""
 
@@ -122,44 +109,44 @@ class StarExpansion:
     Equal to the expansion of 1 when that is infinite; when the expansion
     of 1 is finite of length m, it is the periodic completion obtained by
     decrementing the last digit and repeating the block forever.
+
+    This is the system's one store of quasi-greedy digits.  It only grows,
+    under one lock, so a digit already stored is read without locking; a
+    failed extension keeps every digit stored before it.
     """
 
     def __init__(self, one: _OneExpansion):
         self._one = one
-        self._cached_block: list[int] | None = None
-
-    def _block(self) -> list[int] | None:
-        if self._cached_block is not None:
-            return self._cached_block
-        m = self._one.finite_length
-        if m is None:
-            return None
-        block = [self._one.digit(i) for i in range(1, m + 1)]
-        block[-1] -= 1
-        self._cached_block = block
-        return block
-
-    @property
-    def periodic_block(self) -> tuple[int, ...] | None:
-        b = self._block()
-        return tuple(b) if b is not None else None
+        self._digits: list[int] = [0]  # 1-indexed; index 0 unused
+        self._lock = threading.Lock()
 
     @property
     def period(self) -> int | None:
-        b = self._block()
-        return _minimal_period(b) if b is not None else None
+        """Length m of a finite expansion of 1, else None.  The block of
+        length m has no shorter period: if it were u**k with k >= 2, the
+        shift by |u| of the expansion of 1 would exceed it, against
+        Parry's condition."""
+        return self._one.finite_length
 
     def digit(self, i: int) -> int:
+        digits = self._digits
+        if 0 < i < len(digits):
+            return digits[i]
         if i < 1:
             raise ValueError("digit index starts at 1")
-        one = self._one
-        if one.finite_length is None:
-            d = one.digit(i)  # may discover a finite end
-            if one.finite_length is None:
-                return d
-        block = self._block()
-        assert block is not None
-        return block[(i - 1) % len(block)]
+        with self._lock:
+            one = self._one
+            while len(digits) <= i:
+                j = len(digits)
+                if one.finite_length is None:
+                    d = one.digit(j)  # may discover a finite end
+                    if one.finite_length is None:
+                        digits.append(d)
+                        continue
+                m = one.finite_length
+                k = (j - 1) % m + 1
+                digits.append(one.digit(k) - (1 if k == m else 0))
+        return digits[i]
 
     def prefix(self, n: int) -> Word:
         return tuple(self.digit(i) for i in range(1, n + 1))
@@ -206,7 +193,6 @@ class BetaSystem:
         self._star_value_lock = threading.Lock()
         self.one_expansion = _OneExpansion(self)
         self.star = StarExpansion(self.one_expansion)
-        self._automaton = None  # built on first use by words.automaton
         # simple Parry detection, attempted up to the probe depth; informational
         # (and the zero-run probe's cap): is_full_state decides exactly
         try:
@@ -278,8 +264,8 @@ class BetaSystem:
         the expansion of 1 ends at some length m dividing s.  An expansion
         ending at m > s cannot make s full, so s digits settle the answer;
         an interval beta that cannot decide them raises PrecisionExhausted.
-        (m is the minimal period of the quasi-greedy block: a shorter period
-        would contradict Parry's condition on the expansion of 1.)
+        (m is the minimal period of the quasi-greedy block, see
+        ``StarExpansion.period``.)
         """
         if state == 0:
             return True

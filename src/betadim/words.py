@@ -9,8 +9,10 @@ t of the same length (Parry 1960).  Two views of that set are used.
   of the longest suffix of w equal to a prefix of t.  A word is admissible
   iff the walk never dies; the classical domination property (shifts of t
   never exceed it) makes the longest match the only constraint that needs
-  checking.  It tests and streams single words (``is_admissible``,
-  ``words_with_states``).
+  checking.  From state s a digit d dies above t_{s+1}, moves to s+1 on
+  equality and resets to 0 below it: by domination every border k of
+  t1...ts has t_{s+1} <= t_k, so a smaller digit extends none.  It tests
+  and streams single words (``is_admissible``, ``words_with_states``).
 * The Renyi-Parry recursion.  In lexicographic order the admissible words
   of length r are, for i = 1..r, t_i copies of the block of all admissible
   words of length r-i (each copy behind one prefix t1...t_{i-1}d, d < t_i),
@@ -22,7 +24,6 @@ t of the same length (Parry 1960).  Two views of that set are used.
 
 from __future__ import annotations
 
-import threading
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
@@ -54,55 +55,28 @@ def lex_compare(a: Iterable[int], b: Iterable[int], horizon: int = 10 ** 6) -> i
 class ParryAutomaton:
     """Follower automaton of the admissible words of one base.
 
-    States are maximal quasi-greedy-prefix match lengths; reading digit d
-    from state s dies iff d exceeds the (s+1)-st quasi-greedy digit,
-    advances to s+1 on equality, and otherwise falls back through the
-    prefix-function chain.
+    State s is the length of the longest suffix of the word read so far
+    that equals t1...ts.  Reading digit d from state s, with t = t_{s+1},
+    dies if d > t, moves to s+1 if d == t and resets to 0 if d < t.  The
+    reset is exact: if t1...t_{k-1} is also a suffix (a border), domination
+    (the shift of t by s-k+1 is at most t) gives t_{s+1} <= t_k, so
+    d < t_{s+1} extends no border.  The automaton holds no state of its
+    own; it reads the digits from the system's store ``system.star``.
     """
 
     def __init__(self, system: BetaSystem):
         self.system = system
-        self._star: list[int] = [0]  # 1-indexed; index 0 unused
-        self._fail: list[int] = [0, 0]
-        self._lock = threading.Lock()
-
-    def _ensure(self, n: int) -> None:
-        if len(self._star) > n:
-            return
-        with self._lock:
-            star, fail = self._star, self._fail
-            while len(star) <= n:
-                i = len(star)
-                d = self.system.star.digit(i)
-                if i > 1:
-                    k = fail[i - 1]
-                    while k and d != star[k + 1]:
-                        k = fail[k]
-                    fail.append(k + 1 if d == star[k + 1] else k)
-                # appended last: a reader that finds star[i] also finds fail[i]
-                star.append(d)
-
-    def star_digit(self, i: int) -> int:
-        self._ensure(i)
-        return self._star[i]
 
     def max_digit(self, state: int) -> int:
         """Largest digit readable from this state without dying."""
-        return self.star_digit(state + 1)
+        return self.system.star.digit(state + 1)
 
     def step(self, state: int, digit: int) -> int | None:
         """Next state, or None when the word becomes inadmissible."""
         if digit < 0:
             raise ValueError("digits are non-negative")
-        if digit > self.star_digit(state + 1):
-            return None
-        while True:
-            if digit == self.star_digit(state + 1):
-                return state + 1
-            if state == 0:
-                return 0
-            self._ensure(state)
-            state = self._fail[state]
+        t = self.system.star.digit(state + 1)
+        return None if digit > t else (state + 1 if digit == t else 0)
 
     def walk(self, word: Sequence[int]) -> int | None:
         state = 0
@@ -115,32 +89,16 @@ class ParryAutomaton:
     def transition_table(self, n: int) -> tuple[list[list[int]], list[int]]:
         """Dense tables (trans[state][digit], max_digit[state]) for states
         0..n; trans rows only cover digits 0..max_digit[state]."""
-        self._ensure(n + 1)
-        maxd = [self.star_digit(s + 1) for s in range(n + 1)]
+        maxd = [self.max_digit(s) for s in range(n + 1)]
         trans = [[self.step(s, d) for d in range(maxd[s] + 1)]
                  for s in range(n + 1)]
         return trans, maxd
 
 
-_BUILD_LOCK = threading.Lock()
-
-
-def automaton(system: BetaSystem) -> ParryAutomaton:
-    """The system's automaton, built on first use and kept on the system
-    (systems are immutable), so it lives exactly as long as the system."""
-    auto = system._automaton
-    if auto is None:
-        with _BUILD_LOCK:
-            if system._automaton is None:
-                system._automaton = ParryAutomaton(system)
-            auto = system._automaton
-    return auto
-
-
 def is_admissible(word: Sequence[int], system: BetaSystem) -> bool:
     """Parry criterion: every suffix stays lexicographically at or below
     the quasi-greedy prefix of its own length."""
-    return automaton(system).walk(word) is not None
+    return ParryAutomaton(system).walk(word) is not None
 
 
 def check_cap(system: BetaSystem, n: int, cap: int, what: str) -> None:
@@ -163,7 +121,7 @@ def words_with_states(system: BetaSystem, n: int) -> Iterator[tuple[Word, int]]:
     final automaton state."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    trans, maxd = automaton(system).transition_table(n)
+    trans, maxd = ParryAutomaton(system).transition_table(n)
     digits = [-1] * (n + 1)
     states = [0] * (n + 1)
     i = 1
@@ -199,11 +157,10 @@ def count_admissible(n: int, system: BetaSystem) -> int:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    auto = automaton(system)
     steps: list[tuple[int, int]] = []  # (i, t_i) for the nonzero t_i
     counts = [1]
     for r in range(1, n + 1):
-        t = auto.star_digit(r)
+        t = system.star.digit(r)
         if t:
             steps.append((r, t))
         counts.append(1 + sum(t * counts[r - i] for i, t in steps))
@@ -224,11 +181,6 @@ def _assert_renyi(count: int, n: int, system: BetaSystem) -> None:
 def renyi_bounds(n: int, system: BetaSystem):
     """The exact pair (beta**n, beta**(n+1)/(beta-1))."""
     return system.pow(n), system.pow(n + 1) / (system.beta_exact - 1)
-
-
-def zero_run(n: int, system: BetaSystem, probe: int | None = None) -> int:
-    """Longest run of zero quasi-greedy digits after position n."""
-    return system.zero_run_after(n, probe)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,16 @@ class TestParseAndMake:
         assert b.star.prefix(6) == (1, 0, 1, 0, 1, 0)
         assert b.star.period == 2
 
+    def test_period_is_finite_length(self):
+        blocks = {"2": (1,), "3": (2,), "golden": (1, 0),
+                  "quad:(1+1*sqrt(2))/1": (2, 0),
+                  "quad:(2+1*sqrt(7))/1": (4, 2)}
+        for spec, block in blocks.items():
+            b = make_beta(spec)
+            assert b.star.period == b.one_expansion.finite_length == len(block)
+            assert b.star.prefix(3 * len(block)) == block * 3, spec
+        assert make_beta("1.8").star.period is None
+
     def test_quad_spec_matches_golden(self):
         assert parse_beta_spec("quad:(1+1*sqrt(5))/2")[0] == PHI
         assert parse_beta_spec("quad:(3+0*sqrt(2))/2")[0] == Fraction(3, 2)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from betadim.errors import CapExceeded, PrecisionExhausted
 from betadim.numerics import expand, make_beta
 from betadim.words import (
-    automaton,
+    ParryAutomaton,
     count_admissible,
     enumerate_admissible,
     format_word,
@@ -21,7 +21,6 @@ from betadim.words import (
     parse_word,
     renyi_bounds,
     words_with_states,
-    zero_run,
 )
 
 BETAS = ["golden", "1.8", "2.5", "2"]
@@ -41,16 +40,44 @@ def brute_admissible(word, system):
     return True
 
 
+def kmp_tables(system, n):
+    """Quasi-greedy digits t[1..n+1] (t[0] unused) and their prefix
+    function: fail[i] is the longest proper border of t1...ti, i <= n."""
+    t = (0,) + system.star.prefix(n + 1)
+    fail = [0, 0]
+    for i in range(2, n + 1):
+        k = fail[i - 1]
+        while k and t[i] != t[k + 1]:
+            k = fail[k]
+        fail.append(k + 1 if t[i] == t[k + 1] else k)
+    return t, fail
+
+
+def kmp_step(t, fail, state, digit):
+    """Independent follower step: fall back through the prefix-function
+    chain until the digit extends a border, without assuming that every
+    smaller digit resets to state 0."""
+    if digit > t[state + 1]:
+        return None
+    while True:
+        if digit == t[state + 1]:
+            return state + 1
+        if state == 0:
+            return 0
+        state = fail[state]
+
+
 def automaton_dp_count(n, system):
-    """Independent counter: dynamic programming over the follower
+    """Independent counter: dynamic programming over the fail-chain
     automaton's states, one digit at a time."""
-    trans, _ = automaton(system).transition_table(n)
+    t, fail = kmp_tables(system, n)
     counts = {0: 1}
     for _ in range(n):
         nxt = {}
         for s, c in counts.items():
-            for t in trans[s]:
-                nxt[t] = nxt.get(t, 0) + c
+            for d in range(t[s + 1] + 1):
+                u = kmp_step(t, fail, s, d)
+                nxt[u] = nxt.get(u, 0) + c
         counts = nxt
     return sum(counts.values())
 
@@ -204,13 +231,6 @@ class TestCount:
         assert 11 < float(upper) < 11.2
 
 
-class TestZeroRun:
-    def test_examples(self):
-        assert zero_run(1, make_beta("golden")) == 1
-        assert zero_run(1, make_beta("2")) == 0
-        assert zero_run(2, make_beta("golden")) == 0
-
-
 class TestTextFormat:
     def test_roundtrip_compact(self):
         b = make_beta("2.5")
@@ -224,16 +244,34 @@ class TestTextFormat:
         assert parse_word(text) == w
 
 
+class TestAutomaton:
+    def test_reset_rule_matches_fail_chain(self):
+        cases = [(spec, 400) for spec in
+                 ("golden", "1.8", "2.5", "2", "9/5", "10.5", S13)]
+        # the expansion of 1 in DEC is decided to 232 digits only
+        cases.append((DEC, 200))
+        for spec, n in cases:
+            b = make_beta(spec)
+            t, fail = kmp_tables(b, n)
+            auto = ParryAutomaton(b)
+            trans, maxd = auto.transition_table(n)
+            for s in range(n + 1):
+                assert maxd[s] == t[s + 1]
+                for d in range(t[s + 1] + 2):
+                    assert auto.step(s, d) == kmp_step(t, fail, s, d), (spec, s, d)
+                assert trans[s] == [kmp_step(t, fail, s, d)
+                                    for d in range(t[s + 1] + 1)], (spec, s)
+
+
 class TestWordsWithStates:
     def test_state_is_longest_quasi_greedy_suffix_match(self):
-        b = make_beta("golden")
-        for w, state in words_with_states(b, 5):
-            # recompute the longest suffix that matches a prefix of (1,0)^inf
-            best = 0
-            for length in range(1, 6):
-                if w[5 - length:] == b.star.prefix(length):
-                    best = length
-            assert state == best
+        for spec in BETAS + [S13]:
+            b = make_beta(spec)
+            for n in range(1, 9):
+                for w, state in words_with_states(b, n):
+                    best = max(length for length in range(n + 1)
+                               if w[n - length:] == b.star.prefix(length))
+                    assert state == best, (spec, w)
 
 
 class TestAutomatonPerSystem:
@@ -247,15 +285,17 @@ class TestAutomatonPerSystem:
         gc.collect()
         assert [r for r in refs if r() is not None] == []
 
-    def test_one_automaton_shared_across_threads(self):
+    def test_digit_store_shared_across_threads(self):
         n, workers = 300, 8
-        expected = automaton(make_beta("1.8")).transition_table(n)
+        fresh = make_beta("1.8")
+        expected = (ParryAutomaton(fresh).transition_table(n), fresh.star.prefix(n))
         b = make_beta("1.8")
-        autos, tables = [None] * workers, [None] * workers
+        results = [None] * workers
+        start = threading.Barrier(workers)
 
         def work(i):
-            autos[i] = automaton(b)
-            tables[i] = autos[i].transition_table(n)
+            start.wait(timeout=60)
+            results[i] = (ParryAutomaton(b).transition_table(n), b.star.prefix(n))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
         old = sys.getswitchinterval()
@@ -268,5 +308,14 @@ class TestAutomatonPerSystem:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        assert all(a is autos[0] for a in autos)
-        assert tables == [expected] * workers
+        assert results == [expected] * workers
+
+    def test_failed_extension_leaves_store_usable(self):
+        fresh = make_beta(DEC)
+        expected = (count_admissible(200, fresh), fresh.star.prefix(200))
+        b = make_beta(DEC)
+        with pytest.raises(PrecisionExhausted):
+            count_admissible(300, b)
+        assert (count_admissible(200, b), b.star.prefix(200)) == expected
+        with pytest.raises(PrecisionExhausted):
+            count_admissible(300, b)
