@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import PreconditionViolated
 from .exact import CertifiedReal, Exact, LogValue, compare, pow_interval
-from .numerics import BetaSystem, Real, eval_word, orbit
+from .numerics import BetaSystem, Real, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +72,17 @@ class PsiFunction:
     def max_index(self) -> int | None:
         return len(self.table) if self.family == "table" else None
 
+    def _check_index(self, n: int) -> None:
+        """psi is indexed from 1, a table up to its length."""
+        if n < 1:
+            raise PreconditionViolated("psi is indexed from 1")
+        if self.family == "table" and n > len(self.table):
+            raise PreconditionViolated(f"table psi has no index {n}")
+
     def value_exact(self, n: int) -> Exact | None:
         """Exact value when representable in the base's field, else None."""
+        self._check_index(n)
         if self.family == "table":
-            if n > len(self.table):
-                raise PreconditionViolated(f"table psi has no index {n}")
             return self.table[n - 1]
         e = self.alpha * n
         if e.denominator != 1 or not self.system.is_exact:
@@ -90,8 +96,6 @@ class PsiFunction:
 
     def value(self, n: int) -> CertifiedReal:
         """The value as a certified real (exact core when possible)."""
-        if n < 1:
-            raise PreconditionViolated("psi is indexed from 1")
         exact = self.value_exact(n)
         if exact is not None:
             return CertifiedReal.from_exact(exact)
@@ -120,6 +124,7 @@ class PsiFunction:
 
     def log_value(self, n: int) -> LogValue:
         """ln psi(n) as an exact log-linear combination (for huge n)."""
+        self._check_index(n)
         if self.family == "table":
             return LogValue.of(self.table[n - 1])
         beta = self.system.require_exact("symbolic psi logarithm")
@@ -297,15 +302,3 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
                 violations[float(c)].append(n)
     return EvidenceReport(str(x), system.spec, psi.describe(), horizon,
                           [float(c) for c in cs], hits, violations)
-
-
-def error_two_ways(x: Real, system: BetaSystem, n: int) -> tuple[Real, Real]:
-    """(x - value(prefix), T^n(x) * beta**-n): must agree exactly."""
-    digits = []
-    last: Real = x
-    for d, t in orbit(x, system, n):
-        digits.append(d)
-        last = t
-    direct = x - eval_word(digits, system)
-    via_orbit = last * system.pow(-n)
-    return direct, via_orbit

@@ -92,13 +92,6 @@ def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
     return eval_word(nxt, system) - left
 
 
-def fullness_two_ways(word: Sequence[int], system: BetaSystem) -> tuple[bool, bool]:
-    """(follower-route fullness, exact-length fullness); must agree."""
-    fast = is_full(word, system)
-    exact = length_by_partition(word, system) == system.pow(-len(word))
-    return fast, exact
-
-
 @dataclass(frozen=True)
 class CensusRecord:
     beta_spec: str
@@ -106,13 +99,6 @@ class CensusRecord:
     count_admissible: int
     count_full: int
     max_gap: int
-
-    def csv_row(self) -> str:
-        return (f"{self.beta_spec},{self.order},{self.count_admissible},"
-                f"{self.count_full},{self.max_gap}")
-
-
-CENSUS_CSV_HEADER = "beta,n,count_admissible,count_full,max_gap"
 
 
 def full_census(n: int, system: BetaSystem) -> CensusRecord:

@@ -17,10 +17,6 @@ class PrecisionExhausted(BetadimError):
     """A certified decision could not be made within the precision budget."""
 
 
-class ProbeExhausted(BetadimError):
-    """A digit-stream probe ran past its depth cap without deciding."""
-
-
 class CapExceeded(BetadimError):
     """An enumeration or materialization would exceed a configured cap."""
 

@@ -1,8 +1,8 @@
 """Base systems for beta-expansions with certified arithmetic.
 
 A ``BetaSystem`` packages a base beta > 1 together with the machinery the
-rest of the package rests on: the digit alphabet, the expansion of 1, its
-quasi-greedy (always infinite) completion, and exact power caches.
+rest of the package rests on: the digit alphabet, the quasi-greedy (always
+infinite) expansion of 1, and exact power caches.
 
 Beta specifications (the ``make_beta`` grammar):
 
@@ -12,10 +12,25 @@ Beta specifications (the ``make_beta`` grammar):
 * ``"dec:<digits>@<bits>"``           -- a real known only to +-2**-bits
   around the given decimal; floor decisions may exhaust precision.
 
-All operations are pure.  The digit stream of 1, the quasi-greedy digits
-and the power caches memoize under locks, and the automaton of the
-``words`` module holds no state, so systems are safe to share across
-threads.
+Each system has one store of quasi-greedy digits, ``system.star``.  Which
+cylinders are full depends on one fact about beta: whether its expansion
+of 1 ends, and at what length m (Parry 1960).  That fact is decided
+exactly when the system is built, never by probing digits:
+
+* a rational beta has a finite expansion of 1 iff it is an integer
+  (then m = 1): a finite expansion makes beta a root of a monic integer
+  polynomial, and a rational algebraic integer is an integer;
+* a quadratic beta can have one only if it is a Pisot number, since every
+  quadratic Parry number is Pisot (Frougny-Solomyak 1992).  For a Pisot
+  beta the orbit of 1 is eventually periodic (Schmidt, Bull. LMS 1980), so
+  its exact orbit is walked, with the points seen so far, until it reaches
+  0 (giving m) or repeats a point (an infinite expansion);
+* an interval beta is never walked: no finite expansion can be certified
+  for it, and its digits are decided one by one as they are read.
+
+All operations are pure.  The digit store and the power caches memoize
+under locks, and the automaton of the ``words`` module holds no state, so
+systems are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -26,8 +41,8 @@ import threading
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated, ProbeExhausted
-from .exact import CertifiedReal, Exact, QuadNum, compare, exact_sign
+from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
+from .exact import CertifiedReal, Exact, QuadNum, compare
 
 Word = tuple[int, ...]
 Real = Union[int, Fraction, QuadNum, CertifiedReal]
@@ -68,65 +83,59 @@ def parse_beta_spec(spec: str) -> tuple[Exact | None, tuple[Fraction, Fraction] 
         raise InvalidBeta(f"cannot parse beta spec {spec!r}") from None
 
 
-class _OneExpansion:
-    """Memoized digit stream of the expansion of 1 under x -> beta*x - floor."""
-
-    def __init__(self, system: "BetaSystem"):
-        self._sys = system
-        self._digits: list[int] = []
-        self._state: Real = 1  # value before the next step
-        self._finite_length: int | None = None
-        self._lock = threading.Lock()
-
-    @property
-    def finite_length(self) -> int | None:
-        return self._finite_length
-
-    def digit(self, i: int) -> int:
-        """1-indexed digit of the expansion of 1 (0 beyond a finite end)."""
-        if i < 1:
-            raise ValueError("digit index starts at 1")
-        self.extend_to(i)
-        if i <= len(self._digits):
-            return self._digits[i - 1]
-        return 0  # finite expansion continued by zeros
-
-    def extend_to(self, n: int) -> None:
-        if len(self._digits) >= n or self._finite_length is not None:
-            return
-        with self._lock:
-            while len(self._digits) < n and self._finite_length is None:
-                d, nxt = _step(self._state, self._sys)
-                self._digits.append(d)
-                self._state = nxt
-                if _is_exact_zero(nxt):
-                    self._finite_length = len(self._digits)
+def _is_pisot(beta: Exact) -> bool:
+    """Whether beta is a Pisot number: an algebraic integer whose other
+    conjugates lie inside the unit disc.  An integer is; a non-integer
+    rational is not an algebraic integer; a + b*sqrt(d) is iff its trace
+    2a and norm a**2 - b**2 d are integers and |a - b*sqrt(d)| < 1."""
+    if isinstance(beta, Fraction):
+        return beta.denominator == 1
+    a, b, d = beta.a, beta.b, beta.d
+    return ((2 * a).denominator == 1 and (a * a - b * b * d).denominator == 1
+            and -1 < QuadNum(a, -b, d) < 1)
 
 
 class StarExpansion:
-    """The quasi-greedy expansion of 1: always an infinite sequence.
+    """The quasi-greedy expansion t1 t2 ... of 1: the system's one digit store.
 
     Equal to the expansion of 1 when that is infinite; when the expansion
-    of 1 is finite of length m, it is the periodic completion obtained by
-    decrementing the last digit and repeating the block forever.
+    of 1 ends at length m, it is the block of those m digits with the last
+    one lowered by 1, repeated forever.  ``period`` is that m, or None when
+    the expansion of 1 is infinite (or, for an interval beta, not known to
+    be finite); it is decided once, when the system is built, as the module
+    docstring explains.  The block of length m has no shorter period: if it
+    were u**k with k >= 2, the shift by |u| of the expansion of 1 would
+    exceed it, against Parry's condition.
 
-    This is the system's one store of quasi-greedy digits.  It only grows,
-    under one lock, so a digit already stored is read without locking; a
-    failed extension keeps every digit stored before it.
+    The digits live in one 1-indexed list that only grows, under one lock,
+    so a digit already stored is read without locking; a failed extension
+    (an interval beta out of precision) keeps every digit stored before it.
     """
 
-    def __init__(self, one: _OneExpansion):
-        self._one = one
+    def __init__(self, system: "BetaSystem"):
+        self._sys = system
         self._digits: list[int] = [0]  # 1-indexed; index 0 unused
+        self._point: Real = 1  # T^k(1) after k stored digits, while walked
+        self._repeat: int | None = None  # t_i = t_{i-repeat} past the store
         self._lock = threading.Lock()
-
-    @property
-    def period(self) -> int | None:
-        """Length m of a finite expansion of 1, else None.  The block of
-        length m has no shorter period: if it were u**k with k >= 2, the
-        shift by |u| of the expansion of 1 would exceed it, against
-        Parry's condition."""
-        return self._one.finite_length
+        self.period: int | None = None
+        beta = system.beta_exact
+        if beta is None or not _is_pisot(beta):
+            return
+        # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980)
+        seen: dict[Exact, int] = {}
+        digits, x = self._digits, Fraction(1)
+        while x != 0 and x not in seen:
+            seen[x] = len(digits) - 1
+            y = beta * x
+            d = math.floor(y)
+            digits.append(d)
+            x = y - d
+        if x == 0:
+            self.period = self._repeat = len(digits) - 1
+            digits[-1] -= 1
+        else:
+            self._repeat = len(digits) - 1 - seen[x]
 
     def digit(self, i: int) -> int:
         digits = self._digits
@@ -135,33 +144,23 @@ class StarExpansion:
         if i < 1:
             raise ValueError("digit index starts at 1")
         with self._lock:
-            one = self._one
+            p = self._repeat
             while len(digits) <= i:
-                j = len(digits)
-                if one.finite_length is None:
-                    d = one.digit(j)  # may discover a finite end
-                    if one.finite_length is None:
-                        digits.append(d)
-                        continue
-                m = one.finite_length
-                k = (j - 1) % m + 1
-                digits.append(one.digit(k) - (1 if k == m else 0))
+                if p is None:
+                    d, self._point = _step(self._point, self._sys)
+                else:
+                    d = digits[len(digits) - p]
+                digits.append(d)
         return digits[i]
 
     def prefix(self, n: int) -> Word:
         return tuple(self.digit(i) for i in range(1, n + 1))
 
-    def __iter__(self) -> Iterator[int]:
-        i = 1
-        while True:
-            yield self.digit(i)
-            i += 1
-
 
 class BetaSystem:
     """A base beta > 1 with exact or declared-precision arithmetic."""
 
-    def __init__(self, spec: str, probe_depth: int = 64):
+    def __init__(self, spec: str):
         self.spec = spec
         exact, interval = parse_beta_spec(spec)
         self.beta_exact: Exact | None = exact
@@ -186,20 +185,11 @@ class BetaSystem:
                     "declared precision straddles an integer boundary")
             ceil_b = clo
         self.alphabet_max = ceil_b - 1
-        self.probe_depth = probe_depth
         self._pow_cache: dict[int, Exact] = {}
         self._pow_lock = threading.Lock()
         self._star_value_cache: list[Exact] = []
         self._star_value_lock = threading.Lock()
-        self.one_expansion = _OneExpansion(self)
-        self.star = StarExpansion(self.one_expansion)
-        # simple Parry detection, attempted up to the probe depth; informational
-        # (and the zero-run probe's cap): is_full_state decides exactly
-        try:
-            self.one_expansion.extend_to(probe_depth)
-        except PrecisionExhausted:
-            pass
-        self.is_simple_parry = self.one_expansion.finite_length is not None
+        self.star = StarExpansion(self)
 
     # -- basic properties --------------------------------------------------
 
@@ -258,46 +248,25 @@ class BetaSystem:
 
     def is_full_state(self, state: int) -> bool:
         """Whether the shifted quasi-greedy sequence equals itself at this
-        offset (continuation supremum 1).
+        offset (continuation supremum 1): state 0, or a multiple of the
+        length m of a finite expansion of 1 (``star.period``).
 
-        Decided exactly, without the Parry probe: a state s >= 1 is full iff
-        the expansion of 1 ends at some length m dividing s.  An expansion
-        ending at m > s cannot make s full, so s digits settle the answer;
-        an interval beta that cannot decide them raises PrecisionExhausted.
-        (m is the minimal period of the quasi-greedy block, see
-        ``StarExpansion.period``.)
+        m is decided when the system is built, so an exact beta reads no
+        digit here.  An interval beta has no finite expansion of 1 it can
+        certify: its state s >= 1 is non-full once the first s digits of 1
+        are decided, and raises PrecisionExhausted while they cannot be.
         """
         if state == 0:
             return True
-        self.one_expansion.extend_to(state)
-        m = self.one_expansion.finite_length
+        if not self.is_exact:
+            self.star.digit(state)
+        m = self.star.period
         return m is not None and state % m == 0
-
-    def zero_run_after(self, n: int, probe: int | None = None) -> int:
-        """Longest run of zero quasi-greedy digits right after position n."""
-        if n < 1:
-            raise ValueError("position starts at 1")
-        cap = probe if probe is not None else max(self.probe_depth, 4096)
-        if self.is_simple_parry:
-            cap = max(cap, n + self.star.period + 1)
-        i = 0
-        while i < cap:
-            if self.star.digit(n + 1 + i) != 0:
-                return i
-            i += 1
-        raise ProbeExhausted(
-            f"zero run after position {n} exceeds probe depth {cap}")
 
 
 # ---------------------------------------------------------------------------
 # The expansion map
 # ---------------------------------------------------------------------------
-
-
-def _is_exact_zero(x: Real) -> bool:
-    if isinstance(x, CertifiedReal):
-        return x.exact is not None and exact_sign(x.exact) == 0
-    return exact_sign(x) == 0
 
 
 def _step(x: Real, system: BetaSystem) -> tuple[int, Real]:
@@ -388,6 +357,6 @@ def eval_word_certified(word: Sequence[int], system: BetaSystem) -> CertifiedRea
     return acc
 
 
-def make_beta(spec: str, probe_depth: int = 64) -> BetaSystem:
+def make_beta(spec: str) -> BetaSystem:
     """Build a BetaSystem from a specification string."""
-    return BetaSystem(spec, probe_depth=probe_depth)
+    return BetaSystem(spec)

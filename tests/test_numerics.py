@@ -23,26 +23,51 @@ PHI = GOLDEN
 INV_PHI = PHI - 1          # 1/phi
 INV_PHI2 = 2 - PHI         # 1/phi^2
 
+# the length m of a finite expansion of 1, or None when it is infinite
+EXPANSION_LENGTHS = {
+    "2": 1, "3": 1,
+    "golden": 2, "quad:(1+1*sqrt(2))/1": 2, "quad:(2+1*sqrt(7))/1": 2,
+    "quad:(1+1*sqrt(3))/1": 2, "quad:(3+1*sqrt(13))/2": 2,
+    "9/5": None, "5/2": None,
+    # Pisot, with an infinite eventually periodic expansion
+    "quad:(3+1*sqrt(5))/2": None, "quad:(2+1*sqrt(2))/1": None,
+    "quad:(5+1*sqrt(17))/2": None,
+    # not Pisot
+    "quad:(1+1*sqrt(13))/2": None, "quad:(0+1*sqrt(5))/1": None,
+    "quad:(1+1*sqrt(7))/1": None, "quad:(1+1*sqrt(17))/2": None,
+    # not algebraic integers: norm 7/4, trace 2/3
+    "quad:(3+1*sqrt(2))/2": None, "quad:(1+1*sqrt(10))/3": None,
+}
+
+
+def walk_expansion_of_one(beta, steps):
+    """Independent oracle: the exact orbit of 1 walked for at most ``steps``
+    digits, with no repeat detection.  Returns (digits, m), m the length of
+    the expansion when it ends within ``steps`` digits, else None."""
+    digits, x = [], Fraction(1)
+    for _ in range(steps):
+        y = beta * x
+        d = math.floor(y)
+        digits.append(d)
+        x = y - d
+        if x == 0:
+            return digits, len(digits)
+    return digits, None
+
 
 class TestParseAndMake:
     def test_integer_base(self):
         b = make_beta("2")
         assert b.alphabet_max == 1
-        assert b.is_simple_parry
-        assert b.one_expansion.digit(1) == 2
-        assert b.star.prefix(5) == (1, 1, 1, 1, 1)
         assert b.star.period == 1
+        assert b.star.prefix(5) == (1, 1, 1, 1, 1)
 
     def test_golden(self):
         b = make_beta("golden")
         assert b.beta_exact == PHI
         assert b.alphabet_max == 1
-        assert b.is_simple_parry
-        assert b.one_expansion.finite_length == 2
-        assert b.one_expansion.digit(1) == 1
-        assert b.one_expansion.digit(2) == 1
+        assert b.star.period == 2  # 1 = .11
         assert b.star.prefix(6) == (1, 0, 1, 0, 1, 0)
-        assert b.star.period == 2
 
     def test_period_is_finite_length(self):
         blocks = {"2": (1,), "3": (2,), "golden": (1, 0),
@@ -50,7 +75,7 @@ class TestParseAndMake:
                   "quad:(2+1*sqrt(7))/1": (4, 2)}
         for spec, block in blocks.items():
             b = make_beta(spec)
-            assert b.star.period == b.one_expansion.finite_length == len(block)
+            assert b.star.period == len(block)
             assert b.star.prefix(3 * len(block)) == block * 3, spec
         assert make_beta("1.8").star.period is None
 
@@ -66,7 +91,7 @@ class TestParseAndMake:
     def test_star_digits_of_nine_fifths_oracle(self):
         # greedy digits of 1 recomputed with 80-digit floats as an oracle
         b = make_beta("1.8")
-        assert not b.is_simple_parry
+        assert b.star.period is None
         with mpmath.workdps(80):
             x = mpmath.mpf(1)
             beta = mpmath.mpf(9) / 5
@@ -210,13 +235,33 @@ class TestExpandEval:
         assert expand(x, bi, 30) == expand(x, be, 30)
 
 
-class TestZeroRun:
-    def test_golden_runs(self):
-        b = make_beta("golden")
-        assert b.zero_run_after(1) == 1
-        assert b.zero_run_after(2) == 0
+class TestExpansionOfOne:
+    def test_classification_on_fresh_systems(self):
+        # the length m is decided at construction: read it before any digit
+        for spec, m in EXPANSION_LENGTHS.items():
+            assert make_beta(spec).star.period == m, spec
 
-    def test_integer_base_runs(self):
-        b = make_beta("2")
-        assert b.zero_run_after(1) == 0
-        assert b.zero_run_after(7) == 0
+    def test_classification_matches_long_exact_walk(self):
+        for spec, m in EXPANSION_LENGTHS.items():
+            b = make_beta(spec)
+            digits, walked_m = walk_expansion_of_one(b.beta_exact, 3000)
+            assert walked_m == m, spec
+            if m is not None:  # quasi-greedy: lower the last digit, repeat
+                digits = (digits[:-1] + [digits[-1] - 1]) * (300 // m + 1)
+            assert b.star.prefix(300) == tuple(digits[:300]), spec
+
+    def test_fullness_reads_no_digit_of_an_exact_beta(self):
+        b = make_beta("golden")
+        stored = len(b.star._digits)
+        assert b.is_full_state(2)
+        assert not b.is_full_state(3)
+        assert b.is_full_state(10 ** 6)
+        assert not make_beta("9/5").is_full_state(10 ** 6)
+        assert len(b.star._digits) == stored
+
+    def test_interval_beta_is_never_walked(self):
+        b = make_beta("dec:1.8@200")
+        assert b.star.period is None
+        assert len(b.star._digits) == 1
+        with pytest.raises(PrecisionExhausted):
+            b.is_full_state(300)

@@ -17,7 +17,6 @@ from betadim.words import (
     enumerate_admissible,
     format_word,
     is_admissible,
-    lex_compare,
     parse_word,
     renyi_bounds,
     words_with_states,
@@ -95,15 +94,6 @@ def count_no_consecutive_ones(n):
     for _ in range(n - 1):
         end0, end1 = end0 + end1, end0
     return end0 + end1
-
-
-class TestLexCompare:
-    def test_padding_rule(self):
-        assert lex_compare((1, 0), (1, 0, 1)) == -1
-        assert lex_compare((1,), (1,)) == 0
-        assert lex_compare((0, 2), (1, 0)) == -1
-        assert lex_compare((1, 0, 0), (1,)) == 0  # zero padding
-        assert lex_compare((2,), (1, 9, 9)) == 1
 
 
 class TestAdmissibility:
