@@ -106,14 +106,10 @@ class PsiFunction:
             e = -alpha * n
             if isinstance(system.beta_exact, Fraction):
                 lo, hi = pow_interval(system.beta_exact, e, bits + 8)
-            else:
+            else:  # e <= 0, so x**e is non-increasing in x on (1, inf)
                 blo, bhi = system.beta.enclosure(bits + 8)
-                if e >= 0:  # x**e increasing in x on (1, inf)
-                    lo = pow_interval(blo, e, bits + 8)[0]
-                    hi = pow_interval(bhi, e, bits + 8)[1]
-                else:
-                    lo = pow_interval(bhi, e, bits + 8)[0]
-                    hi = pow_interval(blo, e, bits + 8)[1]
+                lo = pow_interval(bhi, e, bits + 8)[0]
+                hi = pow_interval(blo, e, bits + 8)[1]
             lo, hi = lo * c, hi * c
             if fam == "tempered" and p:
                 plo, phi = pow_interval(Fraction(n), -p, bits + 8)
@@ -182,25 +178,6 @@ def alpha_of(psi: PsiFunction, horizon: int = 64) -> AlphaEstimate:
 # ---------------------------------------------------------------------------
 # Errors and hits
 # ---------------------------------------------------------------------------
-
-
-def approx_error(x: Real, system: BetaSystem, n: int) -> Real:
-    """|x - order-n truncation| as an exact/certified value: T^n(x)/beta^n."""
-    last: Real = x
-    for _, t in orbit(x, system, n):
-        last = t
-    if not isinstance(last, CertifiedReal):
-        return last * system.pow(-n)
-    if system.is_exact:
-        return last * CertifiedReal.from_exact(system.pow(-n))
-    return last / _beta_pow_certified(system, n)
-
-
-def _beta_pow_certified(system: BetaSystem, n: int) -> CertifiedReal:
-    acc = CertifiedReal.from_exact(Fraction(1))
-    for _ in range(n):
-        acc = acc * system.beta
-    return acc
 
 
 def scaled_errors(x: Real, system: BetaSystem, horizon: int) -> list[Real]:

@@ -9,11 +9,14 @@ Four layers live here:
 * ``CertifiedReal`` -- a real number known either exactly (Fraction or
   QuadNum core) or through a rational interval enclosure that may or may
   not be refinable.  Floor decisions are made only when both endpoints
-  agree.
+  agree.  It adds, subtracts and multiplies; there is no certified
+  division.  Orbits build no ``CertifiedReal`` arithmetic: they walk the
+  ends of one enclosure (``numerics.orbit``) and wrap each point once.
 * ``decide`` -- the one precision ladder.  Every certified decision (the
   floor of a ``CertifiedReal``, ``compare`` between exact and certified
-  reals, the sign of a ``LogValue``) tests enclosures at doubling
-  precision up to a hard cap and then raises ``PrecisionExhausted``.
+  reals, the sign of a ``LogValue``, the digits of a walked orbit) tests
+  enclosures at doubling precision up to a hard cap and then raises
+  ``PrecisionExhausted``.
 * enclosure utilities -- integer k-th roots, rational b-th root
   enclosures, and rigorously bounded natural logarithms.  All enclosure
   widths are honest upper bounds, never float estimates.
@@ -255,12 +258,6 @@ class QuadNum:
         return f"QuadNum({self.a} + {self.b}*sqrt({self.d}))"
 
 
-def exact_sign(x: Exact) -> int:
-    if isinstance(x, QuadNum):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 def exact_enclosure(x: Exact, bits: int) -> tuple[Fraction, Fraction]:
     if isinstance(x, QuadNum):
         return x.enclosure(bits)
@@ -273,12 +270,13 @@ def exact_enclosure(x: Exact, bits: int) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 E = TypeVar("E")
+A = TypeVar("A")
 Interval = tuple[Fraction, Fraction]
 _ZERO: Interval = (Fraction(0), Fraction(0))
 
 
-def decide(enclose: Callable[[int], E], test: Callable[[E], int | None],
-           refinable: bool, what: str) -> int:
+def decide(enclose: Callable[[int], E], test: Callable[[E], A | None],
+           refinable: bool, what: str) -> A:
     """Run ``test`` on ``enclose(bits)`` for bits = PRECISION_START, doubling
     up to PRECISION_CAP, and return its first answer other than None.
 
@@ -442,28 +440,6 @@ class CertifiedReal:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._wrap(other)
-        if o.exact is not None:
-            if exact_sign(o.exact) == 0:
-                raise ZeroDivisionError
-            return self * (1 / o.exact)
-
-        def inv(j):
-            lo, hi = j
-            if lo <= 0 <= hi:
-                raise ZeroDivisionError("interval straddles zero")
-            return 1 / hi, 1 / lo
-
-        a = self
-
-        def refiner(bits):
-            return CertifiedReal._imul(a.enclosure(bits + 2), inv(o.enclosure(bits + 2)))
-
-        return CertifiedReal.from_refiner(refiner) if (a.refinable and o.refinable) \
-            else CertifiedReal.from_interval(*CertifiedReal._imul(
-                a.enclosure(PRECISION_CAP), inv(o.enclosure(PRECISION_CAP))))
-
     # -- decisions -----------------------------------------------------------
 
     def floor(self) -> int:
@@ -501,9 +477,11 @@ def compare(a, b) -> int:
     eb = b.exact if isinstance(b, CertifiedReal) else b
     if ea is not None and eb is not None:
         try:
-            return exact_sign(ea - eb)
+            diff = ea - eb
         except ValueError:
             pass  # mixed radicands: fall through to enclosures
+        else:
+            return diff.sign() if isinstance(diff, QuadNum) else (diff > 0) - (diff < 0)
     ca, cb = CertifiedReal._wrap(a), CertifiedReal._wrap(b)
     return decide(lambda bits: (ca.enclosure(bits), cb.enclosure(bits)), _order,
                   ca.refinable or cb.refinable, "comparison")

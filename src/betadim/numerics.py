@@ -28,6 +28,13 @@ exactly when the system is built, never by probing digits:
 * an interval beta is never walked: no finite expansion can be certified
   for it, and its digits are decided one by one as they are read.
 
+Orbits of points known through enclosures (a lazy real, or any point
+under an interval beta) walk the two ends of one enclosure: T is
+increasing on each cylinder (Parry 1960) and beta*x increasing in beta
+for x >= 0, so ends that share a digit enclose every point between them
+and the images of the ends enclose its image.  ``orbit`` states the
+precision rule; no ``CertifiedReal`` arithmetic is built.
+
 All operations are pure.  The digit store and the power caches memoize
 under locks, and the automaton of the ``words`` module holds no state, so
 systems are safe to share across threads.
@@ -42,7 +49,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
-from .exact import CertifiedReal, Exact, QuadNum, compare
+from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, compare, decide,
+                    exact_enclosure)
 
 Word = tuple[int, ...]
 Real = Union[int, Fraction, QuadNum, CertifiedReal]
@@ -113,14 +121,18 @@ class StarExpansion:
     """
 
     def __init__(self, system: "BetaSystem"):
-        self._sys = system
         self._digits: list[int] = [0]  # 1-indexed; index 0 unused
-        self._point: Real = 1  # T^k(1) after k stored digits, while walked
         self._repeat: int | None = None  # t_i = t_{i-repeat} past the store
         self._lock = threading.Lock()
         self.period: int | None = None
         beta = system.beta_exact
-        if beta is None or not _is_pisot(beta):
+        if beta is None:  # 1 is exact, so beta's width outgrows rounding: no guard bits
+            self._bits = bits = PRECISION_START + system.declared_bits
+            self._x = (1 << bits, 1 << bits)
+            self._beta = _dyadic(*system.beta.enclosure(bits), bits)
+            return
+        self._x, self._beta = Fraction(1), beta  # T^k(1) after k stored digits
+        if not _is_pisot(beta):
             return
         # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980)
         seen: dict[Exact, int] = {}
@@ -144,12 +156,20 @@ class StarExpansion:
         if i < 1:
             raise ValueError("digit index starts at 1")
         with self._lock:
-            p = self._repeat
+            p, beta = self._repeat, self._beta
             while len(digits) <= i:
-                if p is None:
-                    d, self._point = _step(self._point, self._sys)
-                else:
+                if p is not None:
                     d = digits[len(digits) - p]
+                elif isinstance(beta, tuple):
+                    step = _step(self._x, beta, self._bits)
+                    if step is None:
+                        raise PrecisionExhausted(
+                            f"digit {len(digits)} of 1 undecided at {self._bits} bits")
+                    d, self._x = step
+                else:
+                    y = beta * self._x
+                    d = math.floor(y)
+                    self._x = y - d
                 digits.append(d)
         return digits[i]
 
@@ -164,7 +184,7 @@ class BetaSystem:
         self.spec = spec
         exact, interval = parse_beta_spec(spec)
         self.beta_exact: Exact | None = exact
-        self._interval = interval
+        self.declared_bits = 0  # of an interval beta's enclosure; 0 when exact
         if exact is not None:
             if not exact > 1:
                 raise InvalidBeta(f"beta must exceed 1, got spec {spec!r}")
@@ -184,6 +204,7 @@ class BetaSystem:
                 raise PrecisionExhausted(
                     "declared precision straddles an integer boundary")
             ceil_b = clo
+            self.declared_bits = (hi - lo).denominator.bit_length()
         self.alphabet_max = ceil_b - 1
         self._pow_cache: dict[int, Exact] = {}
         self._pow_lock = threading.Lock()
@@ -196,12 +217,6 @@ class BetaSystem:
     @property
     def is_exact(self) -> bool:
         return self.beta_exact is not None
-
-    @property
-    def is_integer(self) -> bool:
-        return (self.beta_exact is not None
-                and isinstance(self.beta_exact, Fraction)
-                and self.beta_exact.denominator == 1)
 
     def __repr__(self):
         return f"BetaSystem({self.spec!r})"
@@ -269,45 +284,75 @@ class BetaSystem:
 # ---------------------------------------------------------------------------
 
 
-def _step(x: Real, system: BetaSystem) -> tuple[int, Real]:
-    """One application of x -> beta*x - floor(beta*x), with certified floor."""
-    if isinstance(x, CertifiedReal) or not system.is_exact:
-        cx = x if isinstance(x, CertifiedReal) else CertifiedReal.from_exact(x)
-        y = system.beta * cx
-        d = y.floor()
-        return d, y - d
-    b = system.beta_exact
-    y = b * x if isinstance(b, QuadNum) or isinstance(x, QuadNum) else b * Fraction(x)
-    d = math.floor(y)
-    return d, y - d
+def _dyadic(lo: Fraction, hi: Fraction, bits: int) -> tuple[int, int]:
+    """[lo, hi] rounded outward to numerators over 2**bits."""
+    return ((lo.numerator << bits) // lo.denominator,
+            -((-hi.numerator << bits) // hi.denominator))
 
 
-def _check_unit_interval(x: Real) -> None:
-    if compare(x, 0) < 0 or compare(x, 1) >= 0:
-        raise PreconditionViolated("point must lie in [0, 1)")
+def _step(x: tuple[int, int], beta: tuple[int, int],
+          bits: int) -> tuple[int, tuple[int, int]] | None:
+    """T on the ends of x = [lo, hi] under beta in [blo, bhi], numerators
+    over 2**bits, lo >= 0.  While floor(blo*lo) = floor(bhi*hi) = d, every
+    point of the box has digit d and T x lies in [blo*lo - d, bhi*hi - d]
+    (T is increasing on a cylinder, beta*x increasing in beta), rounded
+    outward here to multiples of 2**-bits; None when the floors differ."""
+    ylo, yhi = beta[0] * x[0], beta[1] * x[1]
+    d = ylo >> 2 * bits
+    if d != yhi >> 2 * bits:
+        return None
+    return d, ((ylo - (d << 2 * bits)) >> bits, -((-yhi + (d << 2 * bits)) >> bits))
 
 
-def t_beta_step(x: Real, system: BetaSystem) -> tuple[int, Real]:
-    """One expansion step: returns (digit, next point).
-
-    The digit is floor(beta * x), decided certifiably; raises
-    PrecisionExhausted when an interval input straddles an integer.
-    """
-    _check_unit_interval(x)
-    d, nxt = _step(x, system)
-    if d < 0 or d > system.alphabet_max:
-        raise PreconditionViolated(
-            f"digit {d} outside alphabet 0..{system.alphabet_max}")
-    return d, nxt
+def _walk(x: Real, system: BetaSystem, n: int, bits: int) -> list[tuple[int, int, int]]:
+    """(digit, lo, hi) of T^i x, i = 1..n, up to the first undecided digit."""
+    ends = _dyadic(*(x.enclosure(bits) if isinstance(x, CertifiedReal)
+                     else exact_enclosure(x, bits)), bits)
+    beta = _dyadic(*system.beta.enclosure(bits), bits)
+    out = []
+    while len(out) < n and (step := _step(ends, beta, bits)) is not None:
+        d, ends = step
+        out.append((d, *ends))
+    return out
 
 
 def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
-    """Yield (digit_i, T^i x) for i = 1..n."""
-    _check_unit_interval(x)
-    cur = x
-    for _ in range(n):
-        d, cur = _step(cur, system)
-        yield d, cur
+    """Yield (digit_i, T^i x) for i = 1..n.
+
+    An exact point under an exact beta is walked exactly.  Any other walks
+    the ends of one enclosure of x (``_step``) at 2**-B, B from the ladder
+    ``decide``: the rung, plus n * bitlen(ceil(beta) - 1) guard bits (a
+    step widens by beta < 2**bitlen), plus an interval beta's declared
+    bits.  T^i x comes as a ``CertifiedReal`` with rational ends; when x and
+    beta can refine, it refines by walking i digits again from a finer
+    enclosure of x, nested in the first, never through T^(i-1) x.
+    """
+    if compare(x, 0) < 0 or compare(x, 1) >= 0:
+        raise PreconditionViolated("point must lie in [0, 1)")
+    if isinstance(x, CertifiedReal) and x.exact is not None:
+        x = x.exact
+    if system.is_exact and not isinstance(x, CertifiedReal):
+        beta = system.beta_exact
+        for _ in range(n):
+            y = beta * x
+            d = math.floor(y)
+            x = y - d
+            yield d, x
+        return
+    guard = system.alphabet_max.bit_length()
+    refinable = system.is_exact and x.refinable
+    extra = n * guard + system.declared_bits
+    B, walk = decide(lambda rung: (rung + extra, _walk(x, system, n, rung + extra)),
+                     lambda w: w if len(w[1]) == n else None, refinable, "orbit digit")
+    for i, (d, lo, hi) in enumerate(walk, start=1):
+
+        def refiner(bits: int, i=i) -> tuple[Fraction, Fraction]:
+            fine = max(bits + i * guard, B)  # nested in the first walk
+            _, lo, hi = _walk(x, system, i, fine)[i - 1]
+            return Fraction(lo, 1 << fine), Fraction(hi, 1 << fine)
+
+        yield d, CertifiedReal(None, refiner if refinable else None, Fraction(lo, 1 << B),
+                               Fraction(hi, 1 << B), B - (hi - lo).bit_length())
 
 
 def expand(x: Real, system: BetaSystem, n: int) -> Word:
@@ -341,17 +386,6 @@ def eval_word(word: Sequence[int], system: BetaSystem) -> Exact:
         return QuadNum(Fraction(a) + Fraction(bb, 2), Fraction(bb, 2), 5)
     binv = b.inverse()
     acc: Exact = Fraction(0)
-    for d in reversed(word):
-        acc = (acc + d) * binv
-    return acc
-
-
-def eval_word_certified(word: Sequence[int], system: BetaSystem) -> CertifiedReal:
-    """Word value for systems that may only have an interval for beta."""
-    if system.is_exact:
-        return CertifiedReal.from_exact(eval_word(word, system))
-    acc: CertifiedReal = CertifiedReal.from_exact(Fraction(0))
-    binv = CertifiedReal.from_exact(Fraction(1)) / system.beta
     for d in reversed(word):
         acc = (acc + d) * binv
     return acc

@@ -5,7 +5,6 @@ import pytest
 
 from betadim.approximation import (
     alpha_of,
-    approx_error,
     detect_hits,
     exactness_evidence,
     psi_exponential,
@@ -14,7 +13,6 @@ from betadim.approximation import (
     scaled_errors,
 )
 from betadim.errors import PreconditionViolated
-from betadim.exact import QuadNum
 from betadim.numerics import GOLDEN, eval_word, make_beta, orbit
 
 PHI = GOLDEN
@@ -103,19 +101,12 @@ class TestPsiValues:
 
 
 class TestApproxError:
-    def test_terminating_orbit(self):
-        b = make_beta("2")
-        assert approx_error(Fraction(5, 8), b, 3) == 0
-
-    def test_third_in_base_two(self):
-        b = make_beta("2")
-        assert approx_error(Fraction(1, 3), b, 4) == Fraction(1, 48)
-
-    def test_golden_finite_expansion(self):
-        b = make_beta("golden")
-        assert approx_error(PHI - 1, b, 2) == 0
-
     def test_two_paths_agree_exactly(self):
+        # (x, beta, n, x - value(first n digits)) worked by hand
+        for x, spec, n, err in ((Fraction(5, 8), "2", 3, 0),
+                                (Fraction(1, 3), "2", 4, Fraction(1, 48)),
+                                (PHI - 1, "golden", 2, 0)):
+            assert error_two_ways(x, make_beta(spec), n) == (err, err)
         rng = random.Random(11)
         for spec in ("2", "1.8", "2.5", "golden"):
             b = make_beta(spec)

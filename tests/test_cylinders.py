@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from betadim.errors import NotAdmissible, PrecisionExhausted, PreconditionViolated
-from betadim.exact import QuadNum
 from betadim.numerics import GOLDEN, eval_word, make_beta
 from betadim.cylinders import (
     CensusRecord,

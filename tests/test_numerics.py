@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -7,21 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betadim.errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
-from betadim.exact import CertifiedReal, QuadNum
+from betadim.exact import CertifiedReal, QuadNum, compare
 from betadim.numerics import (
     GOLDEN,
     eval_word,
-    eval_word_certified,
     expand,
     make_beta,
     orbit,
     parse_beta_spec,
-    t_beta_step,
 )
 
 PHI = GOLDEN
 INV_PHI = PHI - 1          # 1/phi
 INV_PHI2 = 2 - PHI         # 1/phi^2
+SQRT2_MINUS_1 = QuadNum(-1, 1, 2)
 
 # the length m of a finite expansion of 1, or None when it is infinite
 EXPANSION_LENGTHS = {
@@ -134,15 +137,15 @@ class TestParseAndMake:
 class TestStep:
     def test_dyadic(self):
         b = make_beta("2")
-        d, nxt = t_beta_step(Fraction(3, 4), b)
+        d, nxt = next(orbit(Fraction(3, 4), b, 1))
         assert d == 1 and nxt == Fraction(1, 2)
 
     def test_golden_exact_orbit(self):
         b = make_beta("golden")
-        d, nxt = t_beta_step(INV_PHI2, b)
+        d, nxt = next(orbit(INV_PHI2, b, 1))
         assert d == 0
         assert nxt == INV_PHI
-        d2, nxt2 = t_beta_step(nxt, b)
+        d2, nxt2 = next(orbit(nxt, b, 1))
         assert d2 == 1
         assert nxt2 == 0
 
@@ -151,14 +154,14 @@ class TestStep:
         x = CertifiedReal.from_interval(Fraction(49999, 100000),
                                         Fraction(50001, 100000))
         with pytest.raises(PrecisionExhausted):
-            t_beta_step(x, b)
+            next(orbit(x, b, 1))
 
     def test_preconditions(self):
         b = make_beta("2")
         with pytest.raises(PreconditionViolated):
-            t_beta_step(Fraction(3, 2), b)
+            next(orbit(Fraction(3, 2), b, 1))
         with pytest.raises(PreconditionViolated):
-            t_beta_step(Fraction(-1, 2), b)
+            next(orbit(Fraction(-1, 2), b, 1))
 
 
 class TestExpandEval:
@@ -187,13 +190,6 @@ class TestExpandEval:
             for d in reversed(word):
                 acc = (acc + d) * binv
             assert eval_word(word, bg) == acc
-
-    def test_eval_word_certified(self):
-        b = make_beta("dec:1.8@96")
-        v = eval_word_certified((1, 0, 1), b)
-        lo, hi = v.enclosure(64)
-        exact = eval_word((1, 0, 1), make_beta("1.8"))
-        assert lo <= exact <= hi
 
     @given(st.integers(min_value=1, max_value=997), st.integers(min_value=2, max_value=40))
     @settings(max_examples=60, deadline=None)
@@ -231,8 +227,95 @@ class TestExpandEval:
     def test_interval_beta_expansion_matches_exact(self):
         bi = make_beta("dec:1.8@128")
         be = make_beta("1.8")
+        for x in (Fraction(1, 3), SQRT2_MINUS_1):
+            assert expand(x, bi, 30) == expand(x, be, 30)
+
+
+def lazy_sqrt2_minus_1():
+    """sqrt(2) - 1 known only through refinable rational enclosures."""
+    def refiner(bits):
+        s = math.isqrt(2 << (2 * bits))
+        return Fraction(s, 1 << bits) - 1, Fraction(s + 1, 1 << bits) - 1
+    return CertifiedReal.from_refiner(refiner)
+
+
+def mpmath_orbit(x, beta, n):
+    """Oracle: digits and points of x under beta at 0.7n + 200 digits."""
+    digits, points = [], []
+    with mpmath.workdps(int(0.7 * n) + 200):
+        x, beta = x(), beta()
+        for _ in range(n):
+            y = beta * x
+            d = int(mpmath.floor(y))
+            digits.append(d)
+            x = y - d
+            points.append(x)
+    return digits, points
+
+
+MP_BETAS = {
+    "golden": lambda: (1 + mpmath.sqrt(5)) / 2,
+    "9/5": lambda: mpmath.mpf(9) / 5,
+    "quad:(1+1*sqrt(13))/2": lambda: (1 + mpmath.sqrt(13)) / 2,
+}
+
+
+class TestCertifiedOrbit:
+    def test_lazy_orbit_matches_mpmath(self):
+        for spec, beta in MP_BETAS.items():
+            digits, points = mpmath_orbit(lambda: mpmath.sqrt(2) - 1, beta, 1000)
+            got = list(orbit(lazy_sqrt2_minus_1(), make_beta(spec), 1000))
+            assert [d for d, _ in got] == digits, spec
+            with mpmath.workdps(900):
+                for i, ((_, t), want) in enumerate(zip(got, points), 1):
+                    lo, hi = t.enclosure(0)
+                    assert (mpmath.mpf(lo.numerator) / lo.denominator <= want
+                            <= mpmath.mpf(hi.numerator) / hi.denominator), (spec, i)
+
+    def test_lazy_orbit_needs_no_recursion(self):
+        # each point re-walks from x, so no chain of closures nests
+        code = ("import sys\n"
+                "sys.path.insert(0, 'tests')\n"
+                "from test_numerics import lazy_sqrt2_minus_1\n"
+                "from betadim.numerics import expand, make_beta\n"
+                "sys.setrecursionlimit(120)\n"
+                "print(len(expand(lazy_sqrt2_minus_1(), make_beta('golden'), 1000)))\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1000"
+
+    def test_points_refine_past_the_walk(self):
+        b = make_beta("golden")
+        points = [t for _, t in orbit(lazy_sqrt2_minus_1(), b, 5)]
+        _, want = mpmath_orbit(lambda: mpmath.sqrt(2) - 1, MP_BETAS["golden"], 5)
+        with mpmath.workdps(300):
+            r = Fraction(int(mpmath.floor(mpmath.ldexp(want[4], 320))), 2 ** 320)
+        assert compare(points[4], r) == 1
+        assert compare(points[4], r + Fraction(1, 2 ** 320)) == -1
+
+    def test_interval_beta_orbit_stays_narrow(self):
         x = Fraction(1, 3)
-        assert expand(x, bi, 30) == expand(x, be, 30)
+        points = [t for _, t in orbit(x, make_beta("dec:1.8@200"), 150)]
+        for (_, want), t in zip(orbit(x, make_beta("1.8"), 150), points):
+            lo, hi = t.enclosure(0)
+            assert lo <= want <= hi  # 9/5 lies in the declared interval
+        lo, hi = points[149].enclosure(0)
+        assert max(lo.denominator, hi.denominator).bit_length() <= 600  # < 2**600
+        assert hi - lo < Fraction(1, 2 ** 72)
+
+    def test_interval_beta_decides_what_it_can(self):
+        b, exact = make_beta("dec:1.8@200"), make_beta("1.8")
+        assert b.star.prefix(232) == exact.star.prefix(232)
+        with pytest.raises(PrecisionExhausted):
+            b.star.digit(233)
+        x = Fraction(1, 3)
+        assert expand(x, b, 235) == expand(x, exact, 235)
+        with pytest.raises(PrecisionExhausted):
+            expand(x, b, 236)
 
 
 class TestExpansionOfOne:
