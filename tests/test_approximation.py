@@ -101,12 +101,21 @@ class TestPsiValues:
 
 
 class TestApproxError:
+    # x - value(first n digits), worked by hand; both paths must give it
+    def test_terminating_orbit(self):
+        b = make_beta("2")
+        assert error_two_ways(Fraction(5, 8), b, 3) == (0, 0)
+
+    def test_third_in_base_two(self):
+        b = make_beta("2")
+        err = Fraction(1, 48)
+        assert error_two_ways(Fraction(1, 3), b, 4) == (err, err)
+
+    def test_golden_finite_expansion(self):
+        b = make_beta("golden")
+        assert error_two_ways(PHI - 1, b, 2) == (0, 0)
+
     def test_two_paths_agree_exactly(self):
-        # (x, beta, n, x - value(first n digits)) worked by hand
-        for x, spec, n, err in ((Fraction(5, 8), "2", 3, 0),
-                                (Fraction(1, 3), "2", 4, Fraction(1, 48)),
-                                (PHI - 1, "golden", 2, 0)):
-            assert error_two_ways(x, make_beta(spec), n) == (err, err)
         rng = random.Random(11)
         for spec in ("2", "1.8", "2.5", "golden"):
             b = make_beta(spec)
