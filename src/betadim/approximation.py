@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionViolated
-from .exact import CertifiedReal, Exact, LogValue, compare, pow_interval
+from .exact import (PRECISION_START, CertifiedReal, Exact, LogValue, compare, exact_enclosure,
+                    inv_pow_fixed, pow_interval, root_interval)
 from .numerics import BetaSystem, Real, orbit
 
 
@@ -95,28 +96,51 @@ class PsiFunction:
         return v
 
     def value(self, n: int) -> CertifiedReal:
-        """The value as a certified real (exact core when possible)."""
+        """psi(n) as a certified real: exact when ``value_exact`` is, else
+        built from beta**(-k/m), where alpha*n = k/m in lowest terms, as the
+        m-th root of an enclosure of beta**-k.
+
+        With w = bits + 8 and mag = k*bitlen(ceil(beta)) + 1, an integer
+        bound with beta**-k > 2**-mag, an enclosure of beta**-k to
+        2**-(w + mag) gives beta**(-k/m) to 2**-w through ``root_interval``
+        on its ends, since the slope of the root is at most 1/x there.  An
+        exact beta takes beta**-k exactly from the system's one power cache
+        (``system.pow``), so the value refines.  An interval beta takes
+        bhi**-k rounded down and blo**-k rounded up over 2**P, P = w + mag +
+        bitlen(k) + 4, from its declared ends by ``inv_pow_fixed``, once, at
+        the declared bits + PRECISION_START: no rung can make the value
+        narrower than beta's declared width lets it be, so it is a fixed
+        interval, and a comparison it cannot decide fails at the first rung.
+        No end of an enclosure of beta is raised to a power exactly; only
+        the tempered factor n**-p comes from ``pow_interval``.
+        """
         exact = self.value_exact(n)
         if exact is not None:
             return CertifiedReal.from_exact(exact)
-        alpha, c, p, system = self.alpha, self.c, self.p, self.system
-        fam = self.family
+        system, c, p = self.system, self.c, self.p
+        tempered = self.family == "tempered" and p
+        e = self.alpha * n
+        k, m = e.numerator, e.denominator
+        mag = k * (system.alphabet_max + 1).bit_length() + 1
 
-        def refiner(bits: int):
-            e = -alpha * n
-            if isinstance(system.beta_exact, Fraction):
-                lo, hi = pow_interval(system.beta_exact, e, bits + 8)
-            else:  # e <= 0, so x**e is non-increasing in x on (1, inf)
-                blo, bhi = system.beta.enclosure(bits + 8)
-                lo = pow_interval(bhi, e, bits + 8)[0]
-                hi = pow_interval(blo, e, bits + 8)[1]
-            lo, hi = lo * c, hi * c
-            if fam == "tempered" and p:
-                plo, phi = pow_interval(Fraction(n), -p, bits + 8)
+        def psi(w: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+            """psi(n) to about 2**-w from lo <= beta**-k <= hi, hi - lo <= 2**-(w + mag)."""
+            lo, hi = root_interval(lo, m, w)[0] * c, root_interval(hi, m, w)[1] * c
+            if tempered:
+                plo, phi = pow_interval(Fraction(n), -p, w)
                 lo, hi = lo * plo, hi * phi
             return lo, hi
 
-        return CertifiedReal.from_refiner(refiner)
+        if system.is_exact:
+            power = system.pow(-k)
+            return CertifiedReal.from_refiner(
+                lambda bits: psi(bits + 8, *exact_enclosure(power, bits + 8 + mag)))
+        w = system.declared_bits + PRECISION_START + 8
+        blo, bhi = system.beta.enclosure(w)
+        P = w + mag + k.bit_length() + 4  # (k + 2) * 2**-P < 2**-(w + mag)
+        return CertifiedReal.from_interval(*psi(
+            w, Fraction(inv_pow_fixed(bhi, k, P, up=False), 1 << P),
+            Fraction(inv_pow_fixed(blo, k, P, up=True), 1 << P)))
 
     def log_value(self, n: int) -> LogValue:
         """ln psi(n) as an exact log-linear combination (for huge n)."""

@@ -18,7 +18,11 @@ Four layers live here:
   enclosures at doubling precision up to a hard cap and then raises
   ``PrecisionExhausted``.
 * enclosure utilities -- integer k-th roots, rational b-th root
-  enclosures, and rigorously bounded natural logarithms.  All enclosure
+  enclosures, directed fixed-point inverse powers (``inv_pow_fixed``, for
+  the ends of an interval beta), and rigorously bounded natural
+  logarithms.  ``pow_interval`` raises a rational to a rational power
+  exactly before its root; it now serves only the factor n**-p of a
+  tempered speed, never an end of an enclosure of beta.  All enclosure
   widths are honest upper bounds, never float estimates.
 """
 
@@ -509,6 +513,35 @@ def pow_interval(x: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fractio
         return v, v
     base = x ** e.numerator  # exact rational
     return root_interval(base, e.denominator, bits)
+
+
+def _shift(n: int, s: int, up: bool) -> int:
+    """n / 2**s rounded down, or up when ``up``."""
+    return -(-n >> s) if up else n >> s
+
+
+def inv_pow_fixed(b: Fraction, k: int, bits: int, up: bool) -> int:
+    """b**-k * 2**bits rounded down to an integer, or up when ``up``, for
+    rational b > 1 and integer k >= 0, with no exact power of b.
+
+    b**k is raised left to right in fixed point over 2**q, q = bits + 4,
+    with b and every product rounded against the final direction, and then
+    inverted with one rounding.  Every value stays >= 1, so a rounding
+    moves it by a factor within [1 - 2**-q, 1 + 2**-q], and b**k carries at
+    most 3k such factors: k from b, and at most k/e from a rounding at
+    exponent e, where the exponent doubles with each squaring.  Hence for
+    2**bits >= k the results of the two directions differ by at most
+    0.42k + 2, below k + 2.
+    """
+    q = bits + 4
+    num = b.numerator << q
+    r, base = 1 << q, (num // b.denominator if up else -(-num // b.denominator))
+    for bit in bin(k)[2:]:
+        r = _shift(r * r, q, not up)
+        if bit == "1":
+            r = _shift(r * base, q, not up)
+    one = 1 << (bits + q)
+    return -(-one // r) if up else one // r
 
 
 _LN2_CACHE: dict[int, tuple[int, int]] = {}

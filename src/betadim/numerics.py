@@ -304,10 +304,15 @@ def _step(x: tuple[int, int], beta: tuple[int, int],
     return d, ((ylo - (d << 2 * bits)) >> bits, -((-yhi + (d << 2 * bits)) >> bits))
 
 
+def _ends(x: Real, bits: int) -> tuple[int, int]:
+    """An enclosure of x as numerators over 2**bits."""
+    return _dyadic(*(x.enclosure(bits) if isinstance(x, CertifiedReal)
+                     else exact_enclosure(x, bits)), bits)
+
+
 def _walk(x: Real, system: BetaSystem, n: int, bits: int) -> list[tuple[int, int, int]]:
     """(digit, lo, hi) of T^i x, i = 1..n, up to the first undecided digit."""
-    ends = _dyadic(*(x.enclosure(bits) if isinstance(x, CertifiedReal)
-                     else exact_enclosure(x, bits)), bits)
+    ends = _ends(x, bits)
     beta = _dyadic(*system.beta.enclosure(bits), bits)
     out = []
     while len(out) < n and (step := _step(ends, beta, bits)) is not None:
@@ -325,7 +330,9 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     step widens by beta < 2**bitlen), plus an interval beta's declared
     bits.  T^i x comes as a ``CertifiedReal`` with rational ends; when x and
     beta can refine, it refines by walking i digits again from a finer
-    enclosure of x, nested in the first, never through T^(i-1) x.
+    enclosure of x, nested in the first, never through T^(i-1) x.  An
+    undecided walk raises ``PrecisionExhausted`` naming the first undecided
+    digit, the bits B of the last walk and the enclosure width reached.
     """
     if compare(x, 0) < 0 or compare(x, 1) >= 0:
         raise PreconditionViolated("point must lie in [0, 1)")
@@ -342,8 +349,21 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     guard = system.alphabet_max.bit_length()
     refinable = system.is_exact and x.refinable
     extra = n * guard + system.declared_bits
-    B, walk = decide(lambda rung: (rung + extra, _walk(x, system, n, rung + extra)),
-                     lambda w: w if len(w[1]) == n else None, refinable, "orbit digit")
+    last: list[tuple[int, list]] = []  # the latest walk, for the error below
+
+    def walk_at(rung: int) -> tuple[int, list]:
+        last[:] = [(rung + extra, _walk(x, system, n, rung + extra))]
+        return last[0]
+
+    try:
+        B, walk = decide(walk_at, lambda w: w if len(w[1]) == n else None, refinable,
+                         "orbit digit")
+    except PrecisionExhausted:
+        B, walk = last[0]
+        lo, hi = walk[-1][1:] if walk else _ends(x, B)
+        raise PrecisionExhausted(
+            f"orbit digit {len(walk) + 1} undecided at {B} bits: T^{len(walk)} x "
+            f"has enclosure width below 2^{(hi - lo).bit_length() - B}") from None
     for i, (d, lo, hi) in enumerate(walk, start=1):
 
         def refiner(bits: int, i=i) -> tuple[Fraction, Fraction]:

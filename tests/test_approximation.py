@@ -12,7 +12,8 @@ from betadim.approximation import (
     psi_tempered,
     scaled_errors,
 )
-from betadim.errors import PreconditionViolated
+from betadim.errors import PrecisionExhausted, PreconditionViolated
+from betadim.exact import compare
 from betadim.numerics import GOLDEN, eval_word, make_beta, orbit
 
 PHI = GOLDEN
@@ -80,6 +81,51 @@ class TestPsiValues:
             true = mpmath.power(phi, mpmath.mpf(-5) / 2)
             assert mpmath.mpf(lo.numerator) / lo.denominator <= true
             assert mpmath.mpf(hi.numerator) / hi.denominator >= true
+
+    def test_values_match_mpmath(self):
+        import mpmath
+
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        c = Fraction(7, 8)
+        with mpmath.workdps(800):
+            bases = {"golden": [(1 + mpmath.sqrt(5)) / 2], "9/5": [mpmath.mpf(9) / 5],
+                     "quad:(1+1*sqrt(13))/2": [(1 + mpmath.sqrt(13)) / 2],
+                     "dec:1.8@200": None}
+            for spec, betas in bases.items():
+                b = make_beta(spec)
+                if betas is None:  # psi at both declared ends of an interval beta
+                    betas = [mp(e) for e in b.beta.enclosure(0)]
+                psis = [(psi_exponential(b, a, c), a, Fraction(0))
+                        for a in (Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))]
+                psis.append((psi_tempered(b, Fraction(3, 2), Fraction(1, 2), c),
+                             Fraction(3, 2), Fraction(1, 2)))
+                for psi, a, p in psis:
+                    for n in (1, 7, 499, 1000):
+                        if not p and (a * n).denominator == 1:
+                            continue  # the exact path
+                        true = [mp(c) * mpmath.power(n, -mp(p))
+                                * mpmath.power(beta, -mp(a) * n) for beta in betas]
+                        v = psi.value(n)
+                        lo, hi = v.enclosure(128)
+                        assert mp(lo) <= min(true) and max(true) <= mp(hi), (spec, a, p, n)
+                        if not b.is_exact:
+                            assert not v.refinable
+                            continue
+                        assert hi - lo <= Fraction(1, 2 ** 128), (spec, a, p, n)
+                        lo2, hi2 = v.enclosure(256)
+                        assert lo <= lo2 and hi2 <= hi
+                        assert hi2 - lo2 <= Fraction(1, 2 ** 256), (spec, a, p, n)
+                        assert mp(lo2) <= true[0] <= mp(hi2), (spec, a, p, n)
+
+    def test_interval_beta_value_is_a_fixed_interval(self):
+        # beta's declared width bounds psi's: no rung past the first can
+        # decide what the first cannot
+        psi = psi_exponential(make_beta("dec:1.8@200"), Fraction(3, 2))
+        assert not psi.value(5).refinable
+        with pytest.raises(PrecisionExhausted, match="at 128 bits"):
+            compare(psi.value(5), psi.value(5))
 
     def test_log_value_matches_float(self):
         import math

@@ -13,6 +13,7 @@ from betadim.exact import (
     LogValue,
     QuadNum,
     compare,
+    inv_pow_fixed,
     iroot,
     ln_interval,
     pow_interval,
@@ -111,6 +112,28 @@ class TestIntegerRoots:
             val = mpmath.power(2, mpmath.mpf(-3) / 2)
             assert mpmath.mpf(lo.numerator) / lo.denominator <= val
             assert mpmath.mpf(hi.numerator) / hi.denominator >= val
+
+    def test_inv_pow_fixed_rounds_outward(self):
+        # b**-k over 2**P, checked in exact rational arithmetic: the two
+        # rounding directions bracket it and lie at most k + 2 units apart.
+        # The last two bases keep b**-k near 1, so a flipped inner rounding
+        # moves the result by more units than the final rounding absorbs:
+        # the first of them rounds from b on, the second is exact at P = 64
+        # and rounds from its first square on
+        for b in (Fraction(9, 5), *PHI.enclosure(200), 1 + Fraction(1, 2 ** 40),
+                  1 + Fraction(1, 3 * 2 ** 40), 1 + Fraction(2 ** 57 + 1, 2 ** 68)):
+            for k in (1, 2, 3, 64, 1001):
+                for P in (64, 1200):
+                    lo = inv_pow_fixed(b, k, P, up=False)
+                    hi = inv_pow_fixed(b, k, P, up=True)
+                    assert lo <= b ** -k * 2 ** P <= hi, (b, k, P)
+                    assert hi - lo <= k + 2, (b, k, P)
+        # 1 + m/2**30 has an exact square at the 68 bits used for P = 64 and
+        # a cube that rounds, so only the multiplication by b rounds here
+        for m in range(1, 400, 2):
+            b = 1 + Fraction(m, 2 ** 30)
+            lo, hi = inv_pow_fixed(b, 3, 64, up=False), inv_pow_fixed(b, 3, 64, up=True)
+            assert lo <= b ** -3 * 2 ** 64 <= hi <= lo + 5, m
 
 
 class TestLn:

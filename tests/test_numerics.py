@@ -314,7 +314,10 @@ class TestCertifiedOrbit:
             b.star.digit(233)
         x = Fraction(1, 3)
         assert expand(x, b, 235) == expand(x, exact, 235)
-        with pytest.raises(PrecisionExhausted):
+        # the error names the undecided digit, the bits walked (128 + 236
+        # guard bits + 200 declared) and the width reached
+        with pytest.raises(PrecisionExhausted,
+                           match=r"digit 236 undecided at 564 bits: .* width below 2\^"):
             expand(x, b, 236)
 
 
