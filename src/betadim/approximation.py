@@ -289,6 +289,9 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
     cs = [Fraction(c) for c in c_values]
     if any(not (0 < c < 1) for c in cs):
         raise PreconditionViolated("constants must lie in (0, 1)")
+    if len({float(c) for c in cs}) < len(cs):
+        # the report is keyed by float(c): equal keys would merge violations
+        raise PreconditionViolated("constants must differ as floats")
     cap = psi.max_index()
     if cap is not None:
         horizon = min(horizon, cap)
@@ -299,7 +302,7 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
         if compare(err, pv) < 0:
             hits.append(n)
         for c in cs:
-            if compare(err, pv * CertifiedReal.from_exact(c)) < 0:
+            if compare(err, pv.scaled(c)) < 0:
                 violations[float(c)].append(n)
     return EvidenceReport(str(x), system.spec, psi.describe(), horizon,
                           [float(c) for c in cs], hits, violations)

@@ -10,7 +10,12 @@ independent computations that must agree:
   automaton state (length beta**-n exactly on full words).
 
 The follower route is the fast path; the partition route is the
-definitional one and is kept as a cross-check.
+definitional one and is kept as a cross-check.  On the fast path a
+cylinder's length and fullness depend only on its final automaton
+state, so a sweep of order n computes them at most n+1 times; left
+endpoints stay per-word Horner values, from the kernel
+``word_evaluator`` chosen once per sweep, so the two routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .errors import InvariantFailure, NotAdmissible, PreconditionViolated
 from .exact import Exact, compare
-from .numerics import BetaSystem, Word, eval_word, expand
+from .numerics import BetaSystem, Word, eval_word, expand, word_evaluator
 from .words import DEFAULT_ENUM_CAP, ParryAutomaton, check_cap, words_with_states
 
 
@@ -86,10 +91,10 @@ def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
 def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
     """Definitional length: distance to the next left endpoint."""
     nxt = successor(word, system)
-    left = eval_word(word, system)
     if nxt is None:
-        return 1 - left
-    return eval_word(nxt, system) - left
+        return 1 - eval_word(word, system)
+    value = word_evaluator(system)
+    return value(nxt) - value(word)
 
 
 @dataclass(frozen=True)
@@ -148,12 +153,23 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
 
 def iter_cylinders(n: int, system: BetaSystem,
                    cap: int = DEFAULT_ENUM_CAP) -> Iterator[CylinderInterval]:
+    """Every order-n cylinder, in lexicographic order of its word.
+
+    The length beta**-n * tail_sup(state) and the fullness of a cylinder
+    depend only on the final follower state of its word, one of 0..n, so
+    each is computed at most n+1 times per sweep.  Left endpoints are
+    per-word values from the Horner kernel, chosen once per sweep.
+    """
     check_cap(system, n, cap, "cylinder sweep")
     pm = system.pow(-n)
+    left = word_evaluator(system)
+    by_state: dict[int, tuple[Exact, bool]] = {}
     for w, state in words_with_states(system, n):
-        yield CylinderInterval(w, eval_word(w, system),
-                               pm * system.tail_sup(state),
-                               system.is_full_state(state))
+        shape = by_state.get(state)
+        if shape is None:
+            shape = by_state[state] = (pm * system.tail_sup(state),
+                                       system.is_full_state(state))
+        yield CylinderInterval(w, left(w), *shape)
 
 
 def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
@@ -178,9 +194,10 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
 
     need = 1 if strict else 0
     auto = ParryAutomaton(system)
+    value = word_evaluator(system)
     w: Word | None = word
     while w is not None:
-        left = eval_word(w, system)
+        left = value(w)
         if compare(left, hi) >= 0:
             break
         if (compare(left, lo) >= need

@@ -444,6 +444,25 @@ class CertifiedReal:
 
     __rmul__ = __mul__
 
+    def scaled(self, c: Fraction) -> "CertifiedReal":
+        """c * self for a rational 0 < c <= 1, refined at the same bits as
+        self: each enclosure of self scales to one of c * self that is no
+        wider, so a refinable value stays refinable, a fixed one fixed, and
+        self is refined no further than a decision on c * self needs."""
+        if not 0 < c <= 1:
+            raise ValueError("scale must lie in (0, 1]")
+        if self.exact is not None:
+            return CertifiedReal.from_exact(self.exact * c)
+        if self._refiner is None:
+            return CertifiedReal.from_interval(self._lo * c, self._hi * c)
+        inner = self
+
+        def refiner(bits):
+            lo, hi = inner.enclosure(bits)
+            return lo * c, hi * c
+
+        return CertifiedReal.from_refiner(refiner)
+
     # -- decisions -----------------------------------------------------------
 
     def floor(self) -> int:

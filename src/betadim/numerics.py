@@ -46,7 +46,7 @@ import math
 import re
 import threading
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
 from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, compare, decide,
@@ -382,33 +382,56 @@ def expand(x: Real, system: BetaSystem, n: int) -> Word:
     return tuple(d for d, _ in orbit(x, system, n))
 
 
-def eval_word(word: Sequence[int], system: BetaSystem) -> Exact:
-    """Exact value sum(word[i] * beta**-(i+1)); the order-n truncation of
-    any point whose expansion starts with this word."""
+def word_evaluator(system: BetaSystem) -> Callable[[Sequence[int]], Exact]:
+    """The Horner kernel of this base, chosen once: a function taking a
+    word to its exact value sum(word[i] * beta**-(i+1)).
+
+    A rational beta = p/q evaluates in integers over p**n, golden in
+    Z[phi], and any other quadratic by the generic ``QuadNum`` loop.
+    """
     b = system.require_exact("word evaluation")
-    if not word:
-        return Fraction(0)
     if isinstance(b, Fraction):
         p, q = b.numerator, b.denominator
-        acc = 0
-        qi = 1
-        for d in word:
-            qi *= q
-            acc = acc * p + d * qi
-        return Fraction(acc, p ** len(word))
+
+        def rational(word: Sequence[int]) -> Exact:
+            acc = 0
+            qi = 1
+            for d in word:
+                qi *= q
+                acc = acc * p + d * qi
+            return Fraction(acc, p ** len(word))
+
+        return rational
     if b == GOLDEN:
-        # integer Horner in Z[phi]: (a + b*phi + d) * phi^-1 with
-        # phi^-1 = phi - 1, so (a, b) -> (b - a, a) after adding the digit
-        a, bb = 0, 0
-        for d in reversed(word):
-            a += d
-            a, bb = bb - a, a
-        return QuadNum(Fraction(a) + Fraction(bb, 2), Fraction(bb, 2), 5)
+        def golden(word: Sequence[int]) -> Exact:
+            # integer Horner in Z[phi]: (a + b*phi + d) * phi^-1 with
+            # phi^-1 = phi - 1, so (a, b) -> (b - a, a) after adding the digit
+            a, bb = 0, 0
+            for d in reversed(word):
+                a += d
+                a, bb = bb - a, a
+            return QuadNum(Fraction(a) + Fraction(bb, 2), Fraction(bb, 2), 5)
+
+        return golden
     binv = b.inverse()
-    acc: Exact = Fraction(0)
-    for d in reversed(word):
-        acc = (acc + d) * binv
-    return acc
+
+    def quadratic(word: Sequence[int]) -> Exact:
+        acc: Exact = Fraction(0)
+        for d in reversed(word):
+            acc = (acc + d) * binv
+        return acc
+
+    return quadratic
+
+
+def eval_word(word: Sequence[int], system: BetaSystem) -> Exact:
+    """Exact value sum(word[i] * beta**-(i+1)); the order-n truncation of
+    any point whose expansion starts with this word.  Evaluating many
+    words of one base, take ``word_evaluator`` once instead."""
+    if not word:  # 0 for every exact beta, before any kernel is chosen
+        system.require_exact("word evaluation")
+        return Fraction(0)
+    return word_evaluator(system)(word)
 
 
 def make_beta(spec: str) -> BetaSystem:

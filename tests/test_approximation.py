@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from betadim import approximation
 from betadim.approximation import (
     alpha_of,
     detect_hits,
@@ -13,7 +14,7 @@ from betadim.approximation import (
     scaled_errors,
 )
 from betadim.errors import PrecisionExhausted, PreconditionViolated
-from betadim.exact import compare
+from betadim.exact import compare, root_interval
 from betadim.numerics import GOLDEN, eval_word, make_beta, orbit
 
 PHI = GOLDEN
@@ -264,3 +265,31 @@ class TestEvidence:
         psi = psi_exponential(b, 1)
         with pytest.raises(PreconditionViolated):
             exactness_evidence(Fraction(1, 3), b, psi, c_values=[Fraction(3, 2)])
+
+    def test_constants_equal_as_floats_rejected(self):
+        # the report is keyed by float(c), so these would merge their violations
+        b = make_beta("golden")
+        psi = psi_exponential(b, Fraction(1, 2))
+        for grid in ([Fraction(1, 2), Fraction(1, 2)],
+                     [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30)]):
+            with pytest.raises(PreconditionViolated):
+                exactness_evidence(Fraction(1, 3), b, psi, c_values=grid, horizon=30)
+
+    def test_psi_refined_once_per_value(self, monkeypatch):
+        # c*psi(n) scales psi(n)'s own enclosure, so deciding it asks psi for
+        # no more bits than deciding psi(n) did; each refinement of an
+        # exponential psi takes two roots
+        calls = []
+
+        def counted(x, k, bits):
+            calls.append(bits)
+            return root_interval(x, k, bits)
+
+        monkeypatch.setattr(approximation, "root_interval", counted)
+        b = make_beta("golden")
+        psi = psi_exponential(b, Fraction(1, 2))
+        rep = exactness_evidence(Fraction(1, 3), b, psi, horizon=100)
+        inexact = sum(psi.value_exact(n) is None for n in range(1, 101))
+        assert inexact == 50
+        assert len(calls) == 2 * inexact
+        assert rep.hits and all(rep.violations[c] for c in rep.c_values)

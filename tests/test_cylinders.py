@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from betadim.errors import NotAdmissible, PrecisionExhausted, PreconditionViolated
-from betadim.numerics import GOLDEN, eval_word, make_beta
+from betadim.numerics import GOLDEN, BetaSystem, eval_word, make_beta, word_evaluator
 from betadim.cylinders import (
     CensusRecord,
     cylinder,
@@ -22,6 +22,9 @@ PHI = GOLDEN
 BETAS = ["golden", "1.8", "2.5", "2"]
 S13 = "quad:(1+1*sqrt(13))/2"
 DEC = "dec:1.8@200"
+# golden squared: a quadratic of the golden field taken by the generic kernel
+PHI2 = "quad:(3+1*sqrt(5))/2"
+SWEEP_BETAS = BETAS + ["9/5", PHI2]
 
 
 def extension_full_oracle(word, system, depth=4):
@@ -111,6 +114,44 @@ class TestSuccessorAndPartition:
             for n in (1, 2, 4):
                 for w in enumerate_admissible(n, b):
                     assert cylinder(w, b).length == length_by_partition(w, b), (spec, w)
+
+
+class TestSweep:
+    def test_every_cylinder_matches_the_single_word_route(self):
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            for n in range(1, 9):
+                for c in iter_cylinders(n, b):
+                    # dataclass equality: word, left, length and is_full
+                    assert c == cylinder(c.word, b), (spec, c.word)
+
+    def test_tail_sup_runs_at_most_once_per_state(self, monkeypatch):
+        calls = []
+        tail_sup = BetaSystem.tail_sup
+
+        def counted(self, state):
+            calls.append(state)
+            return tail_sup(self, state)
+
+        monkeypatch.setattr(BetaSystem, "tail_sup", counted)
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            for n in (1, 4, 8):
+                calls.clear()
+                swept = sum(1 for _ in iter_cylinders(n, b))
+                assert swept == count_admissible(n, b)
+                assert len(calls) <= n + 1 and len(set(calls)) == len(calls), (spec, n)
+
+    def test_kernel_matches_the_sum_of_digit_powers(self):
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            powers = [b.beta_exact ** -i for i in range(1, 9)]
+            value = word_evaluator(b)
+            for n in range(1, 9):
+                for w in enumerate_admissible(n, b):
+                    want = sum(d * p for d, p in zip(w, powers))
+                    assert value(w) == want, (spec, w)
+                assert eval_word(w, b) == want, (spec, w)
 
 
 class TestFullness:

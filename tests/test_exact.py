@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from betadim.errors import PrecisionExhausted
 from betadim.exact import (
+    PRECISION_START,
     CertifiedReal,
     LogValue,
     QuadNum,
@@ -200,6 +201,26 @@ class TestCertifiedReal:
         d = a * b - b
         lo, hi = d.enclosure(64)
         assert lo <= Fraction(1, 3) * Fraction(1, 4) - Fraction(26, 100)
+
+    def test_scaled_keeps_the_kind_and_the_bits(self):
+        c = Fraction(9, 10)
+        assert CertifiedReal.from_exact(PHI).scaled(c).exact == PHI * c
+        fixed = CertifiedReal.from_interval(Fraction(1, 4), Fraction(26, 100)).scaled(c)
+        assert not fixed.refinable
+        assert fixed.enclosure(PRECISION_START) == (Fraction(9, 40), Fraction(117, 500))
+        asked = []
+
+        def refiner(bits):
+            asked.append(bits)
+            return Fraction(1, 3) - Fraction(1, 2 ** bits), Fraction(1, 3)
+
+        scaled = CertifiedReal.from_refiner(refiner).scaled(c)
+        lo, hi = scaled.enclosure(64)
+        assert asked == [64] and (lo, hi) == (c * (Fraction(1, 3) - Fraction(1, 2 ** 64)),
+                                              Fraction(3, 10))
+        for bad in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                scaled.scaled(bad)
 
     def test_cmp_certified(self):
         a = CertifiedReal.from_exact(PHI)          # 1.618...
