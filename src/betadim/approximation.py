@@ -11,13 +11,14 @@ and every report says so explicitly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionViolated
 from .exact import (PRECISION_START, CertifiedReal, Exact, LogValue, compare, exact_enclosure,
-                    inv_pow_fixed, pow_interval, root_interval)
+                    inv_pow_fixed, iroot, pow_interval, root_interval)
 from .numerics import BetaSystem, Real, orbit
 
 
@@ -31,8 +32,8 @@ class PsiFunction:
     """A non-increasing approximation speed tied to one base.
 
     Families:
-      exponential  psi(n) = c * beta**(-alpha*n)
-      tempered     psi(n) = c * n**(-p) * beta**(-alpha*n)
+      exponential  psi(n) = c * n**(-p) * beta**(-alpha*n); p = 0 is the
+                   plain exponential speed, p > 0 a tempered one
       table        explicit positive values psi(1), psi(2), ...
     """
 
@@ -44,11 +45,11 @@ class PsiFunction:
     table: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        if self.family not in ("exponential", "tempered", "table"):
+        if self.family not in ("exponential", "table"):
             raise ValueError(f"unknown psi family {self.family!r}")
         if self.family == "table":
-            if not self.table:
-                raise ValueError("table psi needs values")
+            if not self.table or (self.alpha, self.c, self.p) != (0, 1, 0):
+                raise ValueError("a table psi takes its values only, no alpha, c or p")
             if any(v <= 0 for v in self.table):
                 raise ValueError("psi must be positive")
             if any(a < b for a, b in zip(self.table, self.table[1:])):
@@ -65,7 +66,7 @@ class PsiFunction:
         parts = []
         if self.c != 1:
             parts.append(f"{self.c}*")
-        if self.family == "tempered" and self.p:
+        if self.p:
             parts.append(f"n^-{self.p}*")
         parts.append(f"beta^-{self.alpha}n")
         return "".join(parts)
@@ -89,11 +90,10 @@ class PsiFunction:
         if e.denominator != 1 or not self.system.is_exact:
             return None
         v = self.c * self.system.pow(-int(e))
-        if self.family == "tempered" and self.p:
-            if self.p.denominator != 1:
-                return None
-            v = v * Fraction(1, n ** int(self.p))
-        return v
+        if not self.p:
+            return v
+        r = iroot(n, self.p.denominator)  # p = k/m: n**p is rational iff n = r**m
+        return v / r ** self.p.numerator if r ** self.p.denominator == n else None
 
     def value(self, n: int) -> CertifiedReal:
         """psi(n) as a certified real: exact when ``value_exact`` is, else
@@ -112,13 +112,12 @@ class PsiFunction:
         narrower than beta's declared width lets it be, so it is a fixed
         interval, and a comparison it cannot decide fails at the first rung.
         No end of an enclosure of beta is raised to a power exactly; only
-        the tempered factor n**-p comes from ``pow_interval``.
+        the factor n**-p comes from ``pow_interval``.
         """
         exact = self.value_exact(n)
         if exact is not None:
             return CertifiedReal.from_exact(exact)
         system, c, p = self.system, self.c, self.p
-        tempered = self.family == "tempered" and p
         e = self.alpha * n
         k, m = e.numerator, e.denominator
         mag = k * (system.alphabet_max + 1).bit_length() + 1
@@ -126,7 +125,7 @@ class PsiFunction:
         def psi(w: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
             """psi(n) to about 2**-w from lo <= beta**-k <= hi, hi - lo <= 2**-(w + mag)."""
             lo, hi = root_interval(lo, m, w)[0] * c, root_interval(hi, m, w)[1] * c
-            if tempered:
+            if p:
                 plo, phi = pow_interval(Fraction(n), -p, w)
                 lo, hi = lo * plo, hi * phi
             return lo, hi
@@ -151,7 +150,7 @@ class PsiFunction:
         terms = [(-self.alpha * n, beta)]
         if self.c != 1:
             terms.append((Fraction(1), self.c))
-        if self.family == "tempered" and self.p and n > 1:
+        if self.p and n > 1:
             terms.append((-self.p, Fraction(n)))
         return LogValue(terms)
 
@@ -161,7 +160,7 @@ def psi_exponential(system: BetaSystem, alpha, c=1) -> PsiFunction:
 
 
 def psi_tempered(system: BetaSystem, alpha, p, c=1) -> PsiFunction:
-    return PsiFunction(system, "tempered", alpha=Fraction(alpha),
+    return PsiFunction(system, "exponential", alpha=Fraction(alpha),
                        p=Fraction(p), c=Fraction(c))
 
 
@@ -188,10 +187,8 @@ def alpha_of(psi: PsiFunction, horizon: int = 64) -> AlphaEstimate:
     """
     if horizon < 1:
         raise PreconditionViolated("horizon must be >= 1")
-    if psi.family in ("exponential", "tempered"):
+    if psi.family == "exponential":
         return AlphaEstimate(psi.alpha, True, horizon)
-    import math
-
     beta = float(psi.system.beta)
     n_max = min(horizon, len(psi.table))
     best = min(-math.log(float(psi.table[n - 1]), beta) / n

@@ -6,8 +6,9 @@ independent computations that must agree:
 
 * partition route: left endpoint of the lexicographic successor minus the
   own left endpoint (the last word's right endpoint is 1);
-* follower route: beta**-n times the continuation supremum of the final
-  automaton state (length beta**-n exactly on full words).
+* follower route: beta**-n times ``tail_sup``(s), the point p_s of the
+  quasi-greedy orbit of 1 at the final automaton state s; p_s = 1, so the
+  length is beta**-n, exactly on full words.
 
 The follower route is the fast path; the partition route is the
 definitional one and is kept as a cross-check.  On the fast path a
@@ -157,19 +158,15 @@ def iter_cylinders(n: int, system: BetaSystem,
 
     The length beta**-n * tail_sup(state) and the fullness of a cylinder
     depend only on the final follower state of its word, one of 0..n, so
-    each is computed at most n+1 times per sweep.  Left endpoints are
+    the n+1 pairs are computed once per sweep.  Left endpoints are
     per-word values from the Horner kernel, chosen once per sweep.
     """
     check_cap(system, n, cap, "cylinder sweep")
     pm = system.pow(-n)
     left = word_evaluator(system)
-    by_state: dict[int, tuple[Exact, bool]] = {}
+    shapes = [(pm * system.tail_sup(s), system.is_full_state(s)) for s in range(n + 1)]
     for w, state in words_with_states(system, n):
-        shape = by_state.get(state)
-        if shape is None:
-            shape = by_state[state] = (pm * system.tail_sup(state),
-                                       system.is_full_state(state))
-        yield CylinderInterval(w, left(w), *shape)
+        yield CylinderInterval(w, left(w), *shapes[state])
 
 
 def find_full_in_interval(lo, hi, n: int, system: BetaSystem,

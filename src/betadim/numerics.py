@@ -2,7 +2,7 @@
 
 A ``BetaSystem`` packages a base beta > 1 together with the machinery the
 rest of the package rests on: the digit alphabet, the quasi-greedy (always
-infinite) expansion of 1, and exact power caches.
+infinite) expansion of 1, and one cache of exact powers.
 
 Beta specifications (the ``make_beta`` grammar):
 
@@ -12,10 +12,11 @@ Beta specifications (the ``make_beta`` grammar):
 * ``"dec:<digits>@<bits>"``           -- a real known only to +-2**-bits
   around the given decimal; floor decisions may exhaust precision.
 
-Each system has one store of quasi-greedy digits, ``system.star``.  Which
-cylinders are full depends on one fact about beta: whether its expansion
-of 1 ends, and at what length m (Parry 1960).  That fact is decided
-exactly when the system is built, never by probing digits:
+Each system has one power cache and one digit store, ``system.star``,
+which holds the quasi-greedy digits of 1 and, on demand, the points of
+its orbit.  Which cylinders are full depends on one fact about beta:
+whether its expansion of 1 ends, and at what length m (Parry 1960).  That
+fact is decided exactly when the system is built, never by probing digits:
 
 * a rational beta has a finite expansion of 1 iff it is an integer
   (then m = 1): a finite expansion makes beta a root of a monic integer
@@ -35,7 +36,7 @@ for x >= 0, so ends that share a digit enclose every point between them
 and the images of the ends enclose its image.  ``orbit`` states the
 precision rule; no ``CertifiedReal`` arithmetic is built.
 
-All operations are pure.  The digit store and the power caches memoize
+All operations are pure.  The digit store and the power cache memoize
 under locks, and the automaton of the ``words`` module holds no state, so
 systems are safe to share across threads.
 """
@@ -72,13 +73,10 @@ def parse_beta_spec(spec: str) -> tuple[Exact | None, tuple[Fraction, Fraction] 
         a, b, d, c = (int(g) for g in m.groups())
         if c == 0:
             raise InvalidBeta("zero denominator in quadratic spec")
-        try:
-            q = QuadNum(Fraction(a, c), Fraction(b, c), d)
-        except ValueError as exc:
-            raise InvalidBeta(str(exc)) from None
-        if q.is_rational:
-            return q.as_fraction(), None
-        return q, None
+        r = math.isqrt(d)
+        if r * r == d or b == 0:  # a square radicand, or none: a rational beta
+            return Fraction(a + b * r, c), None
+        return QuadNum(Fraction(a, c), Fraction(b, c), d), None
     m = _DEC_RE.match(spec)
     if m:
         center = Fraction(m.group(1))
@@ -115,13 +113,19 @@ class StarExpansion:
     were u**k with k >= 2, the shift by |u| of the expansion of 1 would
     exceed it, against Parry's condition.
 
-    The digits live in one 1-indexed list that only grows, under one lock,
-    so a digit already stored is read without locking; a failed extension
-    (an interval beta out of precision) keeps every digit stored before it.
+    An exact beta's store also holds, once asked for, the quasi-greedy
+    orbit points p_0 = 1, p_s = beta * p_(s-1) - t_s = beta**s * (1 -
+    sum_(i <= s) t_i * beta**-i), in (0, 1] and 1 exactly at full states.
+    The walks stay apart: a point of a non-Pisot beta has O(s) bits, so a
+    digit-only caller (``count_admissible(1000)``) would store O(n**2)
+    bits.  Both lists only grow, under one lock, so a stored value is read
+    without locking; a failed extension (an interval beta out of
+    precision) keeps every digit stored before it.
     """
 
     def __init__(self, system: "BetaSystem"):
         self._digits: list[int] = [0]  # 1-indexed; index 0 unused
+        self._points: list[Exact] = [Fraction(1)] if system.is_exact else []  # p_0, ...
         self._repeat: int | None = None  # t_i = t_{i-repeat} past the store
         self._lock = threading.Lock()
         self.period: int | None = None
@@ -176,6 +180,20 @@ class StarExpansion:
     def prefix(self, n: int) -> Word:
         return tuple(self.digit(i) for i in range(1, n + 1))
 
+    def point(self, s: int) -> Exact:
+        """p_s, s >= 0, stored once; PrecisionExhausted for an interval beta."""
+        points = self._points
+        if 0 <= s < len(points):
+            return points[s]
+        if not points:
+            raise PrecisionExhausted("orbit points of 1 need an exactly specified beta")
+        self.digit(s)  # stores t_1..t_s before the lock is taken
+        with self._lock:
+            beta, digits = self._beta, self._digits
+            while len(points) <= s:
+                points.append(beta * points[-1] - digits[len(points)])
+        return points[s]
+
 
 class BetaSystem:
     """A base beta > 1 with exact or declared-precision arithmetic."""
@@ -208,8 +226,6 @@ class BetaSystem:
         self.alphabet_max = ceil_b - 1
         self._pow_cache: dict[int, Exact] = {}
         self._pow_lock = threading.Lock()
-        self._star_value_cache: list[Exact] = []
-        self._star_value_lock = threading.Lock()
         self.star = StarExpansion(self)
 
     # -- basic properties --------------------------------------------------
@@ -241,25 +257,13 @@ class BetaSystem:
             self._pow_cache[k] = v
         return v
 
-    # -- quasi-greedy prefix values -------------------------------------------
-
-    def star_prefix_value(self, n: int) -> Exact:
-        """Exact value of the first n quasi-greedy digits of 1."""
-        self.require_exact("quasi-greedy prefix value")
-        with self._star_value_lock:
-            cache = self._star_value_cache
-            if not cache:
-                cache.append(Fraction(0))
-            while len(cache) <= n:
-                i = len(cache)
-                cache.append(cache[i - 1] + self.star.digit(i) * self.pow(-i))
-            return cache[n]
+    # -- the orbit of 1 ------------------------------------------------------
 
     def tail_sup(self, state: int) -> Exact:
-        """Supremum beta**state * (1 - star_prefix_value(state)) of
-        continuation values after a maximal quasi-greedy match of length
-        ``state``; equals 1 exactly on full states."""
-        return self.pow(state) * (1 - self.star_prefix_value(state))
+        """Supremum of continuation values after a maximal quasi-greedy match
+        of length s = ``state``: the orbit point p_s = beta**s * (1 - sum_(i <= s)
+        t_i * beta**-i), read from ``star.point``; 1 exactly on full states."""
+        return self.star.point(state)
 
     def is_full_state(self, state: int) -> bool:
         """Whether the shifted quasi-greedy sequence equals itself at this

@@ -5,6 +5,7 @@ import pytest
 
 from betadim import approximation
 from betadim.approximation import (
+    PsiFunction,
     alpha_of,
     detect_hits,
     exactness_evidence,
@@ -60,6 +61,37 @@ class TestAlpha:
         b = make_beta("2")
         with pytest.raises(ValueError):
             psi_table(b, [Fraction(1, 10), Fraction(1, 2)])
+
+
+class TestPsiFamilies:
+    def test_exponential_reads_p(self):
+        b = make_beta("2")
+        psi = PsiFunction(b, "exponential", alpha=1, p=Fraction(1, 2))
+        assert psi == psi_tempered(b, 1, Fraction(1, 2))
+        assert psi.value_exact(4) == Fraction(1, 32)
+        assert psi.value_exact(9) == Fraction(1, 2 ** 9 * 3)
+        assert psi.value_exact(2) is None  # 2**-1/2 is irrational
+        assert psi.describe() == "n^-1/2*beta^-1n"
+        assert psi_tempered(b, 1, 2).value_exact(3) == Fraction(1, 2 ** 3 * 9)
+
+    def test_describe_strings_unchanged(self):
+        b = make_beta("2")
+        assert psi_exponential(b, Fraction(1, 2)).describe() == "beta^-1/2n"
+        assert psi_exponential(b, 1, Fraction(7, 8)).describe() == "7/8*beta^-1n"
+        assert psi_tempered(b, Fraction(3, 2), 2).describe() == "n^-2*beta^-3/2n"
+        assert psi_tempered(b, 1, 0, 3).describe() == "3*beta^-1n"
+        assert psi_table(b, [1, Fraction(1, 2)]).describe() == "table[2]"
+
+    def test_fields_outside_the_family_rejected(self):
+        b = make_beta("2")
+        values = (Fraction(1, 2), Fraction(1, 4))
+        for extra in ({"alpha": Fraction(1)}, {"c": Fraction(1, 2)}, {"p": Fraction(1)}):
+            with pytest.raises(ValueError):
+                PsiFunction(b, "table", table=values, **extra)
+        with pytest.raises(ValueError):
+            PsiFunction(b, "table")
+        with pytest.raises(ValueError):
+            PsiFunction(b, "tempered", alpha=Fraction(1), p=Fraction(1))
 
 
 class TestPsiValues:

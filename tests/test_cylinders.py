@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from betadim.errors import NotAdmissible, PrecisionExhausted, PreconditionViolated
+from betadim.exact import compare
 from betadim.numerics import GOLDEN, BetaSystem, eval_word, make_beta, word_evaluator
 from betadim.cylinders import (
     CensusRecord,
@@ -57,6 +59,33 @@ def reference_census(n, system):
             gap += 1
             max_gap = max(max_gap, gap)
     return count, count_full, max_gap
+
+
+def cylinder_table(n, system):
+    """(word, left, length, full) of every order-n cylinder, with no
+    cylinders code: all digit tuples kept by the Parry criterion (each
+    suffix at or below the quasi-greedy prefix of its length), left ends as
+    sums of digit powers, lengths as gaps to the next left end (to 1 after
+    the last), full exactly when the length is beta**-n."""
+    t = system.star.prefix(n)
+    words = [w for w in itertools.product(range(system.alphabet_max + 1), repeat=n)
+             if all(w[k:] <= t[:n - k] for k in range(n))]
+    lefts = [sum((d * system.pow(-i) for i, d in enumerate(w, 1)), Fraction(0))
+             for w in words]
+    rights = lefts[1:] + [Fraction(1)]
+    return [(w, left, right - left, right - left == system.pow(-n))
+            for w, left, right in zip(words, lefts, rights)]
+
+
+def seeded_interval(rng, need):
+    """0 <= lo < hi <= 1 on the 2**-20 grid with hi - lo > need."""
+    grid = 1 << 20
+    while True:
+        width = rng.randint(int(float(need) * grid) + 1, grid)
+        lo = rng.randint(0, grid - width)
+        lo, hi = Fraction(lo, grid), Fraction(lo + width, grid)
+        if compare(need, hi - lo) < 0:
+            return lo, hi
 
 
 class TestCylinderBasics:
@@ -290,6 +319,21 @@ class TestFindFull:
                 assert is_full(w, b)
                 c = cylinder(w, b)
                 assert c.left >= lo and c.right <= hi
+
+    def test_leftmost_full_cylinder(self):
+        rng = random.Random(1)
+        for spec in ("golden", "2", "2.5", "9/5", PHI2):
+            b = make_beta(spec)
+            for n in range(3, 8):
+                table = cylinder_table(n, b)
+                for _ in range(20):
+                    lo, hi = seeded_interval(rng, (n + 1) * b.pow(-n))
+                    for strict in (False, True):
+                        inside = [w for w, left, length, full in table if full and (
+                            left > lo and left + length < hi if strict
+                            else left >= lo and left + length <= hi)]
+                        got = find_full_in_interval(lo, hi, n, b, strict)
+                        assert got == inside[0], (spec, n, lo, hi, strict)
 
     def test_quadnum_endpoints(self):
         b = make_beta("golden")

@@ -14,12 +14,14 @@ from betadim.errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
 from betadim.exact import CertifiedReal, QuadNum, compare
 from betadim.numerics import (
     GOLDEN,
+    BetaSystem,
     eval_word,
     expand,
     make_beta,
     orbit,
     parse_beta_spec,
 )
+from betadim.words import count_admissible
 
 PHI = GOLDEN
 INV_PHI = PHI - 1          # 1/phi
@@ -56,6 +58,11 @@ def walk_expansion_of_one(beta, steps):
         if x == 0:
             return digits, len(digits)
     return digits, None
+
+
+def star_partial_sum(system, n):
+    """sum_(i <= n) t_i * beta**-i from the stored digits and the powers."""
+    return sum((system.star.digit(i) * system.pow(-i) for i in range(1, n + 1)), Fraction(0))
 
 
 class TestParseAndMake:
@@ -105,18 +112,30 @@ class TestParseAndMake:
                 x -= d
 
     def test_star_series_sums_to_one(self):
-        # partial sums increase to 1, deficit below beta**-N
+        # partial sums increase to 1, deficit below beta**-N; the deficit
+        # scaled by beta**N is the stored orbit point
         for spec in ("1.8", "2.5", "golden", "3"):
             b = make_beta(spec)
             prev = Fraction(0)
             for n in (5, 10, 25, 50):
-                s = b.star_prefix_value(n)
+                s = star_partial_sum(b, n)
                 assert prev < s if isinstance(s, Fraction) else (s - prev).sign() > 0
                 deficit = 1 - s
                 assert (deficit > 0) and (deficit <= b.pow(-n))
+                assert b.tail_sup(n) == b.pow(n) * (1 - s)
                 prev = s
             if spec == "1.8":
-                assert float(1 - b.star_prefix_value(60)) < 1e-12
+                assert float(1 - star_partial_sum(b, 60)) < 1e-12
+
+    def test_square_radicand_is_rational(self):
+        # radicands 0, 1 and 4 fold into the rational part
+        for spec, rational in (("quad:(1+1*sqrt(4))/2", "3/2"), ("quad:(3+5*sqrt(0))/2", "3/2"),
+                               ("quad:(2+1*sqrt(1))/2", "3/2"), ("quad:(1+1*sqrt(1))/1", "2"),
+                               ("quad:(1+4*sqrt(4))/4", "9/4")):
+            b, want = make_beta(spec), make_beta(rational)
+            assert type(b.beta_exact) is Fraction and b.beta_exact == want.beta_exact, spec
+            assert b.star.prefix(20) == want.star.prefix(20), spec
+            assert b.star.period == want.star.period, spec
 
     def test_invalid_betas(self):
         with pytest.raises(InvalidBeta):
@@ -351,3 +370,48 @@ class TestExpansionOfOne:
         assert len(b.star._digits) == 1
         with pytest.raises(PrecisionExhausted):
             b.is_full_state(300)
+
+
+# the quasi-greedy orbit of 1 is stored for these exact bases
+ORBIT_BETAS = ["golden", "1.8", "2.5", "2", "9/5", "10.5", "7/3", "quad:(3+1*sqrt(5))/2",
+               "quad:(1+1*sqrt(2))/1", "quad:(2+1*sqrt(7))/1", "quad:(1+1*sqrt(13))/2"]
+
+
+class TestOrbitOfOne:
+    def test_points_are_scaled_series_deficits(self):
+        # p_s = beta**s * (1 - sum_(i <= s) t_i beta**-i), in (0, 1], and 1
+        # exactly at full states
+        for spec in ORBIT_BETAS:
+            b = make_beta(spec)
+            for s in range(61):
+                p = b.tail_sup(s)
+                assert p == b.pow(s) * (1 - star_partial_sum(b, s)), (spec, s)
+                assert 0 < p <= 1, (spec, s)
+                assert (p == 1) == b.is_full_state(s), (spec, s)
+
+    def test_tail_sup_reads_the_store(self, monkeypatch):
+        powers = []
+        pow_ = BetaSystem.pow
+
+        def counted(self, k):
+            powers.append(k)
+            return pow_(self, k)
+
+        monkeypatch.setattr(BetaSystem, "pow", counted)
+        for spec in ORBIT_BETAS:
+            b = make_beta(spec)
+            tails = [b.tail_sup(s) for s in range(40)]
+            assert all(b.tail_sup(s) is t for s, t in enumerate(tails)), spec
+            assert not b._pow_cache, spec
+        assert powers == []
+
+    def test_interval_beta_has_no_points(self):
+        b = make_beta("dec:1.8@200")
+        for s in (0, 1, 50):
+            with pytest.raises(PrecisionExhausted):
+                b.tail_sup(s)
+
+    def test_digit_only_caller_stores_no_points(self):
+        b = make_beta("9/5")
+        count_admissible(1000, b)
+        assert b.star._points == [1]

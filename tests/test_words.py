@@ -278,14 +278,16 @@ class TestAutomatonPerSystem:
     def test_digit_store_shared_across_threads(self):
         n, workers = 300, 8
         fresh = make_beta("1.8")
-        expected = (ParryAutomaton(fresh).transition_table(n), fresh.star.prefix(n))
+        expected = (ParryAutomaton(fresh).transition_table(n), fresh.star.prefix(n),
+                    [fresh.tail_sup(s) for s in range(n + 1)])
         b = make_beta("1.8")
         results = [None] * workers
         start = threading.Barrier(workers)
 
         def work(i):
             start.wait(timeout=60)
-            results[i] = (ParryAutomaton(b).transition_table(n), b.star.prefix(n))
+            results[i] = (ParryAutomaton(b).transition_table(n), b.star.prefix(n),
+                          [b.tail_sup(s) for s in range(n + 1)])
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
         old = sys.getswitchinterval()
