@@ -59,6 +59,8 @@ class PsiFunction:
                 raise ValueError("psi must be positive")
             if self.alpha < 0 or self.p < 0:
                 raise ValueError("psi must be non-increasing")
+            if self.table:
+                raise ValueError("an exponential psi takes no table")
 
     def describe(self) -> str:
         if self.family == "table":

@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InvariantFailure, NotAdmissible, PreconditionViolated
-from .exact import Exact, compare
+from .exact import Exact, QuadNum, compare
 from .numerics import BetaSystem, Word, eval_word, expand, word_evaluator
-from .words import DEFAULT_ENUM_CAP, ParryAutomaton, check_cap, words_with_states
+from .words import ParryAutomaton, check_cap, words_with_states
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,6 @@ class CylinderInterval:
     left: Exact
     length: Exact
     is_full: bool
-
-    @property
-    def order(self) -> int:
-        return len(self.word)
 
     @property
     def right(self) -> Exact:
@@ -152,16 +148,16 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     return CensusRecord(system.spec, n, counts[n], fulls[n], max_gap)
 
 
-def iter_cylinders(n: int, system: BetaSystem,
-                   cap: int = DEFAULT_ENUM_CAP) -> Iterator[CylinderInterval]:
+def iter_cylinders(n: int, system: BetaSystem) -> Iterator[CylinderInterval]:
     """Every order-n cylinder, in lexicographic order of its word.
 
+    Raises CapExceeded, before any cylinder, past ``words.ENUM_CAP``.
     The length beta**-n * tail_sup(state) and the fullness of a cylinder
     depend only on the final follower state of its word, one of 0..n, so
     the n+1 pairs are computed once per sweep.  Left endpoints are
     per-word values from the Horner kernel, chosen once per sweep.
     """
-    check_cap(system, n, cap, "cylinder sweep")
+    check_cap(system, n, "cylinder sweep")
     pm = system.pow(-n)
     left = word_evaluator(system)
     shapes = [(pm * system.tail_sup(s), system.is_full_state(s)) for s in range(n + 1)]
@@ -174,10 +170,13 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     """Leftmost full order-n cylinder inside the interval (lo, hi).
 
     With ``strict`` the cylinder's closed hull must lie strictly inside;
-    otherwise endpoint contact is allowed.  Requires
+    otherwise endpoint contact is allowed.  The ends must be exact (int,
+    Fraction or QuadNum): the search adds and subtracts them.  Requires
     (n+1) * beta**-n < hi - lo, which guarantees existence in the
     non-strict case.
     """
+    if not all(isinstance(end, (int, Fraction, QuadNum)) for end in (lo, hi)):
+        raise PreconditionViolated("interval ends must be exact")
     pm = system.pow(-n)
     if compare((n + 1) * pm, hi - lo) >= 0:
         raise PreconditionViolated(

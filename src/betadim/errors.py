@@ -29,13 +29,6 @@ class PreconditionViolated(BetadimError):
     """A documented operation precondition does not hold."""
 
 
-class ConstructionInfeasible(BetadimError):
-    """No valid hit depth exists for the requested parameters."""
-
-
 class InvariantFailure(BetadimError):
     """An internal invariant that should be unconditionally true failed."""
 
-
-class ResolutionExceeded(BetadimError):
-    """Requested scales are finer than the resolution of the sample."""

@@ -9,9 +9,9 @@ Four layers live here:
 * ``CertifiedReal`` -- a real number known either exactly (Fraction or
   QuadNum core) or through a rational interval enclosure that may or may
   not be refinable.  Floor decisions are made only when both endpoints
-  agree.  It adds, subtracts and multiplies; there is no certified
-  division.  Orbits build no ``CertifiedReal`` arithmetic: they walk the
-  ends of one enclosure (``numerics.orbit``) and wrap each point once.
+  agree.  It only multiplies and scales: orbits walk the ends of one
+  enclosure (``numerics.orbit``) and wrap each point once, so no
+  certified decision needs a sum, difference or quotient.
 * ``decide`` -- the one precision ladder.  Every certified decision (the
   floor of a ``CertifiedReal``, ``compare`` between exact and certified
   reals, the sign of a ``LogValue``, the digits of a walked orbit) tests
@@ -328,7 +328,8 @@ class CertifiedReal:
 
     Invariants: lo <= hi always; refinement never widens the cached
     interval; floor/comparison decisions are made only from certified
-    enclosures or exact cores.
+    enclosures or exact cores.  ``scaled`` gives c * psi(n); the product
+    serves the ``perfbench`` replay of floor(beta * T^n x).
     """
 
     __slots__ = ("exact", "_refiner", "_lo", "_hi", "_bits")
@@ -389,58 +390,25 @@ class CertifiedReal:
             return x
         return CertifiedReal.from_exact(x)
 
-    def _combine(self, other, exact_op, interval_op) -> "CertifiedReal":
-        o = self._wrap(other)
-        if self.exact is not None and o.exact is not None:
-            try:
-                return CertifiedReal.from_exact(exact_op(self.exact, o.exact))
-            except ValueError:
-                pass  # mixed radicands: fall through to intervals
-        a, b = self, o
-
-        def refiner(bits: int) -> tuple[Fraction, Fraction]:
-            return interval_op(a.enclosure(bits + 2), b.enclosure(bits + 2))
-
-        out = CertifiedReal.from_refiner(refiner)
-        if not (a.refinable and b.refinable):
-            # at least one side is a fixed interval: result cannot refine
-            # beyond what both sides currently know
-            lo, hi = interval_op(a.enclosure(PRECISION_CAP), b.enclosure(PRECISION_CAP))
-            return CertifiedReal.from_interval(lo, hi)
-        return out
-
-    def __add__(self, other):
-        return self._combine(other, lambda x, y: x + y,
-                             lambda i, j: (i[0] + j[0], i[1] + j[1]))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.exact is not None:
-            return CertifiedReal.from_exact(-self.exact)
-        if self._refiner is None:
-            return CertifiedReal.from_interval(-self._hi, -self._lo)
-        inner = self
-
-        def refiner(bits):
-            lo, hi = inner.enclosure(bits)
-            return -hi, -lo
-
-        return CertifiedReal.from_refiner(refiner)
-
-    def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    @staticmethod
-    def _imul(i, j):
-        prods = [i[0] * j[0], i[0] * j[1], i[1] * j[0], i[1] * j[1]]
-        return min(prods), max(prods)
-
     def __mul__(self, other):
-        return self._combine(other, lambda x, y: x * y, self._imul)
+        """Exact for two exact values of one field; else a product of
+        enclosures, refined at bits + 2, or fixed at PRECISION_CAP when a
+        side cannot refine."""
+        a, b = self, self._wrap(other)
+        if a.exact is not None and b.exact is not None:
+            try:
+                return CertifiedReal.from_exact(a.exact * b.exact)
+            except ValueError:
+                pass  # mixed radicands: fall through to enclosures
+
+        def enclose(bits: int) -> tuple[Fraction, Fraction]:
+            (alo, ahi), (blo, bhi) = a.enclosure(bits), b.enclosure(bits)
+            ends = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            return min(ends), max(ends)
+
+        if a.refinable and b.refinable:
+            return CertifiedReal.from_refiner(lambda bits: enclose(bits + 2))
+        return CertifiedReal.from_interval(*enclose(PRECISION_CAP))
 
     __rmul__ = __mul__
 
@@ -674,10 +642,6 @@ class LogValue:
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return self + (-other)
-
-    def scale(self, f) -> "LogValue":
-        f = Fraction(f)
-        return LogValue([(c * f, b) for c, b in self.terms])
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         lo = Fraction(0)

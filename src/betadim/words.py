@@ -28,7 +28,8 @@ from typing import Iterator, Sequence
 from .errors import CapExceeded
 from .numerics import BetaSystem, Word
 
-DEFAULT_ENUM_CAP = 10 ** 8
+#: The one enumeration cap: the most admissible words a sweep may stream.
+ENUM_CAP = 10 ** 8
 
 class ParryAutomaton:
     """Follower automaton of the admissible words of one base.
@@ -79,19 +80,19 @@ def is_admissible(word: Sequence[int], system: BetaSystem) -> bool:
     return ParryAutomaton(system).walk(word) is not None
 
 
-def check_cap(system: BetaSystem, n: int, cap: int, what: str) -> None:
+def check_cap(system: BetaSystem, n: int, what: str) -> None:
     """The one cap policy: raise CapExceeded unless the upper bound
     beta**(n+1)/(beta-1) on the number of admissible order-n words is
-    within ``cap``.  An interval beta takes the bound at its worst
-    endpoints, so the bound stays an upper bound."""
+    within the fixed ``ENUM_CAP``.  An interval beta takes the bound at its
+    worst endpoints, so the bound stays an upper bound."""
     if system.is_exact:
         upper = renyi_bounds(n, system)[1]
     else:
         lo, hi = system.beta.enclosure(64)
         upper = hi ** (n + 1) / (lo - 1)
-    if upper > cap:
+    if upper > ENUM_CAP:
         raise CapExceeded(
-            f"{what} at order {n} may exceed cap {cap} for beta {system.spec!r}")
+            f"{what} at order {n} may exceed cap {ENUM_CAP} for beta {system.spec!r}")
 
 
 def words_with_states(system: BetaSystem, n: int) -> Iterator[tuple[Word, int]]:
@@ -117,10 +118,10 @@ def words_with_states(system: BetaSystem, n: int) -> Iterator[tuple[Word, int]]:
             i += 1
 
 
-def enumerate_admissible(n: int, system: BetaSystem,
-                         cap: int = DEFAULT_ENUM_CAP) -> Iterator[Word]:
-    """Stream the set of admissible length-n words, sorted, no duplicates."""
-    check_cap(system, n, cap, "enumeration")
+def enumerate_admissible(n: int, system: BetaSystem) -> Iterator[Word]:
+    """Stream the set of admissible length-n words, sorted, no duplicates.
+    Raises CapExceeded at once past the fixed ``ENUM_CAP`` (``check_cap``)."""
+    check_cap(system, n, "enumeration")
     return (w for w, _ in words_with_states(system, n))
 
 

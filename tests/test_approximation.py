@@ -92,6 +92,8 @@ class TestPsiFamilies:
             PsiFunction(b, "table")
         with pytest.raises(ValueError):
             PsiFunction(b, "tempered", alpha=Fraction(1), p=Fraction(1))
+        with pytest.raises(ValueError):
+            PsiFunction(b, "exponential", alpha=Fraction(1), table=(Fraction(1, 2),))
 
 
 class TestPsiValues:

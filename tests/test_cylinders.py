@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from betadim.errors import NotAdmissible, PrecisionExhausted, PreconditionViolated
-from betadim.exact import compare
+from betadim.exact import CertifiedReal, compare
 from betadim.numerics import GOLDEN, BetaSystem, eval_word, make_beta, word_evaluator
 from betadim.cylinders import (
     CensusRecord,
@@ -301,6 +301,14 @@ class TestFindFull:
         b = make_beta("2")
         with pytest.raises(PreconditionViolated):
             find_full_in_interval(Fraction(1, 10), Fraction(2, 10), 4, b)
+
+    def test_certified_ends_rejected(self):
+        b = make_beta("2")
+        end = CertifiedReal.from_interval(Fraction(89, 100), Fraction(9, 10))
+        for lo, hi in ((Fraction(3, 10), end), (CertifiedReal.from_exact(Fraction(3, 10)),
+                                                 Fraction(9, 10))):
+            with pytest.raises(PreconditionViolated, match="interval ends must be exact"):
+                find_full_in_interval(lo, hi, 4, b)
 
     def test_strict_containment(self):
         b = make_beta("2")

@@ -191,16 +191,28 @@ class TestCertifiedReal:
         with pytest.raises(PrecisionExhausted, match="floor undecided at 128 bits"):
             x.floor()  # a fixed interval cannot refine: one rung only
 
-    def test_arithmetic_mixes_exact_and_interval(self):
+    def test_product_mixes_exact_and_interval(self):
         a = CertifiedReal.from_exact(Fraction(1, 3))
         b = CertifiedReal.from_interval(Fraction(1, 4), Fraction(26, 100))
-        c = a + b
-        lo, hi = c.enclosure(64)
-        assert lo <= Fraction(1, 3) + Fraction(1, 4)
-        assert hi >= Fraction(1, 3) + Fraction(26, 100)
-        d = a * b - b
-        lo, hi = d.enclosure(64)
-        assert lo <= Fraction(1, 3) * Fraction(1, 4) - Fraction(26, 100)
+        p = a * b
+        assert not p.refinable  # a fixed side gives a fixed product
+        lo, hi = p.enclosure(64)
+        assert lo <= Fraction(1, 12) and hi >= Fraction(13, 150)
+        square = CertifiedReal.from_exact(PHI) * CertifiedReal.from_exact(PHI)
+        assert square.exact == PHI + 1  # one field: exact
+        root6 = (CertifiedReal.from_exact(QuadNum(0, 1, 2))
+                 * CertifiedReal.from_exact(QuadNum(0, 1, 3)))
+        assert root6.exact is None and root6.refinable  # mixed radicands
+        lo, hi = root6.enclosure(64)
+        assert Fraction(2449, 1000) < lo <= hi < Fraction(2450, 1000)
+
+    def test_compare_mixes_exact_and_interval(self):
+        b = CertifiedReal.from_interval(Fraction(1, 4), Fraction(26, 100))
+        assert compare(Fraction(1, 3), b) == 1
+        assert compare(b, Fraction(27, 100)) == -1
+        # b touches 1/4, and the exact side counts as refinable: every rung runs
+        with pytest.raises(PrecisionExhausted, match="comparison undecided at 8192 bits"):
+            compare(b, Fraction(1, 4))
 
     def test_scaled_keeps_the_kind_and_the_bits(self):
         c = Fraction(9, 10)

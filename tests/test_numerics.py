@@ -316,6 +316,15 @@ class TestCertifiedOrbit:
         assert compare(points[4], r) == 1
         assert compare(points[4], r + Fraction(1, 2 ** 320)) == -1
 
+    def test_beta_times_point_floors_to_the_next_digit(self):
+        # floor(beta * T^n x) is digit n + 1: a refinable product for the lazy
+        # point under golden, a fixed one under the interval beta
+        for x, spec, n in ((lazy_sqrt2_minus_1(), "golden", 40),
+                           (Fraction(1, 3), "dec:1.8@200", 200)):
+            b = make_beta(spec)
+            points = [x] + [t for _, t in orbit(x, b, n - 1)]
+            assert [(b.beta * t).floor() for t in points] == list(expand(x, b, n)), spec
+
     def test_interval_beta_orbit_stays_narrow(self):
         x = Fraction(1, 3)
         points = [t for _, t in orbit(x, make_beta("dec:1.8@200"), 150)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betadim.cylinders import iter_cylinders
 from betadim.errors import CapExceeded, PrecisionExhausted
 from betadim.numerics import expand, make_beta
 from betadim.words import (
@@ -168,13 +169,16 @@ class TestEnumerate:
             assert seen == set(enumerate_admissible(n, b))
 
     def test_cap(self):
+        # the fixed cap is 10**8; base 2 bounds order 26 by 2**27 words
         b = make_beta("2")
-        with pytest.raises(CapExceeded):
-            list(enumerate_admissible(40, b, cap=1000))
+        with pytest.raises(CapExceeded, match="enumeration at order 26"):
+            enumerate_admissible(26, b)
+        with pytest.raises(CapExceeded, match="cylinder sweep at order 26"):
+            next(iter_cylinders(26, b))
         # interval beta: the bound takes the upper endpoint in the numerator
-        # (about 637177 words here), not the lower one (about 148135)
+        # (about 1.72e8 words here), not the lower one (about 2.14e7)
         with pytest.raises(CapExceeded):
-            list(enumerate_admissible(20, make_beta("dec:1.8@4"), cap=200000))
+            enumerate_admissible(29, make_beta("dec:1.8@4"))
 
 
 class TestCount:
