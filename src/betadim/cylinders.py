@@ -54,7 +54,8 @@ def _final_state(word: Sequence[int], system: BetaSystem) -> int:
 
 
 def cylinder(word: Sequence[int], system: BetaSystem) -> CylinderInterval:
-    """Exact cylinder of an admissible word (follower-route length)."""
+    """Exact cylinder of an admissible word (follower-route length); an
+    interval beta raises PrecisionExhausted."""
     state = _final_state(word, system)
     n = len(word)
     length = system.pow(-n) * system.tail_sup(state)
@@ -86,7 +87,8 @@ def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
 
 
 def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
-    """Definitional length: distance to the next left endpoint."""
+    """Definitional length: distance to the next left endpoint; an
+    interval beta raises PrecisionExhausted."""
     nxt = successor(word, system)
     if nxt is None:
         return 1 - eval_word(word, system)
@@ -151,7 +153,8 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
 def iter_cylinders(n: int, system: BetaSystem) -> Iterator[CylinderInterval]:
     """Every order-n cylinder, in lexicographic order of its word.
 
-    Raises CapExceeded, before any cylinder, past ``words.ENUM_CAP``.
+    Raises CapExceeded, before any cylinder, past ``words.ENUM_CAP``, and
+    PrecisionExhausted for an interval beta.
     The length beta**-n * tail_sup(state) and the fullness of a cylinder
     depend only on the final follower state of its word, one of 0..n, so
     the n+1 pairs are computed once per sweep.  Left endpoints are
@@ -173,7 +176,13 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     otherwise endpoint contact is allowed.  The ends must be exact (int,
     Fraction or QuadNum): the search adds and subtracts them.  Requires
     (n+1) * beta**-n < hi - lo, which guarantees existence in the
-    non-strict case.
+    non-strict case.  An interval beta raises PrecisionExhausted.
+
+    The search starts at the expansion of lo and steps through successors
+    on one running state stack: states[i] is the follower state after the
+    first i digits.  The successor grows the last digit that can grow
+    (``successor``) and zeroes the digits after it, so only the states past
+    that digit are walked again, and fullness is read from the top state.
     """
     if not all(isinstance(end, (int, Fraction, QuadNum)) for end in (lo, hi)):
         raise PreconditionViolated("interval ends must be exact")
@@ -186,20 +195,30 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     lo_clamped = lo if compare(lo, 0) > 0 else Fraction(0)
     if compare(lo_clamped, 1) >= 0:
         raise PreconditionViolated("interval lies outside [0, 1)")
-    word = expand(lo_clamped, system, n)
+    digits = list(expand(lo_clamped, system, n))
 
     need = 1 if strict else 0
     auto = ParryAutomaton(system)
     value = word_evaluator(system)
-    w: Word | None = word
-    while w is not None:
+    states = [0] * (n + 1)
+    i = 1  # digits[i - 1:] changed since their states were walked
+    while True:
+        for j in range(i - 1, n):
+            states[j + 1] = auto.step(states[j], digits[j])
+        w = tuple(digits)
         left = value(w)
         if compare(left, hi) >= 0:
             break
         if (compare(left, lo) >= need
                 and compare(left + pm, hi) <= -need
-                and system.is_full_state(auto.walk(w))):
+                and system.is_full_state(states[n])):
             return w
-        w = successor(w, system)
+        i = n
+        while i and digits[i - 1] >= auto.max_digit(states[i - 1]):
+            i -= 1
+        if not i:  # the last word of order n
+            break
+        digits[i - 1] += 1
+        digits[i:] = [0] * (n - i)
     raise InvariantFailure(
         f"no full order-{n} cylinder found inside the interval")

@@ -14,7 +14,19 @@ class InvalidBeta(BetadimError):
 
 
 class PrecisionExhausted(BetadimError):
-    """A certified decision could not be made within the precision budget."""
+    """A certified decision could not be made within the precision budget.
+
+    ``site`` names the decision, ``bits`` the highest precision tried and
+    ``width_log2`` an e with enclosure width below 2**e; each is None where
+    the raiser does not know it.
+    """
+
+    def __init__(self, message: str, site: str | None = None, bits: int | None = None,
+                 width_log2: int | None = None):
+        super().__init__(message)
+        self.site = site
+        self.bits = bits
+        self.width_log2 = width_log2
 
 
 class CapExceeded(BetadimError):

@@ -286,7 +286,10 @@ def decide(enclose: Callable[[int], E], test: Callable[[E], A | None],
 
     Without ``refinable`` the enclosure cannot tighten, so one rung is all
     there is.  An undecided ladder raises ``PrecisionExhausted`` naming the
-    decision and the bits reached; nothing here guesses.
+    decision and the bits reached, in its message and as ``site`` and
+    ``bits``; nothing here guesses.  Its ``width_log2`` is None: the
+    enclosures are the caller's own type, and a caller that knows their
+    width re-raises with it (``numerics.orbit``).
     """
     bits = PRECISION_START
     while True:
@@ -294,7 +297,8 @@ def decide(enclose: Callable[[int], E], test: Callable[[E], A | None],
         if answer is not None:
             return answer
         if not refinable or bits >= PRECISION_CAP:
-            raise PrecisionExhausted(f"{what} undecided at {bits} bits")
+            raise PrecisionExhausted(f"{what} undecided at {bits} bits", site=what,
+                                     bits=bits)
         bits *= 2
 
 

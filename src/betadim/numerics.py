@@ -29,6 +29,20 @@ fact is decided exactly when the system is built, never by probing digits:
 * an interval beta is never walked: no finite expansion can be certified
   for it, and its digits are decided one by one as they are read.
 
+Exact orbits of a quadratic beta, or of a quadratic point, walk integer
+coordinates: a number of Q(sqrt(r)) is kept as a reduced triple (X, Y, D),
+D > 0, with value (X + Y*sqrt(r))/D.  With beta = (P + Q*sqrt(r))/C, beta
+times the point is (u + v*sqrt(r))/E with u = PX + QYr, v = PY + QX and
+E = CD, and its floor is (u + floor(v*sqrt(r))) // E: for v != 0, v*sqrt(r)
+is irrational, so (u + v*sqrt(r))/E lies strictly between (u + s)/E and
+(u + s + 1)/E, s = floor(v*sqrt(r)), and no integer falls between those
+two.  floor(v*sqrt(r)) is isqrt(r*v**2) for v >= 0 and -isqrt(r*v**2) - 1
+for v < 0, so a step costs one integer square root and one gcd, with no
+``QuadNum`` arithmetic (``_quad_steps``).  Dividing out gcd(X, Y, D) keeps D
+bounded for an algebraic-integer beta.  A rational point under a rational
+beta keeps the ``Fraction`` loop: a ``Fraction`` already is this form over
+Q, with two small gcds a step.
+
 Orbits of points known through enclosures (a lazy real, or any point
 under an interval beta) walk the two ends of one enclosure: T is
 increasing on each cylinder (Parry 1960) and beta*x increasing in beta
@@ -47,6 +61,7 @@ import math
 import re
 import threading
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
@@ -115,11 +130,12 @@ class StarExpansion:
 
     An exact beta's store also holds, once asked for, the quasi-greedy
     orbit points p_0 = 1, p_s = beta * p_(s-1) - t_s = beta**s * (1 -
-    sum_(i <= s) t_i * beta**-i), in (0, 1] and 1 exactly at full states.
-    The walks stay apart: a point of a non-Pisot beta has O(s) bits, so a
-    digit-only caller (``count_admissible(1000)``) would store O(n**2)
-    bits.  Both lists only grow, under one lock, so a stored value is read
-    without locking; a failed extension (an interval beta out of
+    sum_(i <= s) t_i * beta**-i), in (0, 1] and 1 exactly at full states;
+    a quadratic beta steps them on the integer coordinates of the module
+    docstring.  The walks stay apart: a point of a non-Pisot beta has O(s)
+    bits, so a digit-only caller (``count_admissible(1000)``) would store
+    O(n**2) bits.  Both lists only grow, under one lock, so a stored value
+    is read without locking; a failed extension (an interval beta out of
     precision) keeps every digit stored before it.
     """
 
@@ -129,25 +145,26 @@ class StarExpansion:
         self._repeat: int | None = None  # t_i = t_{i-repeat} past the store
         self._lock = threading.Lock()
         self.period: int | None = None
-        beta = system.beta_exact
+        beta = self._beta = system.beta_exact
         if beta is None:  # 1 is exact, so beta's width outgrows rounding: no guard bits
             self._bits = bits = PRECISION_START + system.declared_bits
             self._x = (1 << bits, 1 << bits)
-            self._beta = _dyadic(*system.beta.enclosure(bits), bits)
+            self._ends = _dyadic(*system.beta.enclosure(bits), bits)
             return
-        self._x, self._beta = Fraction(1), beta  # T^k(1) after k stored digits
+        self._last = _coords(Fraction(1))  # p_(len(points) - 1) of a quadratic beta
         if not _is_pisot(beta):
+            self._steps = _exact_steps(Fraction(1), beta)  # yields t_k, T^k(1) from k = 1
             return
-        # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980)
-        seen: dict[Exact, int] = {}
-        digits, x = self._digits, Fraction(1)
-        while x != 0 and x not in seen:
+        # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980);
+        # a point is keyed by its reduced coordinates, which are unique
+        seen: dict[tuple[int, int, int], int] = {}
+        digits, x, steps = self._digits, self._last, _quad_steps(Fraction(1), beta)
+        while x != (0, 0, 1) and x not in seen:
             seen[x] = len(digits) - 1
-            y = beta * x
-            d = math.floor(y)
+            d, X, Y, D = next(steps)
             digits.append(d)
-            x = y - d
-        if x == 0:
+            x = X, Y, D
+        if x == (0, 0, 1):
             self.period = self._repeat = len(digits) - 1
             digits[-1] -= 1
         else:
@@ -160,20 +177,19 @@ class StarExpansion:
         if i < 1:
             raise ValueError("digit index starts at 1")
         with self._lock:
-            p, beta = self._repeat, self._beta
+            p = self._repeat
             while len(digits) <= i:
                 if p is not None:
                     d = digits[len(digits) - p]
-                elif isinstance(beta, tuple):
-                    step = _step(self._x, beta, self._bits)
+                elif self._beta is None:
+                    step = _step(self._x, self._ends, self._bits)
                     if step is None:
                         raise PrecisionExhausted(
-                            f"digit {len(digits)} of 1 undecided at {self._bits} bits")
+                            f"digit {len(digits)} of 1 undecided at {self._bits} bits",
+                            site="digit of 1", bits=self._bits)
                     d, self._x = step
                 else:
-                    y = beta * self._x
-                    d = math.floor(y)
-                    self._x = y - d
+                    d = next(self._steps)[0]
                 digits.append(d)
         return digits[i]
 
@@ -190,8 +206,19 @@ class StarExpansion:
         self.digit(s)  # stores t_1..t_s before the lock is taken
         with self._lock:
             beta, digits = self._beta, self._digits
+            if isinstance(beta, Fraction):
+                while len(points) <= s:
+                    points.append(beta * points[-1] - digits[len(points)])
+                return points[s]
+            (P, Q, C), r = _coords(beta), beta.d
+            X, Y, D = self._last
             while len(points) <= s:
-                points.append(beta * points[-1] - digits[len(points)])
+                u, v, E = P * X + Q * r * Y, P * Y + Q * X, C * D
+                X = u - digits[len(points)] * E
+                g = math.gcd(X, v, E)
+                X, Y, D = X // g, v // g, E // g
+                points.append(_quad(X, Y, D, r))
+            self._last = X, Y, D
         return points[s]
 
 
@@ -325,31 +352,111 @@ def _walk(x: Real, system: BetaSystem, n: int, bits: int) -> list[tuple[int, int
     return out
 
 
-def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
-    """Yield (digit_i, T^i x) for i = 1..n.
+def _coords(z: Exact) -> tuple[int, int, int]:
+    """The reduced triple (X, Y, D), D > 0, of z = (X + Y*sqrt(r))/D.  From
+    lowest-terms a and b over D = lcm of their denominators no prime divides
+    all three, so the triple is unique."""
+    if not isinstance(z, QuadNum):
+        z = Fraction(z)
+        return z.numerator, 0, z.denominator
+    a, b = z.a, z.b
+    D = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
 
-    An exact point under an exact beta is walked exactly.  Any other walks
-    the ends of one enclosure of x (``_step``) at 2**-B, B from the ladder
-    ``decide``: the rung, plus n * bitlen(ceil(beta) - 1) guard bits (a
-    step widens by beta < 2**bitlen), plus an interval beta's declared
-    bits.  T^i x comes as a ``CertifiedReal`` with rational ends; when x and
-    beta can refine, it refines by walking i digits again from a finer
-    enclosure of x, nested in the first, never through T^(i-1) x.  An
-    undecided walk raises ``PrecisionExhausted`` naming the first undecided
-    digit, the bits B of the last walk and the enclosure width reached.
-    """
+
+def _quad(X: int, Y: int, D: int, r: int) -> QuadNum:
+    return QuadNum(Fraction(X, D), Fraction(Y, D), r)
+
+
+def _radicand(beta: Exact, x: Exact) -> int:
+    """The r of the one field Q(sqrt(r)) holding beta and x, 0 for Q."""
+    r = beta.d if isinstance(beta, QuadNum) else 0
+    s = x.d if isinstance(x, QuadNum) else 0
+    if r and s and r != s:
+        raise ValueError("mixed radicands")
+    return r or s
+
+
+def _quad_steps(x: Exact, beta: Exact) -> Iterator[tuple[int, int, int, int]]:
+    """(digit, X, Y, D) of T^i x, i = 1, 2, ..., on the reduced integer
+    coordinates of the module docstring: one isqrt and one gcd a step."""
+    r = _radicand(beta, x)
+    P, Q, C = _coords(beta)
+    X, Y, D = _coords(x)
+    Qr, gcd, isqrt = Q * r, math.gcd, math.isqrt
+    while True:
+        u, v, E = P * X + Qr * Y, P * Y + Q * X, C * D
+        s = isqrt(r * v * v)  # floor(v*sqrt(r)) = s, or -s - 1 for v < 0
+        d = (u + (s if v >= 0 else -s - 1)) // E
+        X = u - d * E
+        g = gcd(X, v, E)
+        X, Y, D = X // g, v // g, E // g
+        yield d, X, Y, D
+
+
+def _rational_steps(x: Fraction, beta: Fraction) -> Iterator[tuple[int, Fraction]]:
+    """(digit, T^i x), i = 1, 2, ..., for x and beta rational."""
+    while True:
+        y = beta * x
+        d = math.floor(y)
+        x = y - d
+        yield d, x
+
+
+def _exact_steps(x: Exact, beta: Exact) -> Iterator[tuple]:
+    """The exact walk of x under beta: ``_quad_steps`` when either is
+    quadratic (a ``QuadNum``), else ``_rational_steps``."""
+    if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
+        return _quad_steps(x, beta)
+    return _rational_steps(x, beta)
+
+
+def _unit_point(x: Real) -> Real:
+    """x, checked to lie in [0, 1), with an exact core unwrapped."""
     if compare(x, 0) < 0 or compare(x, 1) >= 0:
         raise PreconditionViolated("point must lie in [0, 1)")
     if isinstance(x, CertifiedReal) and x.exact is not None:
-        x = x.exact
-    if system.is_exact and not isinstance(x, CertifiedReal):
-        beta = system.beta_exact
-        for _ in range(n):
-            y = beta * x
-            d = math.floor(y)
-            x = y - d
-            yield d, x
+        return x.exact
+    return x
+
+
+def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
+    """Yield (digit_i, T^i x) for i = 1..n.
+
+    An exact point under an exact beta is walked exactly.  When beta or x
+    is quadratic, the walk runs on integer coordinates (X, Y, D) with one
+    isqrt floor a step (see the module docstring), and each yielded point
+    is one ``QuadNum`` built from them; a point of another quadratic field
+    than beta raises ``ValueError("mixed radicands")``.  A rational point
+    under a rational beta keeps the ``Fraction`` loop, which is already that
+    form over Q, and yields ``Fraction``s.
+
+    Any other point walks the ends of one enclosure of x (``_step``) at
+    2**-B, B from the ladder ``decide``: the rung, plus n * bitlen(ceil(beta)
+    - 1) guard bits (a step widens by beta < 2**bitlen), plus an interval
+    beta's declared bits.  T^i x comes as a ``CertifiedReal`` with rational
+    ends; when x and beta can refine, it refines by walking i digits again
+    from a finer enclosure of x, nested in the first, never through
+    T^(i-1) x.  An undecided walk raises ``PrecisionExhausted`` naming the
+    first undecided digit, the bits B of the last walk and the enclosure
+    width reached, which it also carries as ``site``, ``bits`` and
+    ``width_log2``.
+    """
+    x = _unit_point(x)
+    if not system.is_exact or isinstance(x, CertifiedReal):
+        yield from _certified_orbit(x, system, n)
         return
+    beta = system.beta_exact
+    if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
+        r = _radicand(beta, x)
+        for d, X, Y, D in islice(_quad_steps(x, beta), n):
+            yield d, _quad(X, Y, D, r)
+    else:
+        yield from islice(_rational_steps(x, beta), n)
+
+
+def _certified_orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, CertifiedReal]]:
+    """``orbit`` of a point in [0, 1) that is not walked exactly."""
     guard = system.alphabet_max.bit_length()
     refinable = system.is_exact and x.refinable
     extra = n * guard + system.declared_bits
@@ -365,9 +472,11 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     except PrecisionExhausted:
         B, walk = last[0]
         lo, hi = walk[-1][1:] if walk else _ends(x, B)
+        width = (hi - lo).bit_length() - B
         raise PrecisionExhausted(
             f"orbit digit {len(walk) + 1} undecided at {B} bits: T^{len(walk)} x "
-            f"has enclosure width below 2^{(hi - lo).bit_length() - B}") from None
+            f"has enclosure width below 2^{width}",
+            site="orbit digit", bits=B, width_log2=width) from None
     for i, (d, lo, hi) in enumerate(walk, start=1):
 
         def refiner(bits: int, i=i) -> tuple[Fraction, Fraction]:
@@ -380,10 +489,19 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
 
 
 def expand(x: Real, system: BetaSystem, n: int) -> Word:
-    """First n digits of the greedy expansion of x in base beta."""
+    """First n digits of the greedy expansion of x in base beta.
+
+    An exact point under an exact beta reads the digits of its exact walk
+    (see ``orbit``) and builds no point values; any other is ``orbit``'s
+    certified walk."""
     if n < 1:
         raise ValueError("need at least one digit")
-    return tuple(d for d, _ in orbit(x, system, n))
+    x = _unit_point(x)
+    if not system.is_exact or isinstance(x, CertifiedReal):
+        steps = _certified_orbit(x, system, n)
+    else:
+        steps = _exact_steps(x, system.beta_exact)
+    return tuple(step[0] for step in islice(steps, n))
 
 
 def word_evaluator(system: BetaSystem) -> Callable[[Sequence[int]], Exact]:

@@ -188,8 +188,10 @@ class TestCertifiedReal:
 
     def test_interval_floor_exhausts(self):
         x = CertifiedReal.from_interval(Fraction(999, 1000), Fraction(1001, 1000))
-        with pytest.raises(PrecisionExhausted, match="floor undecided at 128 bits"):
+        with pytest.raises(PrecisionExhausted, match="floor undecided at 128 bits") as info:
             x.floor()  # a fixed interval cannot refine: one rung only
+        err = info.value
+        assert (err.site, err.bits, err.width_log2) == ("floor", 128, None)
 
     def test_product_mixes_exact_and_interval(self):
         a = CertifiedReal.from_exact(Fraction(1, 3))
@@ -211,8 +213,9 @@ class TestCertifiedReal:
         assert compare(Fraction(1, 3), b) == 1
         assert compare(b, Fraction(27, 100)) == -1
         # b touches 1/4, and the exact side counts as refinable: every rung runs
-        with pytest.raises(PrecisionExhausted, match="comparison undecided at 8192 bits"):
+        with pytest.raises(PrecisionExhausted, match="comparison undecided at 8192 bits") as info:
             compare(b, Fraction(1, 4))
+        assert (info.value.site, info.value.bits) == ("comparison", 8192)
 
     def test_scaled_keeps_the_kind_and_the_bits(self):
         c = Fraction(9, 10)

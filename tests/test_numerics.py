@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -338,15 +339,91 @@ class TestCertifiedOrbit:
     def test_interval_beta_decides_what_it_can(self):
         b, exact = make_beta("dec:1.8@200"), make_beta("1.8")
         assert b.star.prefix(232) == exact.star.prefix(232)
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(PrecisionExhausted) as info:
             b.star.digit(233)
+        assert (info.value.site, info.value.bits) == ("digit of 1", 128 + 200)
         x = Fraction(1, 3)
         assert expand(x, b, 235) == expand(x, exact, 235)
         # the error names the undecided digit, the bits walked (128 + 236
         # guard bits + 200 declared) and the width reached
         with pytest.raises(PrecisionExhausted,
-                           match=r"digit 236 undecided at 564 bits: .* width below 2\^"):
+                           match=r"digit 236 undecided at 564 bits: .* width below 2\^") as info:
             expand(x, b, 236)
+        # the same context as attributes: the site, the bits B and the width
+        err = info.value
+        assert (err.site, err.bits) == ("orbit digit", 564)
+        assert str(err).endswith(f"width below 2^{err.width_log2}")
+
+
+def reference_orbit(x, beta, n):
+    """The QuadNum/Fraction loop the integer coordinates replace."""
+    out = []
+    for _ in range(n):
+        y = beta * x
+        d = math.floor(y)
+        x = y - d
+        out.append((d, x))
+    return out
+
+
+# the quadratic bases, each with one point of its field; 9/5 takes a point of Q(sqrt(5))
+QUAD_STEP_BETAS = {
+    "golden": 5, "quad:(1+1*sqrt(13))/2": 13, "quad:(1+1*sqrt(2))/1": 2,
+    "quad:(2+1*sqrt(7))/1": 7, "quad:(3+1*sqrt(2))/2": 2, "quad:(3+1*sqrt(5))/2": 5, "9/5": 5,
+}
+
+
+def seeded_points(rng, d, k):
+    """k rational and k quadratic points of Q(sqrt(d)) in [0, 1)."""
+    points = [Fraction(rng.randrange(1000), 1000) for _ in range(k)]
+    while len(points) < 2 * k:
+        x = QuadNum(Fraction(rng.randrange(-500, 500), 997), Fraction(rng.randrange(1, 300), 991), d)
+        if 0 <= x < 1:
+            points.append(x)
+    return points
+
+
+class TestExactOrbit:
+    def test_integer_step_matches_the_field_loop(self):
+        rng = random.Random(12)
+        for spec, d in QUAD_STEP_BETAS.items():
+            b = make_beta(spec)
+            for x in seeded_points(rng, d, 3):
+                want = reference_orbit(x, b.beta_exact, 300)
+                got = list(orbit(x, b, 300))
+                assert got == want, (spec, x)
+                assert [type(t) for _, t in got] == [type(t) for _, t in want], (spec, x)
+                assert expand(x, b, 300) == tuple(d for d, _ in want), (spec, x)
+
+    def test_rational_point_keeps_fractions(self):
+        b = make_beta("9/5")
+        got = list(orbit(Fraction(1, 3), b, 300))
+        assert got == reference_orbit(Fraction(1, 3), b.beta_exact, 300)
+        assert all(type(t) is Fraction for _, t in got)
+
+    def test_digits_match_mpmath(self):
+        points = {"golden": QuadNum(Fraction(1, 3), Fraction(1, 7), 5),
+                  "9/5": QuadNum(Fraction(1, 3), Fraction(1, 7), 5),
+                  "quad:(1+1*sqrt(13))/2": QuadNum(Fraction(1, 5), Fraction(1, 9), 13)}
+        for spec, beta in MP_BETAS.items():
+            x = points[spec]
+
+            def mp_x(a=x.a, b=x.b, d=x.d):  # evaluated inside mpmath_orbit's precision
+                return (mpmath.mpf(a.numerator) / a.denominator
+                        + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(d))
+
+            for point, mp_point in ((Fraction(1, 3), lambda: mpmath.mpf(1) / 3), (x, mp_x)):
+                digits, _ = mpmath_orbit(mp_point, beta, 300)
+                assert list(expand(point, make_beta(spec), 300)) == digits, (spec, point)
+
+    def test_point_of_another_field_raises(self):
+        for spec, x in (("golden", QuadNum(Fraction(1, 5), Fraction(1, 9), 13)),
+                        ("quad:(1+1*sqrt(2))/1", QuadNum(Fraction(1, 3), Fraction(1, 7), 5))):
+            b = make_beta(spec)
+            with pytest.raises(ValueError, match="mixed radicands"):
+                next(orbit(x, b, 5))
+            with pytest.raises(ValueError, match="mixed radicands"):
+                expand(x, b, 5)
 
 
 class TestExpansionOfOne:
@@ -383,7 +460,8 @@ class TestExpansionOfOne:
 
 # the quasi-greedy orbit of 1 is stored for these exact bases
 ORBIT_BETAS = ["golden", "1.8", "2.5", "2", "9/5", "10.5", "7/3", "quad:(3+1*sqrt(5))/2",
-               "quad:(1+1*sqrt(2))/1", "quad:(2+1*sqrt(7))/1", "quad:(1+1*sqrt(13))/2"]
+               "quad:(1+1*sqrt(2))/1", "quad:(2+1*sqrt(7))/1", "quad:(1+1*sqrt(13))/2",
+               "quad:(3+1*sqrt(2))/2"]
 
 
 class TestOrbitOfOne:
@@ -397,6 +475,19 @@ class TestOrbitOfOne:
                 assert p == b.pow(s) * (1 - star_partial_sum(b, s)), (spec, s)
                 assert 0 < p <= 1, (spec, s)
                 assert (p == 1) == b.is_full_state(s), (spec, s)
+
+    def test_store_matches_the_field_loop(self):
+        # digits, period and points against the loop on the field's own arithmetic
+        for spec in ORBIT_BETAS:
+            b = make_beta(spec)
+            digits, m = walk_expansion_of_one(b.beta_exact, 200)
+            if m is not None:
+                digits = (digits[:-1] + [digits[-1] - 1]) * (60 // m + 1)
+            assert (b.star.period, b.star.prefix(60)) == (m, tuple(digits[:60])), spec
+            p = Fraction(1)
+            for s in range(1, 61):
+                p = b.beta_exact * p - b.star.digit(s)
+                assert b.tail_sup(s) == p and type(b.tail_sup(s)) is type(p), (spec, s)
 
     def test_tail_sup_reads_the_store(self, monkeypatch):
         powers = []
