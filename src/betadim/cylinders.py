@@ -69,21 +69,42 @@ def is_full(word: Sequence[int], system: BetaSystem) -> bool:
     return system.is_full_state(_final_state(word, system))
 
 
-def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
-    """Next admissible word of the same length, or None at the end."""
-    auto = ParryAutomaton(system)
+def _states(word: Sequence[int], auto: ParryAutomaton) -> list[int]:
+    """states[i], the follower state after the first i digits of word."""
     states = [0]
     for d in word:
         s = auto.step(states[-1], d)
         if s is None:
             raise NotAdmissible(f"word {tuple(word)} is not admissible")
         states.append(s)
-    n = len(word)
-    for i in range(n, 0, -1):
-        base = states[i - 1]
-        if word[i - 1] < auto.max_digit(base):
-            return tuple(word[:i - 1]) + (word[i - 1] + 1,) + (0,) * (n - i)
-    return None
+    return states
+
+
+def _advance(digits: list[int], states: list[int], auto: ParryAutomaton) -> bool:
+    """Step the admissible word ``digits`` and its ``_states`` in place to
+    the next admissible word of the same length; False at the last one.
+
+    The next word grows the last digit that can grow and zeroes the digits
+    after it, so only the states past that digit are walked again.
+    """
+    n = len(digits)
+    i = n
+    while i and digits[i - 1] >= auto.max_digit(states[i - 1]):
+        i -= 1
+    if not i:
+        return False
+    digits[i - 1] += 1
+    digits[i:] = [0] * (n - i)
+    for j in range(i - 1, n):
+        states[j + 1] = auto.step(states[j], digits[j])
+    return True
+
+
+def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
+    """Next admissible word of the same length, or None at the end."""
+    auto = ParryAutomaton(system)
+    digits = list(word)
+    return tuple(digits) if _advance(digits, _states(word, auto), auto) else None
 
 
 def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
@@ -180,9 +201,9 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
 
     The search starts at the expansion of lo and steps through successors
     on one running state stack: states[i] is the follower state after the
-    first i digits.  The successor grows the last digit that can grow
-    (``successor``) and zeroes the digits after it, so only the states past
-    that digit are walked again, and fullness is read from the top state.
+    first i digits.  Each step (``_advance``, the rule ``successor`` also
+    uses) walks again only the states past the digit it grows, and
+    fullness is read from the top state.
     """
     if not all(isinstance(end, (int, Fraction, QuadNum)) for end in (lo, hi)):
         raise PreconditionViolated("interval ends must be exact")
@@ -200,11 +221,8 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     need = 1 if strict else 0
     auto = ParryAutomaton(system)
     value = word_evaluator(system)
-    states = [0] * (n + 1)
-    i = 1  # digits[i - 1:] changed since their states were walked
+    states = _states(digits, auto)
     while True:
-        for j in range(i - 1, n):
-            states[j + 1] = auto.step(states[j], digits[j])
         w = tuple(digits)
         left = value(w)
         if compare(left, hi) >= 0:
@@ -213,12 +231,7 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
                 and compare(left + pm, hi) <= -need
                 and system.is_full_state(states[n])):
             return w
-        i = n
-        while i and digits[i - 1] >= auto.max_digit(states[i - 1]):
-            i -= 1
-        if not i:  # the last word of order n
+        if not _advance(digits, states, auto):  # the last word of order n
             break
-        digits[i - 1] += 1
-        digits[i:] = [0] * (n - i)
     raise InvariantFailure(
         f"no full order-{n} cylinder found inside the interval")

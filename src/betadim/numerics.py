@@ -62,6 +62,7 @@ import re
 import threading
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
@@ -130,13 +131,15 @@ class StarExpansion:
 
     An exact beta's store also holds, once asked for, the quasi-greedy
     orbit points p_0 = 1, p_s = beta * p_(s-1) - t_s = beta**s * (1 -
-    sum_(i <= s) t_i * beta**-i), in (0, 1] and 1 exactly at full states;
-    a quadratic beta steps them on the integer coordinates of the module
-    docstring.  The walks stay apart: a point of a non-Pisot beta has O(s)
-    bits, so a digit-only caller (``count_admissible(1000)``) would store
-    O(n**2) bits.  Both lists only grow, under one lock, so a stored value
-    is read without locking; a failed extension (an interval beta out of
-    precision) keeps every digit stored before it.
+    sum_(i <= s) t_i * beta**-i), in (0, 1] and 1 exactly at full states.
+    The digits are read off the exact walk of the module docstring, the
+    points are built in the field from the stored digits: at most n + 1 are
+    asked for in an order-n sweep, each once.  The walks stay apart: a
+    point of a non-Pisot beta has O(s) bits, so a digit-only caller
+    (``count_admissible(1000)``) would store O(n**2) bits.  Both lists only
+    grow, under one lock, so a stored value is read without locking; a
+    failed extension (an interval beta out of precision) keeps every digit
+    stored before it.
     """
 
     def __init__(self, system: "BetaSystem"):
@@ -151,14 +154,13 @@ class StarExpansion:
             self._x = (1 << bits, 1 << bits)
             self._ends = _dyadic(*system.beta.enclosure(bits), bits)
             return
-        self._last = _coords(Fraction(1))  # p_(len(points) - 1) of a quadratic beta
         if not _is_pisot(beta):
-            self._steps = _exact_steps(Fraction(1), beta)  # yields t_k, T^k(1) from k = 1
+            self._steps = _exact_steps(Fraction(1), beta)[0]  # t_k, T^k(1) from k = 1
             return
         # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980);
         # a point is keyed by its reduced coordinates, which are unique
         seen: dict[tuple[int, int, int], int] = {}
-        digits, x, steps = self._digits, self._last, _quad_steps(Fraction(1), beta)
+        digits, x, steps = self._digits, (1, 0, 1), _quad_steps(Fraction(1), beta)
         while x != (0, 0, 1) and x not in seen:
             seen[x] = len(digits) - 1
             d, X, Y, D = next(steps)
@@ -206,19 +208,8 @@ class StarExpansion:
         self.digit(s)  # stores t_1..t_s before the lock is taken
         with self._lock:
             beta, digits = self._beta, self._digits
-            if isinstance(beta, Fraction):
-                while len(points) <= s:
-                    points.append(beta * points[-1] - digits[len(points)])
-                return points[s]
-            (P, Q, C), r = _coords(beta), beta.d
-            X, Y, D = self._last
             while len(points) <= s:
-                u, v, E = P * X + Q * r * Y, P * Y + Q * X, C * D
-                X = u - digits[len(points)] * E
-                g = math.gcd(X, v, E)
-                X, Y, D = X // g, v // g, E // g
-                points.append(_quad(X, Y, D, r))
-            self._last = X, Y, D
+                points.append(beta * points[-1] - digits[len(points)])
         return points[s]
 
 
@@ -364,10 +355,6 @@ def _coords(z: Exact) -> tuple[int, int, int]:
     return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
 
 
-def _quad(X: int, Y: int, D: int, r: int) -> QuadNum:
-    return QuadNum(Fraction(X, D), Fraction(Y, D), r)
-
-
 def _radicand(beta: Exact, x: Exact) -> int:
     """The r of the one field Q(sqrt(r)) holding beta and x, 0 for Q."""
     r = beta.d if isinstance(beta, QuadNum) else 0
@@ -403,12 +390,20 @@ def _rational_steps(x: Fraction, beta: Fraction) -> Iterator[tuple[int, Fraction
         yield d, x
 
 
-def _exact_steps(x: Exact, beta: Exact) -> Iterator[tuple]:
-    """The exact walk of x under beta: ``_quad_steps`` when either is
-    quadratic (a ``QuadNum``), else ``_rational_steps``."""
+def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable[[tuple], Exact]]:
+    """The exact walk of x under beta, each step led by its digit, and the
+    map from a step to its point T^i x: ``_quad_steps`` when either is
+    quadratic (a ``QuadNum``), else ``_rational_steps``.  The one place
+    where the two walks are chosen."""
     if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
-        return _quad_steps(x, beta)
-    return _rational_steps(x, beta)
+        r = _radicand(beta, x)
+
+        def point(step: tuple[int, int, int, int]) -> QuadNum:
+            _, X, Y, D = step
+            return QuadNum(Fraction(X, D), Fraction(Y, D), r)
+
+        return _quad_steps(x, beta), point
+    return _rational_steps(x, beta), itemgetter(1)
 
 
 def _unit_point(x: Real) -> Real:
@@ -446,13 +441,9 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     if not system.is_exact or isinstance(x, CertifiedReal):
         yield from _certified_orbit(x, system, n)
         return
-    beta = system.beta_exact
-    if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
-        r = _radicand(beta, x)
-        for d, X, Y, D in islice(_quad_steps(x, beta), n):
-            yield d, _quad(X, Y, D, r)
-    else:
-        yield from islice(_rational_steps(x, beta), n)
+    steps, point = _exact_steps(x, system.beta_exact)
+    for step in islice(steps, n):
+        yield step[0], point(step)
 
 
 def _certified_orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, CertifiedReal]]:
@@ -500,7 +491,7 @@ def expand(x: Real, system: BetaSystem, n: int) -> Word:
     if not system.is_exact or isinstance(x, CertifiedReal):
         steps = _certified_orbit(x, system, n)
     else:
-        steps = _exact_steps(x, system.beta_exact)
+        steps = _exact_steps(x, system.beta_exact)[0]
     return tuple(step[0] for step in islice(steps, n))
 
 
