@@ -91,7 +91,9 @@ class PsiFunction:
         e = self.alpha * n
         if e.denominator != 1 or not self.system.is_exact:
             return None
-        v = self.c * self.system.pow(-int(e))
+        v = self.system.pow(-int(e))
+        if self.c != 1:
+            v = self.c * v
         if not self.p:
             return v
         r = iroot(n, self.p.denominator)  # p = k/m: n**p is rational iff n = r**m
@@ -126,7 +128,9 @@ class PsiFunction:
 
         def psi(w: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
             """psi(n) to about 2**-w from lo <= beta**-k <= hi, hi - lo <= 2**-(w + mag)."""
-            lo, hi = root_interval(lo, m, w)[0] * c, root_interval(hi, m, w)[1] * c
+            lo, hi = root_interval(lo, m, w)[0], root_interval(hi, m, w)[1]
+            if c != 1:
+                lo, hi = lo * c, hi * c
             if p:
                 plo, phi = pow_interval(Fraction(n), -p, w)
                 lo, hi = lo * plo, hi * phi
@@ -230,6 +234,9 @@ class HitRecord:
 
 def detect_hits(x: Real, system: BetaSystem, psi: PsiFunction,
                 horizon: int) -> HitRecord:
+    """The n <= horizon with T^n x < psi(n), each with T^n x, psi(n) and
+    their ratio as floats: correctly rounded where the value is exact or
+    refinable, the midpoint of a fixed interval (an interval beta's)."""
     cap = psi.max_index()
     if cap is not None:
         horizon = min(horizon, cap)
@@ -237,12 +244,12 @@ def detect_hits(x: Real, system: BetaSystem, psi: PsiFunction,
     for n, err in enumerate(scaled_errors(x, system, horizon), start=1):
         pv = psi.value(n)
         if compare(err, pv) < 0:
-            fpv = float(pv)
+            ferr, fpv = float(err), float(pv)
             rec.hits.append({
                 "n": n,
-                "scaled_error": float(err),
+                "scaled_error": ferr,
                 "psi": fpv,
-                "ratio": (float(err) / fpv) if fpv else float("inf"),
+                "ratio": (ferr / fpv) if fpv else float("inf"),
             })
     return rec
 
@@ -284,7 +291,11 @@ DEFAULT_C_GRID = (Fraction(9, 10), Fraction(99, 100))
 def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
                        c_values: Sequence = DEFAULT_C_GRID,
                        horizon: int = 64) -> EvidenceReport:
-    """Partition n <= horizon into hits of psi and violations of c*psi."""
+    """Partition n <= horizon into hits of psi and violations of c*psi.
+
+    c*psi(n) is compared only where psi(n) is hit: c lies in (0, 1) and
+    psi(n) > 0, so T^n x >= psi(n) implies T^n x > c*psi(n), and every
+    violation is a hit."""
     cs = [Fraction(c) for c in c_values]
     if any(not (0 < c < 1) for c in cs):
         raise PreconditionViolated("constants must lie in (0, 1)")
@@ -300,8 +311,8 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
         pv = psi.value(n)
         if compare(err, pv) < 0:
             hits.append(n)
-        for c in cs:
-            if compare(err, pv.scaled(c)) < 0:
-                violations[float(c)].append(n)
+            for c in cs:
+                if compare(err, pv.scaled(c)) < 0:
+                    violations[float(c)].append(n)
     return EvidenceReport(str(x), system.spec, psi.describe(), horizon,
                           [float(c) for c in cs], hits, violations)

@@ -3,9 +3,9 @@
 Four layers live here:
 
 * ``QuadNum`` -- exact elements a + b*sqrt(d) of a real quadratic field,
-  with exact comparisons and exact floors (one integer square root, no
-  enclosure).  Rationals are the b == 0 case; the golden ratio is
-  QuadNum(1/2, 1/2, 5).
+  with exact comparisons, floors and enclosures read off integer
+  coordinates (below).  Rationals are the b == 0 case; the golden ratio
+  is QuadNum(1/2, 1/2, 5).
 * ``CertifiedReal`` -- a real number known either exactly (Fraction or
   QuadNum core) or through a rational interval enclosure that may or may
   not be refinable.  Floor decisions are made only when both endpoints
@@ -24,6 +24,26 @@ Four layers live here:
   exactly before its root; it now serves only the factor n**-p of a
   tempered speed, never an end of an enclosure of beta.  All enclosure
   widths are honest upper bounds, never float estimates.
+
+Integer coordinates.  A number of Q(sqrt(r)) has one reduced triple
+(X, Y, D), D > 0, with value (X + Y*sqrt(r))/D (``coords``); a rational
+is (numerator, 0, denominator).  Decisions on exact values are made on
+these integers, with no ``Fraction`` arithmetic:
+
+* floor: for Y != 0, Y*sqrt(r) is irrational, so (X + Y*sqrt(r))/D lies
+  strictly between (X + s)/D and (X + s + 1)/D, s = floor(Y*sqrt(r)), and
+  no integer falls between those two; so the floor is (X + s) // D.
+  floor(Y*sqrt(r)) is isqrt(r*Y**2) for Y >= 0 and -isqrt(r*Y**2) - 1 for
+  Y < 0 (``_floor_root``).  The same s, taken for Y*2**bits, gives an
+  enclosure of width 1/(D*2**bits) from one integer square root.
+* order: two values of one field differ by (A + B*sqrt(r))/(D1*D2), with
+  A = X1*D2 - X2*D1 and B = Y1*D2 - Y2*D1.  Its sign is that of A or B
+  when they agree or one is 0, and else costs one test of A**2 against
+  B**2*r, never equal for a nonsquare r (``_sign``).
+* the orbit step of ``numerics``: with beta = (P + Q*sqrt(r))/C, beta times
+  a point (X, Y, D) is (u + v*sqrt(r))/E with u = PX + QYr, v = PY + QX and
+  E = CD; its floor is read as above, and dividing out gcd(X, Y, D) keeps D
+  bounded for an algebraic-integer beta.
 """
 
 from __future__ import annotations
@@ -46,6 +66,25 @@ def _is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
+
+
+def _floor_root(y: int, r: int) -> int:
+    """floor(y*sqrt(r)) for an integer y and a nonsquare r >= 2, or any
+    r >= 0 when y >= 0.  For y < 0, y*sqrt(r) = -sqrt(r*y*y) is irrational,
+    so its floor is one below -isqrt(r*y*y)."""
+    s = math.isqrt(r * y * y)
+    return s if y >= 0 else -s - 1
+
+
+def _sign(A: int, B: int, r: int) -> int:
+    """Exact sign of A + B*sqrt(r) for integers A, B and a nonsquare r (any
+    r when B == 0): with opposite signs A*A == B*B*r is impossible."""
+    sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if A * A > B * B * r else sb
 
 
 def iroot(n: int, k: int) -> int:
@@ -97,11 +136,6 @@ class QuadNum:
             return QuadNum(Fraction(x))
         raise TypeError(f"cannot coerce {type(x)!r} to QuadNum")
 
-    def _join_d(self, other: "QuadNum") -> int:
-        if self.d and other.d and self.d != other.d:
-            raise ValueError("mixed radicands")
-        return self.d or other.d
-
     @property
     def is_rational(self) -> bool:
         return self.b == 0
@@ -118,7 +152,7 @@ class QuadNum:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return QuadNum(self.a + o.a, self.b + o.b, self._join_d(o))
+        return QuadNum(self.a + o.a, self.b + o.b, radicand(self, o))
 
     __radd__ = __add__
 
@@ -130,7 +164,7 @@ class QuadNum:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return QuadNum(self.a - o.a, self.b - o.b, self._join_d(o))
+        return QuadNum(self.a - o.a, self.b - o.b, radicand(self, o))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -140,7 +174,7 @@ class QuadNum:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        d = self._join_d(o)
+        d = radicand(self, o)
         a = self.a * o.a + self.b * o.b * d
         b = self.a * o.b + self.b * o.a
         return QuadNum(a, b, d)
@@ -180,30 +214,18 @@ class QuadNum:
     # -- exact order -----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d (equality impossible,
-        # d nonsquare and a, b nonzero)
-        lhs = a * a
-        rhs = b * b * self.d
-        if lhs > rhs:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        """Exact sign of a + b*sqrt(d), from integer coordinates."""
+        X, Y, _ = coords(self)
+        return _sign(X, Y, self.d)
 
     def _cmp(self, other) -> int:
-        return (self - self._coerce(other)).sign()
+        if not isinstance(other, (int, Fraction, QuadNum)):
+            raise TypeError(f"cannot compare QuadNum with {type(other)!r}")
+        return _cmp_exact(self, other)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QuadNum)):
-            return self._cmp(other) == 0
+            return _cmp_exact(self, other) == 0
         return NotImplemented
 
     def __hash__(self):
@@ -226,40 +248,59 @@ class QuadNum:
     # -- floor and enclosure ---------------------------------------------
 
     def __floor__(self) -> int:
-        """Exact floor: with the value written (p + q*sqrt(d))/r for integers
-        p, q and r > 0, floor = floor((p + floor(q*sqrt(d)))/r)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return a.numerator // a.denominator
-        r = math.lcm(a.denominator, b.denominator)
-        p = a.numerator * (r // a.denominator)
-        q = b.numerator * (r // b.denominator)
-        # q*q*d is not a square (d nonsquare, q != 0), so for q < 0 the
-        # floor of q*sqrt(d) = -sqrt(q*q*d) is one below -isqrt(q*q*d)
-        s = math.isqrt(q * q * self.d)
-        return (p + (s if q > 0 else -s - 1)) // r
+        """Exact floor (X + floor(Y*sqrt(d))) // D of the module docstring."""
+        X, Y, D = coords(self)
+        return (X + _floor_root(Y, self.d)) // D
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational interval containing the value, width <= 2**-bits."""
+        """Rational interval containing the value, width <= 2**-bits: with
+        t = floor(Y*sqrt(d)*2**bits), [X*2**bits + t, X*2**bits + t + 1] over
+        D*2**bits, of width 1/(D*2**bits)."""
         if self.is_rational:
             return self.a, self.a
-        k = bits + max(0, self.b.numerator.bit_length()
-                       - self.b.denominator.bit_length()) + 2
-        s = math.isqrt(self.d << (2 * k))
-        root_lo = Fraction(s, 1 << k)
-        root_hi = Fraction(s + 1, 1 << k)
-        if self.b > 0:
-            return self.a + self.b * root_lo, self.a + self.b * root_hi
-        return self.a + self.b * root_hi, self.a + self.b * root_lo
+        X, Y, D = coords(self)
+        low = (X << bits) + _floor_root(Y << bits, self.d)
+        return Fraction(low, D << bits), Fraction(low + 1, D << bits)
 
     def __float__(self) -> float:
-        lo, hi = self.enclosure(64)
-        return float((lo + hi) / 2)
+        return _nearest_float(self.enclosure)
 
     def __repr__(self):
         if self.is_rational:
             return f"QuadNum({self.a})"
         return f"QuadNum({self.a} + {self.b}*sqrt({self.d}))"
+
+
+def coords(z: Exact) -> tuple[int, int, int]:
+    """The reduced triple (X, Y, D), D > 0, of z = (X + Y*sqrt(r))/D.  From
+    lowest-terms a and b over D = lcm of their denominators no prime divides
+    all three, so the triple is unique."""
+    if not isinstance(z, QuadNum):
+        return z.numerator, 0, z.denominator
+    a, b = z.a, z.b
+    if not b:
+        return a.numerator, 0, a.denominator
+    D = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
+
+
+def radicand(x: Exact, y: Exact) -> int:
+    """The r of the one field Q(sqrt(r)) holding x and y, 0 for Q; raises
+    ``ValueError("mixed radicands")`` when no one field holds both."""
+    r = x.d if isinstance(x, QuadNum) else 0
+    s = y.d if isinstance(y, QuadNum) else 0
+    if r and s and r != s:
+        raise ValueError("mixed radicands")
+    return r or s
+
+
+def _cmp_exact(x: Exact, y: Exact) -> int:
+    """Sign of x - y for two exact values of one field, on integer
+    coordinates (module docstring); ValueError on mixed radicands."""
+    r = radicand(x, y)
+    X1, Y1, D1 = coords(x)
+    X2, Y2, D2 = coords(y)
+    return _sign(X1 * D2 - X2 * D1, Y1 * D2 - Y2 * D1, r)
 
 
 def exact_enclosure(x: Exact, bits: int) -> tuple[Fraction, Fraction]:
@@ -312,6 +353,22 @@ def _order(pair: tuple[Interval, Interval]) -> int | None:
     if alo > bhi:
         return 1
     return 0 if alo == ahi == blo == bhi else None
+
+
+def _nearest_float(enclose: Callable[[int], Interval]) -> float:
+    """The float nearest a value that ``enclose`` refines: the ladder climbs
+    until both ends round to one float, which rounding, being monotone, then
+    gives the value too.  A value within 2**-PRECISION_CAP of a rounding
+    tie gives the float of the midpoint of its last enclosure."""
+    def agree(enc: Interval) -> float | None:
+        f = float(enc[0])
+        return f if f == float(enc[1]) else None
+
+    try:
+        return decide(enclose, agree, True, "float")
+    except PrecisionExhausted:
+        lo, hi = enclose(PRECISION_CAP)
+        return float((lo + hi) / 2)
 
 
 def _floor_if_agree(enc: Interval) -> int | None:
@@ -448,10 +505,13 @@ class CertifiedReal:
         return compare(self, other)
 
     def __float__(self):
+        """Correctly rounded when exact or refinable; a fixed interval
+        gives its midpoint."""
         if self.exact is not None:
             return float(self.exact)
-        lo, hi = self.enclosure(64)
-        return float((lo + hi) / 2)
+        if self._refiner is not None:
+            return _nearest_float(self.enclosure)
+        return float((self._lo + self._hi) / 2)
 
     def __repr__(self):
         if self.exact is not None:
@@ -465,18 +525,18 @@ def compare(a, b) -> int:
     """Certified three-way comparison of exact or certified reals; 0 only
     for provable equality.
 
-    Two exact values (same or rational radicands) compare exactly, with no
-    ``CertifiedReal`` built; anything else compares enclosures.
+    Two exact values of one field (same or rational radicands) compare on
+    integer coordinates, with no ``Fraction`` difference, ``QuadNum`` or
+    ``CertifiedReal`` built; anything else, mixed radicands included,
+    compares enclosures.
     """
     ea = a.exact if isinstance(a, CertifiedReal) else a
     eb = b.exact if isinstance(b, CertifiedReal) else b
     if ea is not None and eb is not None:
         try:
-            diff = ea - eb
+            return _cmp_exact(ea, eb)
         except ValueError:
             pass  # mixed radicands: fall through to enclosures
-        else:
-            return diff.sign() if isinstance(diff, QuadNum) else (diff > 0) - (diff < 0)
     ca, cb = CertifiedReal._wrap(a), CertifiedReal._wrap(b)
     return decide(lambda bits: (ca.enclosure(bits), cb.enclosure(bits)), _order,
                   ca.refinable or cb.refinable, "comparison")

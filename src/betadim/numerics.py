@@ -29,19 +29,12 @@ fact is decided exactly when the system is built, never by probing digits:
 * an interval beta is never walked: no finite expansion can be certified
   for it, and its digits are decided one by one as they are read.
 
-Exact orbits of a quadratic beta, or of a quadratic point, walk integer
-coordinates: a number of Q(sqrt(r)) is kept as a reduced triple (X, Y, D),
-D > 0, with value (X + Y*sqrt(r))/D.  With beta = (P + Q*sqrt(r))/C, beta
-times the point is (u + v*sqrt(r))/E with u = PX + QYr, v = PY + QX and
-E = CD, and its floor is (u + floor(v*sqrt(r))) // E: for v != 0, v*sqrt(r)
-is irrational, so (u + v*sqrt(r))/E lies strictly between (u + s)/E and
-(u + s + 1)/E, s = floor(v*sqrt(r)), and no integer falls between those
-two.  floor(v*sqrt(r)) is isqrt(r*v**2) for v >= 0 and -isqrt(r*v**2) - 1
-for v < 0, so a step costs one integer square root and one gcd, with no
-``QuadNum`` arithmetic (``_quad_steps``).  Dividing out gcd(X, Y, D) keeps D
-bounded for an algebraic-integer beta.  A rational point under a rational
-beta keeps the ``Fraction`` loop: a ``Fraction`` already is this form over
-Q, with two small gcds a step.
+Exact orbits of a quadratic beta, or of a quadratic point, walk the
+integer coordinates (X, Y, D) of ``exact`` (see its module docstring):
+a step costs one integer square root and one gcd, with no ``QuadNum``
+arithmetic (``_quad_steps``).  A rational point under a rational beta
+keeps the ``Fraction`` loop: a ``Fraction`` already is this form over Q,
+with two small gcds a step.
 
 Orbits of points known through enclosures (a lazy real, or any point
 under an interval beta) walk the two ends of one enclosure: T is
@@ -66,8 +59,8 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
-from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, compare, decide,
-                    exact_enclosure)
+from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, compare, coords, decide,
+                    exact_enclosure, radicand)
 
 Word = tuple[int, ...]
 Real = Union[int, Fraction, QuadNum, CertifiedReal]
@@ -343,36 +336,16 @@ def _walk(x: Real, system: BetaSystem, n: int, bits: int) -> list[tuple[int, int
     return out
 
 
-def _coords(z: Exact) -> tuple[int, int, int]:
-    """The reduced triple (X, Y, D), D > 0, of z = (X + Y*sqrt(r))/D.  From
-    lowest-terms a and b over D = lcm of their denominators no prime divides
-    all three, so the triple is unique."""
-    if not isinstance(z, QuadNum):
-        z = Fraction(z)
-        return z.numerator, 0, z.denominator
-    a, b = z.a, z.b
-    D = math.lcm(a.denominator, b.denominator)
-    return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
-
-
-def _radicand(beta: Exact, x: Exact) -> int:
-    """The r of the one field Q(sqrt(r)) holding beta and x, 0 for Q."""
-    r = beta.d if isinstance(beta, QuadNum) else 0
-    s = x.d if isinstance(x, QuadNum) else 0
-    if r and s and r != s:
-        raise ValueError("mixed radicands")
-    return r or s
-
-
 def _quad_steps(x: Exact, beta: Exact) -> Iterator[tuple[int, int, int, int]]:
     """(digit, X, Y, D) of T^i x, i = 1, 2, ..., on the reduced integer
-    coordinates of the module docstring: one isqrt and one gcd a step."""
-    r = _radicand(beta, x)
-    P, Q, C = _coords(beta)
-    X, Y, D = _coords(x)
+    coordinates of ``exact.coords``: one isqrt and one gcd a step."""
+    r = radicand(beta, x)
+    P, Q, C = coords(beta)
+    X, Y, D = coords(x)
     Qr, gcd, isqrt = Q * r, math.gcd, math.isqrt
     while True:
         u, v, E = P * X + Qr * Y, P * Y + Q * X, C * D
+        # exact._floor_root, inlined: a call a step slows the golden walk by about a third
         s = isqrt(r * v * v)  # floor(v*sqrt(r)) = s, or -s - 1 for v < 0
         d = (u + (s if v >= 0 else -s - 1)) // E
         X = u - d * E
@@ -396,7 +369,7 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable[[tupl
     quadratic (a ``QuadNum``), else ``_rational_steps``.  The one place
     where the two walks are chosen."""
     if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
-        r = _radicand(beta, x)
+        r = radicand(beta, x)
 
         def point(step: tuple[int, int, int, int]) -> QuadNum:
             _, X, Y, D = step

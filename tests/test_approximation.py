@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from betadim import approximation
@@ -15,8 +16,9 @@ from betadim.approximation import (
     scaled_errors,
 )
 from betadim.errors import PrecisionExhausted, PreconditionViolated
-from betadim.exact import compare, root_interval
+from betadim.exact import QuadNum, compare, root_interval
 from betadim.numerics import GOLDEN, eval_word, make_beta, orbit
+from test_numerics import lazy_sqrt2_minus_1
 
 PHI = GOLDEN
 
@@ -265,6 +267,19 @@ class TestHits:
                 with_hits += 1
         assert with_hits <= 20
 
+    def test_hit_floats_are_correctly_rounded(self):
+        # T^n x = phi**(n - 200) here, far below the 2**-64 absolute width a
+        # fixed enclosure would give its float
+        b = make_beta("golden")
+        rec = detect_hits(b.pow(-200), b, psi_exponential(b, Fraction(1, 2)), 12)
+        assert rec.hit_indices() == list(range(1, 13))
+        with mpmath.workdps(80):
+            phi = (1 + mpmath.sqrt(5)) / 2
+            for h in rec.hits:
+                err, psi = phi ** (h["n"] - 200), phi ** (-mpmath.mpf(h["n"]) / 2)
+                assert h["scaled_error"] == float(err) and h["psi"] == float(psi)
+                assert h["ratio"] == float(err) / float(psi)
+
     def test_monotone_in_psi(self):
         b = make_beta("1.8")
         small = psi_exponential(b, 2)
@@ -327,3 +342,42 @@ class TestEvidence:
         assert inexact == 50
         assert len(calls) == 2 * inexact
         assert rep.hits and all(rep.violations[c] for c in rep.c_values)
+
+
+def evidence_at_every_n(x, system, psi, cs, horizon):
+    """exactness_evidence's hits and violations, with psi(n) and every
+    c*psi(n) compared at every n."""
+    hits, violations = [], {float(c): [] for c in cs}
+    for n, err in enumerate(scaled_errors(x, system, horizon), start=1):
+        pv = psi.value(n)
+        if compare(err, pv) < 0:
+            hits.append(n)
+        for c in cs:
+            if compare(err, pv.scaled(c)) < 0:
+                violations[float(c)].append(n)
+    return hits, violations
+
+
+S13_SPEC = "quad:(1+1*sqrt(13))/2"
+
+
+@pytest.mark.parametrize("spec, point, alpha, horizon", [
+    ("9/5", lambda: Fraction(1, 3), Fraction(3, 2), 120),
+    ("golden", lambda: QuadNum(Fraction(1, 3), Fraction(1, 7), 5), Fraction(1, 2), 80),
+    (S13_SPEC, lambda: QuadNum(Fraction(1, 5), Fraction(1, 9), 13), Fraction(1, 2), 80),
+    ("golden", lazy_sqrt2_minus_1, Fraction(1, 2), 20),
+    ("dec:1.8@200", lambda: Fraction(1, 3), Fraction(3, 2), 40),
+    # violations at every n: T^n x = phi**(n - 200) < c * phi**(-n/2)
+    ("golden", lambda: GOLDEN ** -200, Fraction(1, 2), 60),
+    ("2", lambda: Fraction(5, 8), Fraction(1), 20),
+])
+def test_c_psi_compared_only_at_hits_changes_nothing(spec, point, alpha, horizon):
+    b = make_beta(spec)
+    psi = psi_exponential(b, alpha)
+    cs = [Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)]
+    rep = exactness_evidence(point(), b, psi, cs, horizon=horizon)
+    hits, violations = evidence_at_every_n(point(), b, psi, cs, horizon)
+    assert (rep.hits, rep.violations) == (hits, violations)
+    assert hits
+    for v in violations.values():
+        assert set(v) <= set(hits)

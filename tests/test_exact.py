@@ -255,3 +255,152 @@ class TestCertifiedReal:
         r = CertifiedReal.from_refiner(refiner)
         assert r.cmp(Fraction(141421356, 100000000)) == 1
         assert r.cmp(Fraction(141421357, 100000000)) == -1
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracles for the integer-coordinate paths
+# ---------------------------------------------------------------------------
+
+#: decimal digits of the oracle: above the bits of every coordinate below,
+#: so no cancellation reaches its rounding
+ORACLE_DPS = 1500
+S13 = QuadNum(Fraction(1, 2), Fraction(1, 2), 13)
+S2 = QuadNum(1, 1, 2)
+
+
+def mp_value(x):
+    """x as an mpmath number at the working precision."""
+    if isinstance(x, QuadNum):
+        return (mpmath.mpf(x.a.numerator) / x.a.denominator
+                + mpmath.mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(x.d))
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def mp_sign(x, y) -> int:
+    """Sign of x - y by mpmath.  Equal values have equal reduced a, b and d,
+    so they evaluate identically and give exactly 0."""
+    diff = mp_value(x) - mp_value(y)
+    if diff == 0:
+        return 0
+    assert abs(diff) > mpmath.mpf(10) ** (50 - ORACLE_DPS)  # far above the rounding
+    return 1 if diff > 0 else -1
+
+
+def _seeded_values(seed: int) -> list:
+    """Fractions and QuadNums of one field each, with zero, negatives and
+    the heavily cancelling inverse powers of (1+sqrt(13))/2 and 1+sqrt(2)."""
+    rng = random.Random(seed)
+    out = [Fraction(0), Fraction(-3, 7), Fraction(5, 2), QuadNum(0), QuadNum(Fraction(-1, 3))]
+    for base in (S13, S2):
+        for k in sorted(rng.sample(range(401), 12)) + [400]:
+            p = base ** -k
+            out += [p, -p, _below(p, k)]
+    for d in (13, 2):
+        for _ in range(10):
+            out.append(QuadNum(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)),
+                               Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)),
+                               d))
+    for _ in range(10):
+        out.append(Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9)))
+    return out
+
+
+def _below(p: QuadNum, k: int) -> Fraction:
+    """A dyadic below p = base**-k and within 2**-(2k + 60) of it: their
+    difference cancels every leading digit of p."""
+    return p.enclosure(2 * k + 60)[0]
+
+
+def _field(x) -> int:
+    return x.d if isinstance(x, QuadNum) else 0
+
+
+class TestIntegerCoordinateOracles:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_compare_and_sign_match_mpmath(self, seed):
+        values = _seeded_values(seed)
+        rng = random.Random(seed)
+        pairs = [(rng.choice(values), rng.choice(values)) for _ in range(300)]
+        pairs += [(v, v) for v in values]  # equal values, one object
+        for base in (S13, S2):  # values that agree on their leading digits
+            for k in (1, 57, 200, 399, 400):
+                p = base ** -k
+                pairs += [(p, _below(p, k)), (_below(p, k), p), (-p, -_below(p, k)),
+                          (p, base ** -(k + 1)), (p, p + Fraction(1, 2 ** (3 * k + 80)))]
+        # equal values built two ways: a rational QuadNum and its Fraction,
+        # a product divided back
+        pairs += [(QuadNum(Fraction(-3, 7)), Fraction(-3, 7)), (Fraction(0), QuadNum(0)),
+                  ((S13 ** -300 * S13) / S13, S13 ** -300), (S2 ** 7 * S2 ** -7, 1)]
+        with mpmath.workdps(ORACLE_DPS):
+            for x, y in pairs:
+                f, g = _field(x), _field(y)
+                if f and g and f != g:
+                    continue  # mixed radicands: their own test below
+                want = mp_sign(x, y)
+                assert compare(x, y) == want, (x, y)
+                assert compare(CertifiedReal.from_exact(x), y) == want, (x, y)
+                if isinstance(x, QuadNum):
+                    assert (x < y, x == y, x > y) == (want < 0, want == 0, want > 0), (x, y)
+                    diff = x - y
+                    assert (diff.sign() if isinstance(diff, QuadNum) else
+                            (diff > 0) - (diff < 0)) == want, (x, y)
+            for x in values:
+                if isinstance(x, QuadNum):
+                    assert x.sign() == mp_sign(x, QuadNum(0)), x
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_enclosure_contains_its_value_within_the_width(self, seed):
+        with mpmath.workdps(ORACLE_DPS):
+            for x in _seeded_values(seed):
+                if not isinstance(x, QuadNum):
+                    continue
+                v = mp_value(x)
+                for bits in (0, 1, 64, 128, 1000):
+                    lo, hi = x.enclosure(bits)
+                    assert hi - lo <= Fraction(1, 2 ** bits)
+                    assert mp_value(lo) <= v <= mp_value(hi), (x, bits)
+                    if not x.is_rational:
+                        assert lo < hi  # an irrational value is never an end
+
+    def test_mixed_radicands_compare_but_do_not_order(self):
+        a, b = S13 ** -40, S2 ** -40
+        with mpmath.workdps(ORACLE_DPS):
+            want = 1 if mp_value(a) > mp_value(b) else -1
+        assert compare(a, b) == want and compare(b, a) == -want
+        for op in (lambda: a == b, lambda: a < b, lambda: a >= b):
+            with pytest.raises(ValueError, match="mixed radicands"):
+                op()
+
+
+class TestFloat:
+    def test_quadnum_float_is_correctly_rounded(self):
+        values = [v for v in _seeded_values(4) if isinstance(v, QuadNum)]
+        values += [PHI ** -200, PHI ** 200, -(S13 ** -400), PHI - 1]
+        with mpmath.workdps(ORACLE_DPS):
+            for x in values:
+                assert float(x) == float(mp_value(x)), x
+
+    def test_refinable_float_is_correctly_rounded(self):
+        # 2**-200 * sqrt(2) known only through enclosures of absolute width
+        # 2**-bits: the old 64-bit midpoint read it as noise around 0
+        def refiner(bits):
+            s = math.isqrt(2 << (2 * bits))
+            return Fraction(s, 1 << (bits + 200)), Fraction(s + 1, 1 << (bits + 200))
+
+        r = CertifiedReal.from_refiner(refiner)
+        with mpmath.workdps(60):
+            assert float(r) == float(mpmath.sqrt(2) * mpmath.mpf(2) ** -200)
+        assert float(CertifiedReal.from_exact(PHI ** -150)) == float(PHI ** -150)
+
+    def test_refinable_float_on_a_rounding_tie(self):
+        # 1 + 2**-53 lies halfway between two floats, so no enclosure of it
+        # has both ends round alike: the capped ladder gives a neighbour
+        tie = 1 + Fraction(1, 2 ** 53)
+        r = CertifiedReal.from_refiner(
+            lambda bits: (tie - Fraction(1, 2 ** bits), tie + Fraction(1, 2 ** bits)))
+        assert float(r) in (1.0, 1.0 + 2.0 ** -52)
+
+    def test_fixed_interval_float_is_its_midpoint(self):
+        fixed = CertifiedReal.from_interval(Fraction(1, 4), Fraction(26, 100))
+        assert float(fixed) == float(Fraction(51, 200))
