@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 from .errors import InvariantFailure, NotAdmissible, PreconditionViolated
 from .exact import Exact, QuadNum, compare
 from .numerics import BetaSystem, Word, eval_word, expand, word_evaluator
-from .words import ParryAutomaton, check_cap, words_with_states
+from .words import ParryAutomaton, _renyi, check_cap, words_with_states
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,10 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     last i such that t_i > 0, that trailing run is 0 when t1...tr is full
     and trail_{r-j} + 1 otherwise.  The first block is the whole order r-1
     (t1 >= 1), so the longest run at order n is the longest trailing run
-    at orders 1..n.  That is O(n * #{i <= n : t_i > 0}) work.
+    at orders 1..n.  Both sums are ``words._renyi``: when t_i = t_(i-p) for
+    every i > L (``system.star.repeat``), it takes each order from the
+    order p below it in O(L) operations, so the census is O(n * L) work,
+    and O(n * #{i <= n : t_i > 0}) for a beta with no known repeat.
 
     The full cylinders recur with gaps at most n (Bugeaud-Wang, J. Fractal
     Geom. 2014): among any n+1 consecutive order-n cylinders at least one
@@ -153,17 +156,14 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    steps: list[tuple[int, int]] = []  # (i, t_i) for the nonzero t_i
-    # order 0: the empty word, full
-    counts, fulls, trails = [1], [1], [0]
+    full = [int(system.is_full_state(r)) for r in range(n + 1)]  # r = 0: the empty word
+    counts = _renyi(system, n, lambda r: 1)
+    fulls = _renyi(system, n, full.__getitem__)
+    trails, last = [0], 0  # last: the last i <= r with t_i > 0
     for r in range(1, n + 1):
-        t = system.star.digit(r)
-        if t:
-            steps.append((r, t))
-        last_full = system.is_full_state(r)
-        counts.append(1 + sum(t * counts[r - i] for i, t in steps))
-        fulls.append(last_full + sum(t * fulls[r - i] for i, t in steps))
-        trails.append(0 if last_full else trails[r - steps[-1][0]] + 1)
+        if system.star.digit(r):
+            last = r
+        trails.append(0 if full[r] else trails[r - last] + 1)
     max_gap = max(trails)
     if max_gap > n:
         raise InvariantFailure(

@@ -126,6 +126,15 @@ class QuadNum:
         self.b = b
         self.d = d
 
+    @classmethod
+    def _in_field(cls, a: Fraction, b: Fraction, d: int) -> "QuadNum":
+        """a + b*sqrt(d) for ``Fraction``s a, b and the radicand d of a value
+        already built (0 for Q): the constructor without its ``_is_square``
+        check, for sums, products and orbit points of a checked field."""
+        z = object.__new__(cls)
+        z.a, z.b, z.d = a, b, (d if b else 0)
+        return z
+
     # -- helpers ---------------------------------------------------------
 
     @staticmethod
@@ -152,19 +161,19 @@ class QuadNum:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return QuadNum(self.a + o.a, self.b + o.b, radicand(self, o))
+        return QuadNum._in_field(self.a + o.a, self.b + o.b, radicand(self, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.d)
+        return QuadNum._in_field(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         try:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return QuadNum(self.a - o.a, self.b - o.b, radicand(self, o))
+        return QuadNum._in_field(self.a - o.a, self.b - o.b, radicand(self, o))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -177,7 +186,7 @@ class QuadNum:
         d = radicand(self, o)
         a = self.a * o.a + self.b * o.b * d
         b = self.a * o.b + self.b * o.a
-        return QuadNum(a, b, d)
+        return QuadNum._in_field(a, b, d)
 
     __rmul__ = __mul__
 
@@ -185,7 +194,7 @@ class QuadNum:
         norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise ZeroDivisionError("QuadNum division by zero")
-        return QuadNum(self.a / norm, -self.b / norm, self.d)
+        return QuadNum._in_field(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         try:

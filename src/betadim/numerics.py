@@ -122,6 +122,14 @@ class StarExpansion:
     were u**k with k >= 2, the shift by |u| of the expansion of 1 would
     exceed it, against Parry's condition.
 
+    ``repeat`` is the pair (L, p) with t_i = t_(i-p) for every i > L, read
+    off the same walk of a Pisot beta: L = p = m for a finite expansion,
+    and otherwise the walk stops at T^L(1) = T^(L-p)(1), so the digits
+    after t_L repeat those after t_(L-p) (L > p: the expansion of 1 is
+    never purely periodic).  It is None for every other beta, whose digits
+    are read one by one as they are asked for.  The Renyi-Parry counts of
+    ``words`` read t_1..t_L only and cost O(L) a step through it.
+
     An exact beta's store also holds, once asked for, the quasi-greedy
     orbit points p_0 = 1, p_s = beta * p_(s-1) - t_s = beta**s * (1 -
     sum_(i <= s) t_i * beta**-i), in (0, 1] and 1 exactly at full states.
@@ -138,7 +146,7 @@ class StarExpansion:
     def __init__(self, system: "BetaSystem"):
         self._digits: list[int] = [0]  # 1-indexed; index 0 unused
         self._points: list[Exact] = [Fraction(1)] if system.is_exact else []  # p_0, ...
-        self._repeat: int | None = None  # t_i = t_{i-repeat} past the store
+        self._repeat: tuple[int, int] | None = None  # (L, p): t_i = t_(i-p) for i > L
         self._lock = threading.Lock()
         self.period: int | None = None
         beta = self._beta = system.beta_exact
@@ -159,11 +167,19 @@ class StarExpansion:
             d, X, Y, D = next(steps)
             digits.append(d)
             x = X, Y, D
+        L = len(digits) - 1
         if x == (0, 0, 1):
-            self.period = self._repeat = len(digits) - 1
+            self.period = L
+            self._repeat = L, L
             digits[-1] -= 1
         else:
-            self._repeat = len(digits) - 1 - seen[x]
+            self._repeat = L, L - seen[x]
+
+    @property
+    def repeat(self) -> tuple[int, int] | None:
+        """(L, p) with t_i = t_(i-p) for every i > L, or None when no repeat
+        is known (a beta that is not Pisot, or an interval beta)."""
+        return self._repeat
 
     def digit(self, i: int) -> int:
         digits = self._digits
@@ -172,10 +188,10 @@ class StarExpansion:
         if i < 1:
             raise ValueError("digit index starts at 1")
         with self._lock:
-            p = self._repeat
+            repeat = self._repeat
             while len(digits) <= i:
-                if p is not None:
-                    d = digits[len(digits) - p]
+                if repeat is not None:
+                    d = digits[len(digits) - repeat[1]]
                 elif self._beta is None:
                     step = _step(self._x, self._ends, self._bits)
                     if step is None:
@@ -373,7 +389,7 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable[[tupl
 
         def point(step: tuple[int, int, int, int]) -> QuadNum:
             _, X, Y, D = step
-            return QuadNum(Fraction(X, D), Fraction(Y, D), r)
+            return QuadNum._in_field(Fraction(X, D), Fraction(Y, D), r)
 
         return _quad_steps(x, beta), point
     return _rational_steps(x, beta), itemgetter(1)
@@ -496,7 +512,7 @@ def word_evaluator(system: BetaSystem) -> Callable[[Sequence[int]], Exact]:
             for d in reversed(word):
                 a += d
                 a, bb = bb - a, a
-            return QuadNum(Fraction(a) + Fraction(bb, 2), Fraction(bb, 2), 5)
+            return QuadNum._in_field(Fraction(a) + Fraction(bb, 2), Fraction(bb, 2), 5)
 
         return golden
     binv = b.inverse()

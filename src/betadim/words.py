@@ -19,11 +19,23 @@ t of the same length (Parry 1960).  Two views of that set are used.
   c_r = 1 + sum_{i<=r} t_i c_{r-i} with c_0 = 1 (``count_admissible``),
   and no word is ever enumerated.  ``cylinders.full_census`` folds the
   same decomposition together with fullness.
+
+Both sums are one helper, ``_renyi``.  For a Parry beta the digits repeat:
+``system.star.repeat`` = (L, p) records t_i = t_(i-p) for every i > L when
+the system is built.  Splitting the sum S_r = sum_{i<=r} t_i x_{r-i} at
+i = L and shifting its tail by p gives, for r > L,
+
+    S_r = S_{r-p} + sum_{i<=L} t_i x_{r-i} - sum_{j<=L-p} t_j x_{r-p-j},
+
+so each order costs O(L) big-integer operations, not one per nonzero
+t_i with i <= r, and only t_1..t_L are read.  A beta with no known repeat
+(a non-integer rational, a non-Pisot quadratic, an interval beta) takes
+the whole sum: O(n * #{i <= n : t_i > 0}) for order n.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .numerics import BetaSystem, Word
@@ -129,23 +141,46 @@ def count_admissible(n: int, system: BetaSystem) -> int:
     """Number of admissible words of length n.
 
     Computed by the Renyi-Parry recursion c_r = 1 + sum_{i<=r} t_i c_{r-i},
-    c_0 = 1, over the quasi-greedy digits t_i (see the module docstring):
-    O(n * #{i <= n : t_i > 0}) integer additions, with no enumeration and
-    no automaton walk.  Certified against the classical bounds
+    c_0 = 1, over the quasi-greedy digits t_i (``_renyi``, see the module
+    docstring), with no enumeration and no automaton walk: O(n * L) integer
+    operations when ``system.star.repeat`` is (L, p), else
+    O(n * #{i <= n : t_i > 0}).  Certified against the classical bounds
     beta**n <= count <= beta**(n+1)/(beta-1) when beta is exact.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    steps: list[tuple[int, int]] = []  # (i, t_i) for the nonzero t_i
-    counts = [1]
-    for r in range(1, n + 1):
-        t = system.star.digit(r)
-        if t:
-            steps.append((r, t))
-        counts.append(1 + sum(t * counts[r - i] for i, t in steps))
-    total = counts[n]
+    total = _renyi(system, n, lambda r: 1)[n]
     _assert_renyi(total, n, system)
     return total
+
+
+def _renyi(system: BetaSystem, n: int, extra: Callable[[int], int]) -> list[int]:
+    """[x_0, ..., x_n] with x_0 = 1 and x_r = extra(r) + S_r, where
+    S_r = sum_{i<=r} t_i x_{r-i}.  extra(0) must be 1: then S_{r-p} is
+    x_{r-p} - extra(r-p) at every r > L and no list of the S_r is kept.
+
+    Past t_L the repeat identity of the module docstring gives each order
+    from the order p below it.  Without a repeat the whole sum is taken
+    over the nonzero t_i, read one by one (an interval beta raises
+    PrecisionExhausted at the first digit of 1 it cannot decide).
+    """
+    star, x = system.star, [1]
+    repeat = star.repeat
+    head = n if repeat is None else min(n, repeat[0])
+    steps: list[tuple[int, int]] = []  # (i, t_i) for the nonzero t_i, i <= head
+    for r in range(1, head + 1):
+        t = star.digit(r)
+        if t:
+            steps.append((r, t))
+        x.append(extra(r) + sum(t * x[r - i] for i, t in steps))
+    if head < n:
+        L, p = repeat
+        pre = [(j, t) for j, t in steps if j <= L - p]
+        for r in range(head + 1, n + 1):
+            x.append(extra(r) + x[r - p] - extra(r - p)
+                     + sum(t * x[r - i] for i, t in steps)
+                     - sum(t * x[r - p - j] for j, t in pre))
+    return x
 
 
 def _assert_renyi(count: int, n: int, system: BetaSystem) -> None:

@@ -27,6 +27,11 @@ DEC = "dec:1.8@200"
 # golden squared: a quadratic of the golden field taken by the generic kernel
 PHI2 = "quad:(3+1*sqrt(5))/2"
 SWEEP_BETAS = BETAS + ["9/5", PHI2]
+# the exact bases of test_numerics.ORBIT_BETAS
+ORBIT_BETAS = ["golden", "1.8", "2.5", "2", "9/5", "10.5", "7/3", PHI2,
+               "quad:(1+1*sqrt(2))/1", "quad:(2+1*sqrt(7))/1", S13, "quad:(3+1*sqrt(2))/2"]
+# bases whose quasi-greedy digits repeat (system.star.repeat is not None)
+REPEATING = ["2", "3", "golden", PHI2, "quad:(1+1*sqrt(2))/1", "quad:(2+1*sqrt(7))/1"]
 
 
 def extension_full_oracle(word, system, depth=4):
@@ -59,6 +64,59 @@ def reference_census(n, system):
             gap += 1
             max_gap = max(max_gap, gap)
     return count, count_full, max_gap
+
+
+def fail_chain_census(n, system):
+    """Independent (count, count_full) at order n: dynamic programming over
+    the final states of the fail-chain follower automaton (the prefix
+    function of t, no reset rule).  A state is full iff it is 0 or a
+    multiple of the least period of t, found here from 4n digits of t
+    (none for a t that is not purely periodic)."""
+    t = (0,) + system.star.prefix(4 * n)
+    period = next((m for m in range(1, n + 1)
+                   if all(t[i] == t[i - m] for i in range(m + 1, 4 * n + 1))), None)
+    fail = [0, 0]
+    for i in range(2, n + 1):
+        k = fail[i - 1]
+        while k and t[i] != t[k + 1]:
+            k = fail[k]
+        fail.append(k + 1 if t[i] == t[k + 1] else k)
+
+    def step(state, digit):
+        while digit != t[state + 1]:
+            if state == 0:
+                return 0
+            state = fail[state]
+        return state + 1
+
+    counts = {0: 1}
+    for _ in range(n):
+        nxt = {}
+        for s, c in counts.items():
+            for d in range(t[s + 1] + 1):
+                u = step(s, d)
+                nxt[u] = nxt.get(u, 0) + c
+        counts = nxt
+    full = sum(c for s, c in counts.items() if s == 0 or (period and s % period == 0))
+    return sum(counts.values()), full
+
+
+def convolution_census(n, system):
+    """[(c_r, f_r, g_r)] for r = 0..n by the Renyi-Parry sums taken in full,
+    c_r = 1 + sum_{i<=r} t_i c_{r-i} and f_r = [state r full] + sum t_i f_{r-i},
+    with g_r the longest trailing non-full run at orders 1..r."""
+    t = (0,) + system.star.prefix(n)
+    c, f, trail, rows = [1], [1], [0], [(1, 1, 0)]
+    last = gap = 0
+    for r in range(1, n + 1):
+        last = r if t[r] else last
+        full = system.is_full_state(r)
+        c.append(1 + sum(t[i] * c[r - i] for i in range(1, r + 1)))
+        f.append(full + sum(t[i] * f[r - i] for i in range(1, r + 1)))
+        trail.append(0 if full else trail[r - last] + 1)
+        gap = max(gap, trail[r])
+        rows.append((c[r], f[r], gap))
+    return rows
 
 
 def cylinder_table(n, system):
@@ -280,6 +338,37 @@ class TestCensus:
             rec = full_census(400, b)
             assert rec.max_gap <= 400, spec
             assert rec.count_admissible == count_admissible(400, b), spec
+
+    def test_count_full_against_the_fail_chain_dp(self):
+        for spec in REPEATING:
+            b = make_beta(spec)
+            rec = full_census(300, b)
+            assert (rec.count_admissible, rec.count_full) == fail_chain_census(300, b), spec
+
+    def test_fail_chain_dp_against_enumeration(self):
+        for spec in REPEATING + ["9/5"]:
+            b = make_beta(spec)
+            for n in (1, 2, 5, 8):
+                count, full, _ = reference_census(n, b)
+                assert fail_chain_census(n, b) == (count, full), (spec, n)
+
+    def test_counts_equal_the_full_sums(self):
+        for spec in ORBIT_BETAS:
+            b = make_beta(spec)
+            rows = convolution_census(1000, b)
+            for n in (1, 2, 3, 7, 50, 301, 400):
+                assert full_census(n, b) == CensusRecord(spec, n, *rows[n]), (spec, n)
+            for n in (1, 2, 3, 7, 50, 301, 1000):
+                assert count_admissible(n, b) == rows[n][0], (spec, n)
+        # the expansion of 1 in DEC is decided to 232 digits only
+        b = make_beta(DEC)
+        rows = convolution_census(200, b)
+        for n in (1, 2, 3, 7, 50, 200):
+            assert full_census(n, b) == CensusRecord(DEC, n, *rows[n]), n
+            assert count_admissible(n, b) == rows[n][0], n
+        for call in (full_census, count_admissible):
+            with pytest.raises(PrecisionExhausted):
+                call(300, b)
 
 
 class TestFindFull:

@@ -60,6 +60,32 @@ class TestQuadNum:
         with pytest.raises(ValueError):
             _ = PHI + r2
 
+    def test_square_radicand_rejected(self):
+        for a, b, d in ((1, 1, 4), (0, 1, 9), (Fraction(1, 2), 3, 1), (1, 1, 0), (1, 1, -3)):
+            with pytest.raises(ValueError, match="radicand"):
+                QuadNum(a, b, d)
+        assert QuadNum(2, 0, 4) == 2  # no root term: a rational, whatever d is
+
+    def test_values_inside_a_checked_field_skip_the_square_test(self, monkeypatch):
+        # sums, products, inverses and orbit points of a field whose radicand
+        # was checked once are built without another isqrt
+        from betadim import exact
+        from betadim.numerics import make_beta, orbit
+        b = make_beta("quad:(1+1*sqrt(13))/2")
+        x = QuadNum(Fraction(1, 5), Fraction(1, 9), 13)
+        calls = []
+        is_square = exact._is_square
+        monkeypatch.setattr(exact, "_is_square", lambda n: calls.append(n) or is_square(n))
+        points = [p for _, p in orbit(x, b, 300)]
+        tails = [b.tail_sup(s) for s in range(300)]
+        y = (x + 1) * x - x / 3 - (-x).inverse()
+        assert calls == []
+        assert all(p.d == 13 and 0 <= p < 1 for p in points)
+        assert all(0 < p <= 1 for p in tails)
+        assert y * x == x ** 3 + Fraction(2, 3) * x ** 2 + 1
+        QuadNum(2, 1, 13)  # the public constructor still checks
+        assert calls == [13]
+
     def test_enclosure_contains_value(self):
         lo, hi = PHI.enclosure(100)
         assert hi - lo <= Fraction(1, 2 ** 100)

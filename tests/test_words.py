@@ -26,6 +26,11 @@ from betadim.words import (
 BETAS = ["golden", "1.8", "2.5", "2"]
 S13 = "quad:(1+1*sqrt(13))/2"
 DEC = "dec:1.8@200"
+PHI2 = "quad:(3+1*sqrt(5))/2"
+# bases whose quasi-greedy digits repeat, with the (L, p) of system.star.repeat:
+# t_i = t_(i-p) for every i > L; golden squared has t = 2 1 1 1 ..., so L > p
+REPEATING = {"2": (1, 1), "3": (1, 1), "golden": (2, 2), PHI2: (2, 1),
+             "quad:(1+1*sqrt(2))/1": (2, 2), "quad:(2+1*sqrt(7))/1": (2, 2)}
 
 
 def brute_admissible(word, system):
@@ -214,6 +219,26 @@ class TestCount:
         assert count_admissible(200, b) == automaton_dp_count(200, b)
         with pytest.raises(PrecisionExhausted):
             count_admissible(300, b)
+
+    def test_repeat_recurrence_matches_automaton_dp(self):
+        for spec, repeat in REPEATING.items():
+            b = make_beta(spec)
+            assert b.star.repeat == repeat, spec
+            for n in list(range(1, 41)) + [300]:
+                assert count_admissible(n, b) == automaton_dp_count(n, b), (spec, n)
+
+    def test_repeat_recurrence_closed_forms(self):
+        cases = [("2", 1000, 2 ** 1000), ("3", 1000, 3 ** 1000), ("golden", 1000, fib(1002)),
+                 (PHI2, 1000, fib(2002)), ("golden", 20000, fib(20002))]
+        for spec, n, want in cases:
+            b = make_beta(spec)
+            assert count_admissible(n, b) == want, (spec, n)
+            # only t_1..t_L are read: the digit store stays at its build size
+            assert len(b.star._digits) == b.star.repeat[0] + 1, spec
+
+    def test_no_repeat_without_a_pisot_beta(self):
+        for spec in ("1.8", "2.5", "9/5", S13, "quad:(3+1*sqrt(2))/2", DEC):
+            assert make_beta(spec).star.repeat is None, spec
 
     def test_renyi_bounds_explicit(self):
         b = make_beta("golden")
