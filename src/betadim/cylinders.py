@@ -40,23 +40,21 @@ class CylinderInterval:
     length: Exact
     is_full: bool
 
-    @property
-    def right(self) -> Exact:
-        return self.left + self.length
 
-
-def _final_state(word: Sequence[int], system: BetaSystem) -> int:
-    state = ParryAutomaton(system).walk(word)
-    if state is None:
+def _states(word: Sequence[int], auto: ParryAutomaton) -> list[int]:
+    """states[i], the follower state after the first i digits of word;
+    NotAdmissible, naming the base, when the walk dies."""
+    states = auto.walk(word)
+    if states is None:
         raise NotAdmissible(f"word {tuple(word)} is not admissible for beta "
-                            f"{system.spec!r}")
-    return state
+                            f"{auto.system.spec!r}")
+    return states
 
 
 def cylinder(word: Sequence[int], system: BetaSystem) -> CylinderInterval:
     """Exact cylinder of an admissible word (follower-route length); an
     interval beta raises PrecisionExhausted."""
-    state = _final_state(word, system)
+    state = _states(word, ParryAutomaton(system))[-1]
     n = len(word)
     length = system.pow(-n) * system.tail_sup(state)
     return CylinderInterval(tuple(word), eval_word(word, system), length,
@@ -66,18 +64,7 @@ def cylinder(word: Sequence[int], system: BetaSystem) -> CylinderInterval:
 def is_full(word: Sequence[int], system: BetaSystem) -> bool:
     """Maximal-length test via the follower state; equivalent to: every
     admissible continuation keeps the word admissible."""
-    return system.is_full_state(_final_state(word, system))
-
-
-def _states(word: Sequence[int], auto: ParryAutomaton) -> list[int]:
-    """states[i], the follower state after the first i digits of word."""
-    states = [0]
-    for d in word:
-        s = auto.step(states[-1], d)
-        if s is None:
-            raise NotAdmissible(f"word {tuple(word)} is not admissible")
-        states.append(s)
-    return states
+    return system.is_full_state(_states(word, ParryAutomaton(system))[-1])
 
 
 def _advance(digits: list[int], states: list[int], auto: ParryAutomaton) -> bool:

@@ -3,9 +3,9 @@
 Four layers live here:
 
 * ``QuadNum`` -- exact elements a + b*sqrt(d) of a real quadratic field,
-  with exact comparisons, floors and enclosures read off integer
-  coordinates (below).  Rationals are the b == 0 case; the golden ratio
-  is QuadNum(1/2, 1/2, 5).
+  stored as their reduced integer coordinates (below), on which every
+  operation, comparison, floor and enclosure is done.  Rationals are the
+  b == 0 case; the golden ratio is QuadNum(1/2, 1/2, 5), stored (1, 1, 2).
 * ``CertifiedReal`` -- a real number known either exactly (Fraction or
   QuadNum core) or through a rational interval enclosure that may or may
   not be refinable.  Floor decisions are made only when both endpoints
@@ -26,9 +26,11 @@ Four layers live here:
   widths are honest upper bounds, never float estimates.
 
 Integer coordinates.  A number of Q(sqrt(r)) has one reduced triple
-(X, Y, D), D > 0, with value (X + Y*sqrt(r))/D (``coords``); a rational
-is (numerator, 0, denominator).  Decisions on exact values are made on
-these integers, with no ``Fraction`` arithmetic:
+(X, Y, D), D > 0 and gcd(X, Y, D) = 1, with value (X + Y*sqrt(r))/D; a
+rational is (numerator, 0, denominator).  It is what a ``QuadNum``
+stores (``coords`` reads it), so a field operation is integer products
+and one gcd, the inverse being D*(X - Y*sqrt(r)) over the norm
+X**2 - Y**2*r, and decisions on exact values need no ``Fraction``:
 
 * floor: for Y != 0, Y*sqrt(r) is irrational, so (X + Y*sqrt(r))/D lies
   strictly between (X + s)/D and (X + s + 1)/D, s = floor(Y*sqrt(r)), and
@@ -106,100 +108,102 @@ def iroot(n: int, k: int) -> int:
 
 
 class QuadNum:
-    """Exact number a + b*sqrt(d) with rational a, b and nonsquare d >= 2.
+    """Exact number a + b*sqrt(d) with rational a, b and nonsquare d >= 2,
+    stored as its reduced triple (X, Y, D) (module docstring), d = 0
+    exactly when Y = 0; ``a`` and ``b`` are read back from it.
 
     Arithmetic stays inside one quadratic field; mixing two different
     nonzero radicands raises.  Rationals (b == 0) mix with everything.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("X", "Y", "D", "d")
 
-    def __init__(self, a, b=0, d: int = 0):
-        a = a if isinstance(a, Fraction) else Fraction(a)
-        b = b if isinstance(b, Fraction) else Fraction(b)
-        if b != 0:
-            if d < 2 or _is_square(d):
-                raise ValueError("radicand must be a nonsquare integer >= 2")
-        else:
-            d = 0
-        self.a = a
-        self.b = b
-        self.d = d
+    def __new__(cls, a=0, b=0, d: int = 0):
+        a, b = Fraction(a), Fraction(b)
+        if b and (d < 2 or _is_square(d)):
+            raise ValueError("radicand must be a nonsquare integer >= 2")
+        D = math.lcm(a.denominator, b.denominator)
+        return cls._in_field(a.numerator * (D // a.denominator),
+                             b.numerator * (D // b.denominator), D, d)
 
     @classmethod
-    def _in_field(cls, a: Fraction, b: Fraction, d: int) -> "QuadNum":
-        """a + b*sqrt(d) for ``Fraction``s a, b and the radicand d of a value
-        already built (0 for Q): the constructor without its ``_is_square``
-        check, for sums, products and orbit points of a checked field."""
+    def _in_field(cls, X: int, Y: int, D: int, d: int) -> "QuadNum":
+        """(X + Y*sqrt(d))/D reduced, for integers X, Y, D != 0 and the
+        radicand d of a value already built (0 for Q): the constructor
+        without its ``_is_square`` check, for results in a checked field."""
+        g = math.gcd(X, Y, D)
+        if D < 0:
+            g = -g
         z = object.__new__(cls)
-        z.a, z.b, z.d = a, b, (d if b else 0)
+        z.X, z.Y, z.D, z.d = X // g, Y // g, D // g, (d if Y else 0)
         return z
 
     # -- helpers ---------------------------------------------------------
 
     @staticmethod
-    def _coerce(x) -> "QuadNum":
+    def _coerce(x) -> "QuadNum | None":
+        """x as a QuadNum, or None when x is not an exact number."""
         if isinstance(x, QuadNum):
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadNum(Fraction(x))
-        raise TypeError(f"cannot coerce {type(x)!r} to QuadNum")
+            return QuadNum._in_field(x.numerator, 0, x.denominator, 0)
+        return None
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.X, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.Y, self.D)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not a rational number")
-        return self.a
+        return not self.Y
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return QuadNum._in_field(self.a + o.a, self.b + o.b, radicand(self, o))
+        r, D1, D2 = radicand(self, o), self.D, o.D
+        return QuadNum._in_field(self.X * D2 + o.X * D1, self.Y * D2 + o.Y * D1, D1 * D2, r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum._in_field(-self.a, -self.b, self.d)
+        return QuadNum._in_field(-self.X, -self.Y, self.D, self.d)
 
     def __sub__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return QuadNum._in_field(self.a - o.a, self.b - o.b, radicand(self, o))
+        r, D1, D2 = radicand(self, o), self.D, o.D
+        return QuadNum._in_field(self.X * D2 - o.X * D1, self.Y * D2 - o.Y * D1, D1 * D2, r)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        d = radicand(self, o)
-        a = self.a * o.a + self.b * o.b * d
-        b = self.a * o.b + self.b * o.a
-        return QuadNum._in_field(a, b, d)
+        r, X1, Y1, X2, Y2 = radicand(self, o), self.X, self.Y, o.X, o.Y
+        return QuadNum._in_field(X1 * X2 + Y1 * Y2 * r, X1 * Y2 + Y1 * X2, self.D * o.D, r)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
-        norm = self.a * self.a - self.b * self.b * self.d
+        X, Y, D = self.X, self.Y, self.D
+        norm = X * X - Y * Y * self.d
         if norm == 0:
             raise ZeroDivisionError("QuadNum division by zero")
-        return QuadNum._in_field(self.a / norm, -self.b / norm, self.d)
+        return QuadNum._in_field(D * X, -D * Y, norm, self.d)
 
     def __truediv__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
         return self * o.inverse()
 
@@ -211,7 +215,7 @@ class QuadNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = QuadNum(1)
+        result = QuadNum._in_field(1, 0, 1, 0)
         base = self
         while k:
             if k & 1:
@@ -223,9 +227,8 @@ class QuadNum:
     # -- exact order -----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d), from integer coordinates."""
-        X, Y, _ = coords(self)
-        return _sign(X, Y, self.d)
+        """Exact sign of X + Y*sqrt(d), the sign of the value (D > 0)."""
+        return _sign(self.X, self.Y, self.d)
 
     def _cmp(self, other) -> int:
         if not isinstance(other, (int, Fraction, QuadNum)):
@@ -238,9 +241,11 @@ class QuadNum:
         return NotImplemented
 
     def __hash__(self):
+        """A rational hashes as its ``Fraction``; the reduced triple is
+        unique, so equal values hash alike."""
         if self.is_rational:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.X, self.Y, self.D, self.d))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -258,16 +263,15 @@ class QuadNum:
 
     def __floor__(self) -> int:
         """Exact floor (X + floor(Y*sqrt(d))) // D of the module docstring."""
-        X, Y, D = coords(self)
-        return (X + _floor_root(Y, self.d)) // D
+        return (self.X + _floor_root(self.Y, self.d)) // self.D
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """Rational interval containing the value, width <= 2**-bits: with
         t = floor(Y*sqrt(d)*2**bits), [X*2**bits + t, X*2**bits + t + 1] over
         D*2**bits, of width 1/(D*2**bits)."""
-        if self.is_rational:
-            return self.a, self.a
-        X, Y, D = coords(self)
+        X, Y, D = self.X, self.Y, self.D
+        if not Y:
+            return Fraction(X, D), Fraction(X, D)
         low = (X << bits) + _floor_root(Y << bits, self.d)
         return Fraction(low, D << bits), Fraction(low + 1, D << bits)
 
@@ -281,16 +285,12 @@ class QuadNum:
 
 
 def coords(z: Exact) -> tuple[int, int, int]:
-    """The reduced triple (X, Y, D), D > 0, of z = (X + Y*sqrt(r))/D.  From
-    lowest-terms a and b over D = lcm of their denominators no prime divides
-    all three, so the triple is unique."""
-    if not isinstance(z, QuadNum):
-        return z.numerator, 0, z.denominator
-    a, b = z.a, z.b
-    if not b:
-        return a.numerator, 0, a.denominator
-    D = math.lcm(a.denominator, b.denominator)
-    return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
+    """The reduced triple (X, Y, D), D > 0, of z = (X + Y*sqrt(r))/D: the
+    stored fields of a ``QuadNum``, (numerator, 0, denominator) of a
+    rational.  No prime divides all three, so the triple is unique."""
+    if isinstance(z, QuadNum):
+        return z.X, z.Y, z.D
+    return z.numerator, 0, z.denominator
 
 
 def radicand(x: Exact, y: Exact) -> int:
@@ -420,7 +420,7 @@ class CertifiedReal:
         if isinstance(value, int):
             value = Fraction(value)
         if isinstance(value, QuadNum) and value.is_rational:
-            value = value.as_fraction()
+            value = value.a
         return cls(value, None)
 
     @classmethod

@@ -32,9 +32,10 @@ fact is decided exactly when the system is built, never by probing digits:
 Exact orbits of a quadratic beta, or of a quadratic point, walk the
 integer coordinates (X, Y, D) of ``exact`` (see its module docstring):
 a step costs one integer square root and one gcd, with no ``QuadNum``
-arithmetic (``_quad_steps``).  A rational point under a rational beta
-keeps the ``Fraction`` loop: a ``Fraction`` already is this form over Q,
-with two small gcds a step.
+arithmetic (``_quad_steps``), and a point is a ``QuadNum`` holding the
+walk's own integers, the form it stores.  A rational point under a
+rational beta keeps the ``Fraction`` loop: a ``Fraction`` already is
+this form over Q, with two small gcds a step.
 
 Orbits of points known through enclosures (a lazy real, or any point
 under an interval beta) walk the two ends of one enclosure: T is
@@ -59,8 +60,8 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
-from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, compare, coords, decide,
-                    exact_enclosure, radicand)
+from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, _sign, compare, coords,
+                    decide, exact_enclosure, radicand)
 
 Word = tuple[int, ...]
 Real = Union[int, Fraction, QuadNum, CertifiedReal]
@@ -101,13 +102,14 @@ def parse_beta_spec(spec: str) -> tuple[Exact | None, tuple[Fraction, Fraction] 
 def _is_pisot(beta: Exact) -> bool:
     """Whether beta is a Pisot number: an algebraic integer whose other
     conjugates lie inside the unit disc.  An integer is; a non-integer
-    rational is not an algebraic integer; a + b*sqrt(d) is iff its trace
-    2a and norm a**2 - b**2 d are integers and |a - b*sqrt(d)| < 1."""
+    rational is not an algebraic integer; (P + Q*sqrt(d))/C is iff its trace
+    2P/C and norm (P**2 - Q**2 d)/C**2 are integers and its conjugate
+    lies in (-1, 1): -C < P - Q*sqrt(d) < C, two signs (``exact._sign``)."""
     if isinstance(beta, Fraction):
         return beta.denominator == 1
-    a, b, d = beta.a, beta.b, beta.d
-    return ((2 * a).denominator == 1 and (a * a - b * b * d).denominator == 1
-            and -1 < QuadNum(a, -b, d) < 1)
+    (P, Q, C), d = coords(beta), beta.d
+    return (2 * P % C == 0 and (P * P - Q * Q * d) % (C * C) == 0
+            and _sign(P + C, -Q, d) > 0 > _sign(P - C, -Q, d))
 
 
 class StarExpansion:
@@ -127,14 +129,16 @@ class StarExpansion:
     and otherwise the walk stops at T^L(1) = T^(L-p)(1), so the digits
     after t_L repeat those after t_(L-p) (L > p: the expansion of 1 is
     never purely periodic).  It is None for every other beta, whose digits
-    are read one by one as they are asked for.  The Renyi-Parry counts of
+    are read one by one as they are asked for.  Past t_L a digit is read
+    from t_1..t_L by that rule and never stored, so a Pisot beta's store
+    keeps L digits however deep it is read.  The Renyi-Parry counts of
     ``words`` read t_1..t_L only and cost O(L) a step through it.
 
     An exact beta's store also holds, once asked for, the quasi-greedy
     orbit points p_0 = 1, p_s = beta * p_(s-1) - t_s = beta**s * (1 -
     sum_(i <= s) t_i * beta**-i), in (0, 1] and 1 exactly at full states.
     The digits are read off the exact walk of the module docstring, the
-    points are built in the field from the stored digits: at most n + 1 are
+    points are built in the field from the digits: at most n + 1 are
     asked for in an order-n sweep, each once.  The walks stay apart: a
     point of a non-Pisot beta has O(s) bits, so a digit-only caller
     (``count_admissible(1000)``) would store O(n**2) bits.  Both lists only
@@ -185,14 +189,14 @@ class StarExpansion:
         digits = self._digits
         if 0 < i < len(digits):
             return digits[i]
+        if i > 0 and self._repeat is not None:  # i > L: t_i = t_(i-p), from t_1..t_L
+            L, p = self._repeat
+            return digits[L - (L - i) % p]
         if i < 1:
             raise ValueError("digit index starts at 1")
         with self._lock:
-            repeat = self._repeat
             while len(digits) <= i:
-                if repeat is not None:
-                    d = digits[len(digits) - repeat[1]]
-                elif self._beta is None:
+                if self._beta is None:
                     step = _step(self._x, self._ends, self._bits)
                     if step is None:
                         raise PrecisionExhausted(
@@ -214,11 +218,11 @@ class StarExpansion:
             return points[s]
         if not points:
             raise PrecisionExhausted("orbit points of 1 need an exactly specified beta")
-        self.digit(s)  # stores t_1..t_s before the lock is taken
+        self.digit(s)  # extend the digits first: under the lock, digit() only reads
         with self._lock:
-            beta, digits = self._beta, self._digits
+            beta = self._beta
             while len(points) <= s:
-                points.append(beta * points[-1] - digits[len(points)])
+                points.append(beta * points[-1] - self.digit(len(points)))
         return points[s]
 
 
@@ -389,7 +393,7 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable[[tupl
 
         def point(step: tuple[int, int, int, int]) -> QuadNum:
             _, X, Y, D = step
-            return QuadNum._in_field(Fraction(X, D), Fraction(Y, D), r)
+            return QuadNum._in_field(X, Y, D, r)
 
         return _quad_steps(x, beta), point
     return _rational_steps(x, beta), itemgetter(1)
@@ -410,10 +414,11 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     An exact point under an exact beta is walked exactly.  When beta or x
     is quadratic, the walk runs on integer coordinates (X, Y, D) with one
     isqrt floor a step (see the module docstring), and each yielded point
-    is one ``QuadNum`` built from them; a point of another quadratic field
-    than beta raises ``ValueError("mixed radicands")``.  A rational point
-    under a rational beta keeps the ``Fraction`` loop, which is already that
-    form over Q, and yields ``Fraction``s.
+    is one ``QuadNum`` holding the walk's integers, with no ``Fraction``
+    built; a point of another quadratic field than beta raises
+    ``ValueError("mixed radicands")``.  A rational point under a rational
+    beta keeps the ``Fraction`` loop, which is already that form over Q,
+    and yields ``Fraction``s.
 
     Any other point walks the ends of one enclosure of x (``_step``) at
     2**-B, B from the ladder ``decide``: the rung, plus n * bitlen(ceil(beta)
@@ -512,7 +517,7 @@ def word_evaluator(system: BetaSystem) -> Callable[[Sequence[int]], Exact]:
             for d in reversed(word):
                 a += d
                 a, bb = bb - a, a
-            return QuadNum._in_field(Fraction(a) + Fraction(bb, 2), Fraction(bb, 2), 5)
+            return QuadNum._in_field(2 * a + bb, bb, 2, 5)  # a + bb*(1 + sqrt(5))/2
 
         return golden
     binv = b.inverse()

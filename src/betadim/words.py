@@ -69,13 +69,16 @@ class ParryAutomaton:
         t = self.system.star.digit(state + 1)
         return None if digit > t else (state + 1 if digit == t else 0)
 
-    def walk(self, word: Sequence[int]) -> int | None:
-        state = 0
+    def walk(self, word: Sequence[int]) -> list[int] | None:
+        """[s_0, ..., s_n], s_i the state after the first i digits of the
+        word, or None when the word is not admissible."""
+        states = [0]
         for d in word:
-            state = self.step(state, d)
-            if state is None:
+            s = self.step(states[-1], d)
+            if s is None:
                 return None
-        return state
+            states.append(s)
+        return states
 
     def transition_table(self, n: int) -> tuple[list[list[int]], list[int]]:
         """Dense tables (trans[state][digit], max_digit[state]) for states

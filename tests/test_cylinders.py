@@ -157,7 +157,7 @@ class TestCylinderBasics:
         assert not c01.is_full
         # the periodic quasi-greedy block makes (1, 0) a maximal-length word
         assert c10.left == PHI - 1 and c10.length == PHI ** -2 and c10.is_full
-        assert c10.right == 1
+        assert c10.left + c10.length == 1
 
     def test_dyadic(self):
         b = make_beta("2")
@@ -168,8 +168,9 @@ class TestCylinderBasics:
 
     def test_not_admissible_raises(self):
         b = make_beta("golden")
-        with pytest.raises(NotAdmissible):
-            cylinder((1, 1), b)
+        for call in (cylinder, is_full, successor):
+            with pytest.raises(NotAdmissible, match="for beta 'golden'"):
+                call((1, 1), b)
 
 
 class TestSuccessorAndPartition:
@@ -192,7 +193,7 @@ class TestSuccessorAndPartition:
             prev_right = Fraction(0)
             for c in iter_cylinders(4, b):
                 assert c.left == prev_right
-                prev_right = c.right
+                prev_right = c.left + c.length
             assert prev_right == 1
 
     def test_fast_length_equals_partition_length(self):
@@ -339,6 +340,14 @@ class TestCensus:
             assert rec.max_gap <= 400, spec
             assert rec.count_admissible == count_admissible(400, b), spec
 
+    def test_a_parry_census_stores_only_the_head_of_1(self):
+        # past t_L the digits of 1 are read from the repeat (L, p), never stored
+        for spec in ("2", "golden", PHI2):
+            b = make_beta(spec)
+            full_census(1000, b)
+            L, _ = b.star.repeat
+            assert len(b.star._digits) <= L + 1, spec
+
     def test_count_full_against_the_fail_chain_dp(self):
         for spec in REPEATING:
             b = make_beta(spec)
@@ -415,7 +424,7 @@ class TestFindFull:
                 w = find_full_in_interval(lo, hi, n, b)
                 assert is_full(w, b)
                 c = cylinder(w, b)
-                assert c.left >= lo and c.right <= hi
+                assert c.left >= lo and c.left + c.length <= hi
 
     def test_leftmost_full_cylinder(self):
         rng = random.Random(1)

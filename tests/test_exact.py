@@ -68,14 +68,19 @@ class TestQuadNum:
 
     def test_values_inside_a_checked_field_skip_the_square_test(self, monkeypatch):
         # sums, products, inverses and orbit points of a field whose radicand
-        # was checked once are built without another isqrt
+        # was checked once are built without another isqrt, and a base checks
+        # its radicand once (golden, a built constant, never)
         from betadim import exact
         from betadim.numerics import make_beta, orbit
-        b = make_beta("quad:(1+1*sqrt(13))/2")
         x = QuadNum(Fraction(1, 5), Fraction(1, 9), 13)
         calls = []
         is_square = exact._is_square
         monkeypatch.setattr(exact, "_is_square", lambda n: calls.append(n) or is_square(n))
+        make_beta("golden")
+        assert calls == []
+        b = make_beta("quad:(1+1*sqrt(13))/2")
+        assert len(calls) <= 1
+        calls.clear()
         points = [p for _, p in orbit(x, b, 300)]
         tails = [b.tail_sup(s) for s in range(300)]
         y = (x + 1) * x - x / 3 - (-x).inverse()
@@ -116,6 +121,84 @@ class TestQuadNum:
             fy = float(y.a) + float(y.b) * math.sqrt(5)
             if abs(fx - fy) > 1e-9:
                 assert (x < y) == (fx < fy)
+
+
+def assert_reduced(z: QuadNum) -> None:
+    assert z.D > 0 and math.gcd(z.X, z.Y, z.D) == 1, (z.X, z.Y, z.D)
+    assert (z.d == 0) == (z.Y == 0), (z.Y, z.d)
+    assert not any(isinstance(getattr(z, f), Fraction) for f in QuadNum.__slots__)
+
+
+def seeded_values(d: int, seed: int, count: int = 40) -> list[QuadNum]:
+    """Values of Q(sqrt(d)), rationals among them, with shared factors."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = Fraction(rng.randint(-60, 60) * rng.choice((1, 6, 35)), rng.randint(1, 90))
+        b = Fraction(rng.choice((0, rng.randint(-60, 60))), rng.randint(1, 90))
+        out.append(QuadNum(a, b, d))
+    return out
+
+
+class TestOneFormat:
+    """A QuadNum is its reduced integer triple (X, Y, D) and radicand d."""
+
+    @pytest.mark.parametrize("d", [5, 13])
+    def test_every_result_is_reduced(self, d):
+        xs = seeded_values(d, d)
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            assert_reduced(x)
+            results = [x + y, x - y, x * y, -x, x ** 3, x ** 0, x + 1, 2 - x,
+                       Fraction(1, 3) * x, x - x, x * QuadNum(x.a, -x.b, d)]
+            if x != 0:
+                results += [x.inverse(), y / x, 1 / x, x ** -2]
+            for z in results:
+                assert_reduced(z)
+
+    @pytest.mark.parametrize("spec, x", [
+        ("golden", QuadNum(Fraction(1, 3), Fraction(1, 7), 5)),
+        ("quad:(1+1*sqrt(13))/2", QuadNum(Fraction(1, 5), Fraction(1, 9), 13)),
+        ("quad:(1+1*sqrt(13))/2", Fraction(2, 7)),
+    ])
+    def test_orbit_points_are_reduced(self, spec, x):
+        from betadim.numerics import make_beta, orbit
+        b = make_beta(spec)
+        for _, p in orbit(x, b, 200):
+            assert_reduced(p)
+        for s in range(1, 50):  # p_0 is the Fraction 1
+            assert_reduced(b.tail_sup(s))
+
+    @pytest.mark.parametrize("d", [5, 13])
+    def test_equal_values_share_triple_and_hash(self, d):
+        xs = seeded_values(d, d + 1)
+        for x, y, z in zip(xs, xs[1:], xs[2:]):
+            pairs = [((x + y) * z, x * z + y * z), (x ** 3, x * x * x),
+                     (x - y, -(y - x)), (QuadNum(x.a, x.b, x.d), x)]
+            if y != 0 and x != 0:
+                pairs += [(x / y, x * y.inverse()), ((x * y).inverse(), x.inverse() / y)]
+            for u, v in pairs:
+                assert (u.X, u.Y, u.D, u.d) == (v.X, v.Y, v.D, v.d)
+                assert u == v and hash(u) == hash(v)
+
+    def test_a_rational_hashes_as_its_fraction(self):
+        assert hash(QuadNum(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert hash(PHI - PHI + Fraction(-7, 3)) == hash(Fraction(-7, 3))
+        assert hash(QuadNum(5)) == hash(5)
+        assert QuadNum(Fraction(1, 2)) in {Fraction(1, 2)}
+
+    def test_a_and_b_read_back_the_rationals(self):
+        x = QuadNum(Fraction(6, 4), Fraction(-10, 6), 13)
+        assert (x.a, x.b, x.d) == (Fraction(3, 2), Fraction(-5, 3), 13)
+        assert (x.X, x.Y, x.D) == (9, -10, 6)
+        assert (PHI.X, PHI.Y, PHI.D, PHI.d) == (1, 1, 2, 5)
+
+    def test_mixed_radicands_raise_in_every_operation(self):
+        import operator
+        r13 = QuadNum(1, 1, 13)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.eq, operator.lt):
+            with pytest.raises(ValueError, match="mixed radicands"):
+                op(PHI, r13)
 
 
 class TestIntegerRoots:
