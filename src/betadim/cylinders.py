@@ -13,10 +13,10 @@ independent computations that must agree:
 The follower route is the fast path; the partition route is the
 definitional one and is kept as a cross-check.  On the fast path a
 cylinder's length and fullness depend only on its final automaton
-state, so a sweep of order n computes them at most n+1 times; left
-endpoints stay per-word Horner values, from the kernel
-``word_evaluator`` chosen once per sweep, so the two routes stay
-independent.
+state, so a sweep of order n computes them at most n+1 times.  Left
+endpoints are Horner values of the digits, never sums of lengths, so the
+two routes stay independent; a sweep or search carries its prefix values
+down the stream of words (``_carry``), about beta/(beta-1) digits a word.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 from .errors import InvariantFailure, NotAdmissible, PreconditionViolated
 from .exact import Exact, QuadNum, compare
 from .numerics import BetaSystem, Word, eval_word, expand, word_evaluator
-from .words import ParryAutomaton, _renyi, check_cap, words_with_states
+from .words import ParryAutomaton, _dfs, _renyi, check_cap
 
 
 @dataclass(frozen=True)
@@ -67,24 +67,34 @@ def is_full(word: Sequence[int], system: BetaSystem) -> bool:
     return system.is_full_state(_states(word, ParryAutomaton(system))[-1])
 
 
-def _advance(digits: list[int], states: list[int], auto: ParryAutomaton) -> bool:
+def _advance(digits: list[int], states: list[int], auto: ParryAutomaton) -> int:
     """Step the admissible word ``digits`` and its ``_states`` in place to
-    the next admissible word of the same length; False at the last one.
-
-    The next word grows the last digit that can grow and zeroes the digits
-    after it, so only the states past that digit are walked again.
-    """
+    the next admissible word of the same length: grow the last digit that
+    can grow, zero the digits after it and walk again only the states past
+    it.  Returns that digit's position (1-based), or 0 at the last word."""
     n = len(digits)
     i = n
     while i and digits[i - 1] >= auto.max_digit(states[i - 1]):
         i -= 1
     if not i:
-        return False
+        return 0
     digits[i - 1] += 1
     digits[i:] = [0] * (n - i)
     for j in range(i - 1, n):
         states[j + 1] = auto.step(states[j], digits[j])
-    return True
+    return i
+
+
+def _carry(stack: list, word: Sequence[int], j: int, extend) -> object:
+    """The carried value of word[:j], j the first changed position, folded
+    in one call from the longest prefix kept on ``stack`` as (k, value); it
+    is the word's own value when the digits after j are zero."""
+    while stack[-1][0] >= j:
+        stack.pop()
+    k, acc = stack[-1]
+    acc = extend(acc, word[k:j], k + 1)
+    stack.append((j, acc))
+    return acc
 
 
 def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
@@ -100,8 +110,7 @@ def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
     nxt = successor(word, system)
     if nxt is None:
         return 1 - eval_word(word, system)
-    value = word_evaluator(system)
-    return value(nxt) - value(word)
+    return eval_word(nxt, system) - eval_word(word, system)
 
 
 @dataclass(frozen=True)
@@ -165,15 +174,21 @@ def iter_cylinders(n: int, system: BetaSystem) -> Iterator[CylinderInterval]:
     PrecisionExhausted for an interval beta.
     The length beta**-n * tail_sup(state) and the fullness of a cylinder
     depend only on the final follower state of its word, one of 0..n, so
-    the n+1 pairs are computed once per sweep.  Left endpoints are
-    per-word values from the Horner kernel, chosen once per sweep.
-    """
+    the n+1 pairs are computed once per sweep.  Left endpoints are prefix
+    Horner values carried down ``words._dfs`` (``_carry``).  The cylinders
+    tile [0, 1) (Parry 1960): the last left end, from the digits, plus its
+    length, from ``tail_sup``, must be 1, else InvariantFailure."""
     check_cap(system, n, "cylinder sweep")
     pm = system.pow(-n)
-    left = word_evaluator(system)
+    start, extend, finish = word_evaluator(system)
     shapes = [(pm * system.tail_sup(s), system.is_full_state(s)) for s in range(n + 1)]
-    for w, state in words_with_states(system, n):
-        yield CylinderInterval(w, left(w), *shapes[state])
+    stack = [(0, start)]
+    for w, state, j in _dfs(system, n):
+        c = CylinderInterval(w, finish(_carry(stack, w, j, extend), j), *shapes[state])
+        yield c
+    if c.left + c.length != 1:  # c: the last word t_1...t_n
+        raise InvariantFailure(
+            f"order-{n} cylinders end at {c.left + c.length}, not 1, for beta {system.spec!r}")
 
 
 def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
@@ -187,10 +202,10 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     non-strict case.  An interval beta raises PrecisionExhausted.
 
     The search starts at the expansion of lo and steps through successors
-    on one running state stack: states[i] is the follower state after the
-    first i digits.  Each step (``_advance``, the rule ``successor`` also
-    uses) walks again only the states past the digit it grows, and
-    fullness is read from the top state.
+    (``_advance``, the rule ``successor`` also uses) on one running state
+    stack, states[i] after the first i digits, and ``_carry``'s stack of
+    prefix values: a step that grows digit j zeroes the digits after it, so
+    the left end is the value of the first j digits.
     """
     if not all(isinstance(end, (int, Fraction, QuadNum)) for end in (lo, hi)):
         raise PreconditionViolated("interval ends must be exact")
@@ -207,18 +222,18 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
 
     need = 1 if strict else 0
     auto = ParryAutomaton(system)
-    value = word_evaluator(system)
+    start, extend, finish = word_evaluator(system)
     states = _states(digits, auto)
-    while True:
-        w = tuple(digits)
-        left = value(w)
+    stack = [(0, start)]
+    j = n  # the first word has no zero tail: it is folded whole
+    while j:  # j = 0: past the last word of order n
+        left = finish(_carry(stack, digits, j, extend), j)
         if compare(left, hi) >= 0:
             break
         if (compare(left, lo) >= need
                 and compare(left + pm, hi) <= -need
                 and system.is_full_state(states[n])):
-            return w
-        if not _advance(digits, states, auto):  # the last word of order n
-            break
+            return tuple(digits)
+        j = _advance(digits, states, auto)
     raise InvariantFailure(
         f"no full order-{n} cylinder found inside the interval")

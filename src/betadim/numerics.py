@@ -30,12 +30,11 @@ fact is decided exactly when the system is built, never by probing digits:
   for it, and its digits are decided one by one as they are read.
 
 Exact orbits of a quadratic beta, or of a quadratic point, walk the
-integer coordinates (X, Y, D) of ``exact`` (see its module docstring):
-a step costs one integer square root and one gcd, with no ``QuadNum``
-arithmetic (``_quad_steps``), and a point is a ``QuadNum`` holding the
-walk's own integers, the form it stores.  A rational point under a
-rational beta keeps the ``Fraction`` loop: a ``Fraction`` already is
-this form over Q, with two small gcds a step.
+integer coordinates (X, Y, D) of ``exact`` (see its module docstring),
+one integer square root and one gcd a step (``_quad_steps``).  A rational
+point under a rational beta = P/C walks the pair (X, D) of T^i x = X/D
+with no gcd: u = P*X, d = u // (C*D), X = u - d*C*D, D = C*D
+(``_rational_steps``).  ``orbit`` builds a point only when it yields one.
 
 Orbits of points known through enclosures (a lazy real, or any point
 under an interval beta) walk the two ends of one enclosure: T is
@@ -44,7 +43,7 @@ for x >= 0, so ends that share a digit enclose every point between them
 and the images of the ends enclose its image.  ``orbit`` states the
 precision rule; no ``CertifiedReal`` arithmetic is built.
 
-All operations are pure.  The digit store and the power cache memoize
+All operations are pure.  The digit store and the power cache grow
 under locks, and the automaton of the ``words`` module holds no state, so
 systems are safe to share across threads.
 """
@@ -56,7 +55,6 @@ import re
 import threading
 from fractions import Fraction
 from itertools import islice
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
@@ -67,6 +65,7 @@ Word = tuple[int, ...]
 Real = Union[int, Fraction, QuadNum, CertifiedReal]
 
 GOLDEN = QuadNum(Fraction(1, 2), Fraction(1, 2), 5)
+_in_field = QuadNum._in_field
 
 _QUAD_RE = re.compile(
     r"^quad:\((-?\d+)\+(-?\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
@@ -277,14 +276,19 @@ class BetaSystem:
     # -- exact powers --------------------------------------------------------
 
     def pow(self, k: int) -> Exact:
-        """Exact beta**k (k may be negative); cached."""
-        b = self.require_exact("beta power")
-        with self._pow_lock:
-            v = self._pow_cache.get(k)
+        """Exact beta**k (k may be negative), cached and read without the
+        lock; a new k is beta**(k-1) * beta for k > 0 or beta**(k+1) / beta
+        for k < 0 when that is cached, else square-and-multiply."""
+        v = self._pow_cache.get(k)
         if v is not None:
             return v
-        v = b ** k if isinstance(b, QuadNum) else Fraction(b) ** k
+        b = self.require_exact("beta power")
         with self._pow_lock:
+            near = self._pow_cache.get(k - 1 if k > 0 else k + 1)
+            if near is None:
+                v = b ** k if isinstance(b, QuadNum) else Fraction(b) ** k
+            else:
+                v = near * b if k > 0 else near / b
             self._pow_cache[k] = v
         return v
 
@@ -374,13 +378,16 @@ def _quad_steps(x: Exact, beta: Exact) -> Iterator[tuple[int, int, int, int]]:
         yield d, X, Y, D
 
 
-def _rational_steps(x: Fraction, beta: Fraction) -> Iterator[tuple[int, Fraction]]:
-    """(digit, T^i x), i = 1, 2, ..., for x and beta rational."""
+def _rational_steps(x: Fraction, beta: Fraction) -> Iterator[tuple[int, int, int]]:
+    """(digit, X, D) of T^i x = X/D, i = 1, 2, ..., for x and beta = P/C
+    rational: the integer pair of the module docstring, with no gcd."""
+    P, C = beta.numerator, beta.denominator
+    X, D = x.numerator, x.denominator
     while True:
-        y = beta * x
-        d = math.floor(y)
-        x = y - d
-        yield d, x
+        u, D = P * X, C * D
+        d = u // D
+        X = u - d * D
+        yield d, X, D
 
 
 def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable[[tuple], Exact]]:
@@ -390,13 +397,8 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable[[tupl
     where the two walks are chosen."""
     if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
         r = radicand(beta, x)
-
-        def point(step: tuple[int, int, int, int]) -> QuadNum:
-            _, X, Y, D = step
-            return QuadNum._in_field(X, Y, D, r)
-
-        return _quad_steps(x, beta), point
-    return _rational_steps(x, beta), itemgetter(1)
+        return _quad_steps(x, beta), lambda step: _in_field(*step[1:], r)
+    return _rational_steps(x, beta), lambda step: Fraction(step[1], step[2])
 
 
 def _unit_point(x: Real) -> Real:
@@ -411,14 +413,11 @@ def _unit_point(x: Real) -> Real:
 def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     """Yield (digit_i, T^i x) for i = 1..n.
 
-    An exact point under an exact beta is walked exactly.  When beta or x
-    is quadratic, the walk runs on integer coordinates (X, Y, D) with one
-    isqrt floor a step (see the module docstring), and each yielded point
-    is one ``QuadNum`` holding the walk's integers, with no ``Fraction``
-    built; a point of another quadratic field than beta raises
-    ``ValueError("mixed radicands")``.  A rational point under a rational
-    beta keeps the ``Fraction`` loop, which is already that form over Q,
-    and yields ``Fraction``s.
+    An exact point under an exact beta is walked exactly, on the integer
+    coordinates of the module docstring: each yielded point is one
+    ``QuadNum`` of the walk's (X, Y, D) when beta or x is quadratic (a point
+    of another quadratic field than beta raises ``ValueError("mixed
+    radicands")``), and else the reduced ``Fraction`` of its pair (X, D).
 
     Any other point walks the ends of one enclosure of x (``_step``) at
     2**-B, B from the ladder ``decide``: the rung, plus n * bitlen(ceil(beta)
@@ -477,8 +476,8 @@ def expand(x: Real, system: BetaSystem, n: int) -> Word:
     """First n digits of the greedy expansion of x in base beta.
 
     An exact point under an exact beta reads the digits of its exact walk
-    (see ``orbit``) and builds no point values; any other is ``orbit``'s
-    certified walk."""
+    on integer coordinates (see ``orbit``) and builds no point values, no
+    ``Fraction`` nor ``QuadNum``; any other is ``orbit``'s certified walk."""
     if n < 1:
         raise ValueError("need at least one digit")
     x = _unit_point(x)
@@ -489,46 +488,53 @@ def expand(x: Real, system: BetaSystem, n: int) -> Word:
     return tuple(step[0] for step in islice(steps, n))
 
 
-def word_evaluator(system: BetaSystem) -> Callable[[Sequence[int]], Exact]:
-    """The Horner kernel of this base, chosen once: a function taking a
-    word to its exact value sum(word[i] * beta**-(i+1)).
+def _golden_extend(acc: tuple[int, int], digits: Sequence[int], i: int) -> tuple[int, int]:
+    a, b = acc  # phi * (a + b*phi) + d = (b + d) + (a + b)*phi
+    for d in digits:
+        a, b = b + d, a + b
+    return a, b
 
-    A rational beta = p/q evaluates in integers over p**n, golden in
-    Z[phi], and any other quadratic by the generic ``QuadNum`` loop.
-    """
+
+def word_evaluator(system: BetaSystem) -> tuple[object, Callable, Callable]:
+    """The Horner kernel of this base, chosen once, in prefix form (start,
+    extend, finish): ``extend(acc, digits, i)`` folds the run ``digits``
+    from position i on into the carried value ``acc`` of the i - 1 digits
+    before it, ``finish(acc, m)`` gives the exact value of m digits carried,
+    and a word is ``finish(extend(start, word, 1), len(word))``.  A rational
+    p/q carries the value times p**m, golden times phi**m, others the value."""
     b = system.require_exact("word evaluation")
     if isinstance(b, Fraction):
         p, q = b.numerator, b.denominator
 
-        def rational(word: Sequence[int]) -> Exact:
-            acc = 0
-            qi = 1
-            for d in word:
+        def rational(acc: int, digits: Sequence[int], i: int) -> int:
+            qi = q ** (i - 1)
+            for d in digits:
                 qi *= q
-                acc = acc * p + d * qi
-            return Fraction(acc, p ** len(word))
+                acc *= p
+                if d:
+                    acc += d * qi
+            return acc
 
-        return rational
+        return 0, rational, lambda acc, n: Fraction(acc, p ** n)
     if b == GOLDEN:
-        def golden(word: Sequence[int]) -> Exact:
-            # integer Horner in Z[phi]: (a + b*phi + d) * phi^-1 with
-            # phi^-1 = phi - 1, so (a, b) -> (b - a, a) after adding the digit
-            a, bb = 0, 0
-            for d in reversed(word):
-                a += d
-                a, bb = bb - a, a
-            return QuadNum._in_field(2 * a + bb, bb, 2, 5)  # a + bb*(1 + sqrt(5))/2
+        cache = system._pow_cache
 
-        return golden
-    binv = b.inverse()
+        def golden_finish(acc: tuple[int, int], n: int) -> Exact:
+            a, bb = acc  # times phi**-n = (X + Y*sqrt(5))/D, read from the cache
+            v = cache.get(-n) or system.pow(-n)
+            X, Y = v.X, v.Y
+            u = 2 * a + bb
+            return _in_field(u * X + 5 * bb * Y, u * Y + bb * X, 2 * v.D, 5)
 
-    def quadratic(word: Sequence[int]) -> Exact:
-        acc: Exact = Fraction(0)
-        for d in reversed(word):
-            acc = (acc + d) * binv
+        return (0, 0), _golden_extend, golden_finish
+
+    def quadratic(acc: Exact, digits: Sequence[int], i: int) -> Exact:
+        for k, d in enumerate(digits, i):
+            if d:
+                acc = acc + d * system.pow(-k)
         return acc
 
-    return quadratic
+    return _in_field(0, 0, 1, 0), quadratic, lambda acc, n: acc
 
 
 def eval_word(word: Sequence[int], system: BetaSystem) -> Exact:
@@ -538,7 +544,8 @@ def eval_word(word: Sequence[int], system: BetaSystem) -> Exact:
     if not word:  # 0 for every exact beta, before any kernel is chosen
         system.require_exact("word evaluation")
         return Fraction(0)
-    return word_evaluator(system)(word)
+    start, extend, finish = word_evaluator(system)
+    return finish(extend(start, word, 1), len(word))
 
 
 def make_beta(spec: str) -> BetaSystem:

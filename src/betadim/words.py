@@ -35,6 +35,7 @@ the whole sum: O(n * #{i <= n : t_i > 0}) for order n.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded
@@ -110,27 +111,33 @@ def check_cap(system: BetaSystem, n: int, what: str) -> None:
             f"{what} at order {n} may exceed cap {ENUM_CAP} for beta {system.spec!r}")
 
 
-def words_with_states(system: BetaSystem, n: int) -> Iterator[tuple[Word, int]]:
-    """All admissible length-n words in lexicographic order with their
-    final automaton state."""
+def _dfs(system: BetaSystem, n: int) -> Iterator[tuple[Word, int, int]]:
+    """The one DFS over the admissible length-n words, in lexicographic order:
+    (word, final state, j), j the first position that changed, zeros after it."""
     if n < 1:
         raise ValueError("order must be >= 1")
     trans, maxd = ParryAutomaton(system).transition_table(n)
     digits = [-1] * (n + 1)
     states = [0] * (n + 1)
-    i = 1
+    i = j = 1
     while i >= 1:
         d = digits[i] + 1
         if d > maxd[states[i - 1]]:
             digits[i] = -1
-            i -= 1
+            i = j = i - 1  # the next digit to grow is at i or above
             continue
         digits[i] = d
         states[i] = trans[states[i - 1]][d]
         if i == n:
-            yield tuple(digits[1:]), states[n]
+            yield tuple(digits[1:]), states[n], j
+            j = n
         else:
             i += 1
+
+
+def words_with_states(system: BetaSystem, n: int) -> Iterator[tuple[Word, int]]:
+    """All admissible length-n words, in lexicographic order, and their final state."""
+    return map(itemgetter(0, 1), _dfs(system, n))
 
 
 def enumerate_admissible(n: int, system: BetaSystem) -> Iterator[Word]:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from betadim.errors import NotAdmissible, PrecisionExhausted, PreconditionViolated
+from betadim.errors import (InvariantFailure, NotAdmissible, PrecisionExhausted,
+                            PreconditionViolated)
 from betadim.exact import CertifiedReal, compare
-from betadim.numerics import GOLDEN, BetaSystem, eval_word, make_beta, word_evaluator
+from betadim.numerics import GOLDEN, BetaSystem, eval_word, expand, make_beta, word_evaluator
 from betadim.cylinders import (
     CensusRecord,
     cylinder,
@@ -135,6 +136,21 @@ def cylinder_table(n, system):
             for w, left, right in zip(words, lefts, rights)]
 
 
+def reference_find(lo, hi, n, system, strict):
+    """The leftmost full order-n cylinder inside (lo, hi), by stepping
+    ``successor`` from the expansion of lo and taking each cylinder whole."""
+    w = expand(lo, system, n)
+    while w is not None:
+        c = cylinder(w, system)
+        if c.left >= hi:
+            return None
+        if c.is_full and (c.left > lo and c.left + c.length < hi if strict
+                          else c.left >= lo and c.left + c.length <= hi):
+            return w
+        w = successor(w, system)
+    return None
+
+
 def seeded_interval(rng, need):
     """0 <= lo < hi <= 1 on the 2**-20 grid with hi - lo > need."""
     grid = 1 << 20
@@ -230,15 +246,38 @@ class TestSweep:
                 assert swept == count_admissible(n, b)
                 assert len(calls) <= n + 1 and len(set(calls)) == len(calls), (spec, n)
 
+    def test_sweep_checks_that_the_last_cylinder_ends_at_one(self, monkeypatch):
+        # the last word t1...tn ends in state n: a wrong tail_sup there moves
+        # the last right end off 1, which only the exhausted sweep can see
+        tail_sup = BetaSystem.tail_sup
+        n = 6
+
+        def corrupted(self, state):
+            value = tail_sup(self, state)
+            return value + self.pow(-2) if state == n else value
+
+        monkeypatch.setattr(BetaSystem, "tail_sup", corrupted)
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            sweep = iter_cylinders(n, b)
+            assert sum(1 for _ in itertools.islice(sweep, count_admissible(n, b))) \
+                == count_admissible(n, b)
+            with pytest.raises(InvariantFailure, match="not 1"):
+                next(sweep)
+
     def test_kernel_matches_the_sum_of_digit_powers(self):
         for spec in SWEEP_BETAS:
             b = make_beta(spec)
             powers = [b.beta_exact ** -i for i in range(1, 9)]
-            value = word_evaluator(b)
+            start, extend, finish = word_evaluator(b)
             for n in range(1, 9):
                 for w in enumerate_admissible(n, b):
                     want = sum(d * p for d, p in zip(w, powers))
-                    assert value(w) == want, (spec, w)
+                    assert finish(extend(start, w, 1), n) == want, (spec, w)
+                    # the prefix form: folding the word in two runs, split anywhere
+                    for k in range(1, n):
+                        acc = extend(extend(start, w[:k], 1), w[k:], k + 1)
+                        assert finish(acc, n) == want, (spec, w, k)
                 assert eval_word(w, b) == want, (spec, w)
 
 
@@ -440,6 +479,33 @@ class TestFindFull:
                             else left >= lo and left + length <= hi)]
                         got = find_full_in_interval(lo, hi, n, b, strict)
                         assert got == inside[0], (spec, n, lo, hi, strict)
+
+    def test_leftmost_full_cylinder_at_depth(self):
+        # orders where the search's prefix stack is deep: the first word is
+        # folded whole, and each step folds the digits from the nearest kept
+        # prefix to the digit it grows
+        rng = random.Random(5)
+        for spec in ("2", "9/5", "2.5", "golden", PHI2):
+            b = make_beta(spec)
+            for n in (60, 150):
+                cases = [seeded_interval(rng, (n + 1) * b.pow(-n)) for _ in range(6)]
+                for _ in range(4):
+                    # lo just below the right end of an order-m cylinder: the
+                    # first word fails and the next one grows digit m or above
+                    m = rng.randint(n // 4, 3 * n // 4)
+                    x, _ = seeded_interval(rng, 0)
+                    c = cylinder(expand(x, b, m), b)
+                    lo = c.left + c.length - b.pow(-n - 3)
+                    cases.append((lo, lo + Fraction(rng.randint(1, 1 << 10), 1 << 20)))
+                for lo, hi in cases:
+                    for strict in (False, True):
+                        want = reference_find(lo, hi, n, b, strict)
+                        if want is None:
+                            with pytest.raises(InvariantFailure):
+                                find_full_in_interval(lo, hi, n, b, strict)
+                        else:
+                            assert find_full_in_interval(lo, hi, n, b, strict) == want, \
+                                (spec, n, lo, hi, strict)
 
     def test_quadnum_endpoints(self):
         b = make_beta("golden")

@@ -154,6 +154,24 @@ class TestParseAndMake:
             make_beta("dec:2.0@16")  # alphabet undecidable at the boundary
 
 
+class TestPowers:
+    def test_powers_from_neighbours_equal_square_and_multiply(self):
+        # pow steps from a cached neighbour when it can; the values must be
+        # the exact powers, in the same reduced form, in any order of calls
+        rng = random.Random(3)
+        for spec in ("9/5", "golden", "quad:(3+1*sqrt(5))/2"):
+            b = make_beta(spec)
+            beta = b.beta_exact
+            ks = list(range(-60, 61))
+            rng.shuffle(ks)
+            for k in ks:
+                v, want = b.pow(k), beta ** k
+                assert v == want and type(v) is type(want), (spec, k)
+                if isinstance(v, QuadNum):
+                    assert (v.X, v.Y, v.D, v.d) == (want.X, want.Y, want.D, want.d), (spec, k)
+            assert all(b.pow(k) == beta ** k for k in ks), spec
+
+
 class TestStep:
     def test_dyadic(self):
         b = make_beta("2")
@@ -400,6 +418,24 @@ class TestExactOrbit:
         got = list(orbit(Fraction(1, 3), b, 300))
         assert got == reference_orbit(Fraction(1, 3), b.beta_exact, 300)
         assert all(type(t) is Fraction for _, t in got)
+
+    def test_rational_walk_at_depth(self):
+        # the integer pair (X, D) is never reduced: each yielded point must
+        # still be the reduced Fraction of the field loop, also past a point
+        # that reaches 0 (5/8 under 2, 2/21 under 21/2)
+        rng = random.Random(21)
+        for spec in ("2", "3", "9/5", "7/3", "10.5"):
+            b = make_beta(spec)
+            points = [Fraction(0), Fraction(5, 8), Fraction(2, 21)]
+            points += [Fraction(rng.randrange(q), q)
+                       for q in (rng.randint(2, 10 ** 6) for _ in range(3))]
+            for x in points:
+                want = reference_orbit(x, b.beta_exact, 1000)
+                got = list(orbit(x, b, 1000))
+                assert got == want, (spec, x)
+                assert all(type(t) is Fraction and math.gcd(t.numerator, t.denominator) == 1
+                           for _, t in got), (spec, x)
+                assert expand(x, b, 1000) == tuple(d for d, _ in want), (spec, x)
 
     def test_digits_match_mpmath(self):
         points = {"golden": QuadNum(Fraction(1, 3), Fraction(1, 7), 5),

@@ -14,6 +14,7 @@ from betadim.errors import CapExceeded, PrecisionExhausted
 from betadim.numerics import expand, make_beta
 from betadim.words import (
     ParryAutomaton,
+    _dfs,
     count_admissible,
     enumerate_admissible,
     format_word,
@@ -291,6 +292,21 @@ class TestWordsWithStates:
                     best = max(length for length in range(n + 1)
                                if w[n - length:] == b.star.prefix(length))
                     assert state == best, (spec, w)
+
+    def test_stream_names_the_first_changed_position(self):
+        # the sweep reads j as the first position that changed and relies on
+        # the digits after it being zero
+        for spec in BETAS + [S13, PHI2]:
+            b = make_beta(spec)
+            for n in range(1, 9):
+                before = None
+                for w, state, j in _dfs(b, n):
+                    first = 1 if before is None else next(
+                        i for i in range(1, n + 1) if w[i - 1] != before[i - 1])
+                    assert j == first, (spec, w)
+                    assert not any(w[j:]), (spec, w)
+                    before = w
+                assert [w for w, _, _ in _dfs(b, n)] == list(enumerate_admissible(n, b))
 
 
 class TestAutomatonPerSystem:
