@@ -6,6 +6,14 @@ psi are the n with T^n(x) < psi(n); a point approximable to order psi but
 to no better order c*psi (0 < c < 1) shows hits of psi and no hits of any
 c*psi.  Desk-scale runs can only certify finite-horizon evidence of that,
 and every report says so explicitly.
+
+Hits and evidence first clear n by magnitude, on integers only, before
+psi(n) is built: the orbit walk gives an integer k with T^n x >= 2**k
+(``numerics._orbit_walk``), and psi an integer m with psi(n) <= 2**m
+(``PsiFunction._log2_ceiling``).  If k >= m then T^n x >= 2**k >= 2**m >=
+psi(n) > c*psi(n) for every c in (0, 1), so n is neither a hit nor a
+violation, and only the n this test cannot clear reach a certified
+comparison (counted as ``compared`` in each report).
 """
 
 from __future__ import annotations
@@ -14,12 +22,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import PreconditionViolated
-from .exact import (PRECISION_START, CertifiedReal, Exact, LogValue, compare, exact_enclosure,
-                    inv_pow_fixed, iroot, pow_interval, root_interval)
-from .numerics import BetaSystem, Real, orbit
+from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue,
+                    _log2_floor_fraction, compare, decide, exact_enclosure, inv_pow_fixed,
+                    iroot, ln_interval, pow_interval, root_interval)
+from .numerics import BetaSystem, Real, _orbit_walk, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +156,27 @@ class PsiFunction:
             w, Fraction(inv_pow_fixed(bhi, k, P, up=False), 1 << P),
             Fraction(inv_pow_fixed(blo, k, P, up=True), 1 << P)))
 
+    def _log2_ceiling(self) -> Callable[[int], int]:
+        """n -> an integer m with psi(n) <= 2**m, on integers only.
+
+        A table entry N/M < 2**(bitlen(N) - bitlen(M) + 1).  An exponential
+        psi(n) <= c * beta**(-alpha*n), as n**-p <= 1, and with lam <= log2
+        beta that is <= 2**(ceil(log2 c) - floor(alpha*n*lam)).  lam is a
+        fixed-point lower bound, taken once here from the low end of beta's
+        enclosure (an interval beta's declared one) through ``ln_interval``,
+        so it holds for an interval beta too.
+        """
+        if self.family == "table":
+            table = self.table
+            return lambda n: (table[n - 1].numerator.bit_length()
+                              - table[n - 1].denominator.bit_length() + 1)
+        top = -_log2_floor_fraction(1 / self.c)  # ceil(log2 c)
+        F = 32  # lam to 2**-30 or so: alpha*n*lam loses under a bit below n = 2**29
+        (lnb, _), (_, ln2) = ln_interval(self.system.beta.enclosure(F)[0], F), ln_interval(2, F)
+        lam = max(0, (lnb.numerator * ln2.denominator << F) // (lnb.denominator * ln2.numerator))
+        a, den = self.alpha.numerator * lam, self.alpha.denominator << F
+        return lambda n: top - a * n // den
+
     def log_value(self, n: int) -> LogValue:
         """ln psi(n) as an exact log-linear combination (for huge n)."""
         self._check_index(n)
@@ -214,13 +244,15 @@ def scaled_errors(x: Real, system: BetaSystem, horizon: int) -> list[Real]:
 
 @dataclass
 class HitRecord:
-    """Indices n <= horizon where the truncation beats psi(n)/beta^n."""
+    """Indices n <= horizon where the truncation beats psi(n)/beta^n;
+    ``compared`` counts the n that reached a certified comparison."""
 
     x_text: str
     beta_spec: str
     psi_text: str
     horizon: int
     hits: list[dict] = field(default_factory=list)
+    compared: int = 0
 
     def hit_indices(self) -> list[int]:
         return [h["n"] for h in self.hits]
@@ -228,28 +260,68 @@ class HitRecord:
     def to_json(self) -> str:
         return json.dumps({
             "x": self.x_text, "beta": self.beta_spec, "psi": self.psi_text,
-            "horizon": self.horizon, "hits": self.hits,
+            "horizon": self.horizon, "hits": self.hits, "compared": self.compared,
         }, sort_keys=True)
+
+
+def _uncleared(x: Real, system: BetaSystem, psi: PsiFunction,
+               horizon: int) -> Iterator[tuple[int, Real, CertifiedReal]]:
+    """(n, T^n x, psi(n)) for each n <= horizon that the magnitude test of
+    the module docstring cannot clear, with T^n x and psi(n) built there
+    only; the shared loop of ``detect_hits`` and ``exactness_evidence``."""
+    steps, bound, point = _orbit_walk(x, system, horizon)
+    ceiling = psi._log2_ceiling()
+    for n, step in enumerate(steps, start=1):
+        k = bound(step)
+        if k is None or k < ceiling(n):
+            yield n, point(step), psi.value(n)
+
+
+def _ratio(a: Real, b: CertifiedReal) -> float:
+    """float(a / b) for a >= 0 and b > 0, from the certified quotient:
+    exact for two exact values, else the quotient of enclosures taken s
+    bits finer, s the first rung where b's lower end is positive.  It is
+    correctly rounded when both sides are exact or refinable, and the
+    midpoint of the quotient interval when either is a fixed interval."""
+    ea = a.exact if isinstance(a, CertifiedReal) else a
+    if ea is not None and b.exact is not None:
+        return float(ea / b.exact)
+    ca = CertifiedReal._wrap(a)
+    s = decide(lambda bits: (bits, b.enclosure(bits)[0]), lambda t: t[0] if t[1] > 0 else None,
+               b.refinable, "ratio")
+
+    def enclose(bits: int) -> tuple[Fraction, Fraction]:
+        (alo, ahi), (blo, bhi) = ca.enclosure(bits + s), b.enclosure(bits + s)
+        return alo / bhi, ahi / blo
+
+    if ca.refinable and b.refinable:
+        return float(CertifiedReal.from_refiner(enclose))
+    return float(CertifiedReal.from_interval(*enclose(PRECISION_CAP)))
 
 
 def detect_hits(x: Real, system: BetaSystem, psi: PsiFunction,
                 horizon: int) -> HitRecord:
     """The n <= horizon with T^n x < psi(n), each with T^n x, psi(n) and
     their ratio as floats: correctly rounded where the value is exact or
-    refinable, the midpoint of a fixed interval (an interval beta's)."""
+    refinable, the midpoint of a fixed interval (an interval beta's).  The
+    ratio is that of the certified quotient, never of the two floats, which
+    can both underflow to 0.
+
+    An n with T^n x >= 2**k >= 2**m >= psi(n), k and m the integer bounds of
+    the module docstring, is no hit, so neither T^n x nor psi(n) is built
+    there; ``compared`` counts the others."""
     cap = psi.max_index()
     if cap is not None:
         horizon = min(horizon, cap)
     rec = HitRecord(str(x), system.spec, psi.describe(), horizon)
-    for n, err in enumerate(scaled_errors(x, system, horizon), start=1):
-        pv = psi.value(n)
+    for n, err, pv in _uncleared(x, system, psi, horizon):
+        rec.compared += 1
         if compare(err, pv) < 0:
-            ferr, fpv = float(err), float(pv)
             rec.hits.append({
                 "n": n,
-                "scaled_error": ferr,
-                "psi": fpv,
-                "ratio": (ferr / fpv) if fpv else float("inf"),
+                "scaled_error": float(err),
+                "psi": float(pv),
+                "ratio": _ratio(err, pv),
             })
     return rec
 
@@ -260,7 +332,8 @@ class EvidenceReport:
 
     Consistency at a constant c means: at least one hit of psi and no hit
     of c*psi up to the horizon.  This is evidence only; membership is an
-    infinite condition that no finite run can certify.
+    infinite condition that no finite run can certify.  ``compared`` counts
+    the n that reached a certified comparison.
     """
 
     x_text: str
@@ -270,6 +343,7 @@ class EvidenceReport:
     c_values: list[float]
     hits: list[int]
     violations: dict[float, list[int]]
+    compared: int = 0
 
     def consistent(self, c: float) -> bool:
         return bool(self.hits) and not self.violations[c]
@@ -282,6 +356,7 @@ class EvidenceReport:
             "hits": self.hits,
             "violations": {str(c): v for c, v in self.violations.items()},
             "consistent": {str(c): self.consistent(c) for c in self.c_values},
+            "compared": self.compared,
         }, sort_keys=True)
 
 
@@ -293,9 +368,11 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
                        horizon: int = 64) -> EvidenceReport:
     """Partition n <= horizon into hits of psi and violations of c*psi.
 
-    c*psi(n) is compared only where psi(n) is hit: c lies in (0, 1) and
-    psi(n) > 0, so T^n x >= psi(n) implies T^n x > c*psi(n), and every
-    violation is a hit."""
+    An n with T^n x >= 2**k >= 2**m >= psi(n), k and m the integer bounds of
+    the module docstring, is no hit, so neither T^n x nor psi(n) is built
+    there.  c*psi(n) is compared only where psi(n) is hit: c lies in (0, 1)
+    and psi(n) > 0, so T^n x >= psi(n) implies T^n x > c*psi(n), and every
+    violation is a hit.  ``compared`` counts the n compared with psi(n)."""
     cs = [Fraction(c) for c in c_values]
     if any(not (0 < c < 1) for c in cs):
         raise PreconditionViolated("constants must lie in (0, 1)")
@@ -307,12 +384,13 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
         horizon = min(horizon, cap)
     hits: list[int] = []
     violations: dict[float, list[int]] = {float(c): [] for c in cs}
-    for n, err in enumerate(scaled_errors(x, system, horizon), start=1):
-        pv = psi.value(n)
+    compared = 0
+    for n, err, pv in _uncleared(x, system, psi, horizon):
+        compared += 1
         if compare(err, pv) < 0:
             hits.append(n)
             for c in cs:
                 if compare(err, pv.scaled(c)) < 0:
                     violations[float(c)].append(n)
     return EvidenceReport(str(x), system.spec, psi.describe(), horizon,
-                          [float(c) for c in cs], hits, violations)
+                          [float(c) for c in cs], hits, violations, compared)

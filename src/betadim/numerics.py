@@ -34,7 +34,11 @@ integer coordinates (X, Y, D) of ``exact`` (see its module docstring),
 one integer square root and one gcd a step (``_quad_steps``).  A rational
 point under a rational beta = P/C walks the pair (X, D) of T^i x = X/D
 with no gcd: u = P*X, d = u // (C*D), X = u - d*C*D, D = C*D
-(``_rational_steps``).  ``orbit`` builds a point only when it yields one.
+(``_rational_steps``).  ``_orbit_walk`` is the one walk of every point:
+it builds a point only when asked for one, and bounds each T^i x below by
+a power of two from the integers of its step (``orbit`` builds every
+point; ``expand`` none; ``approximation`` only those the bound cannot
+clear).
 
 Orbits of points known through enclosures (a lazy real, or any point
 under an interval beta) walk the two ends of one enclosure: T is
@@ -55,11 +59,11 @@ import re
 import threading
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
-from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, _sign, compare, coords,
-                    decide, exact_enclosure, radicand)
+from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, _floor_root, _sign, compare,
+                    coords, decide, exact_enclosure, radicand)
 
 Word = tuple[int, ...]
 Real = Union[int, Fraction, QuadNum, CertifiedReal]
@@ -390,15 +394,24 @@ def _rational_steps(x: Fraction, beta: Fraction) -> Iterator[tuple[int, int, int
         yield d, X, D
 
 
-def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable[[tuple], Exact]]:
-    """The exact walk of x under beta, each step led by its digit, and the
-    map from a step to its point T^i x: ``_quad_steps`` when either is
-    quadratic (a ``QuadNum``), else ``_rational_steps``.  The one place
-    where the two walks are chosen."""
+def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Callable]:
+    """The exact walk of x under beta, each step led by its digit, the map
+    from a step to its magnitude bound and the map from a step to its point
+    T^i x (``_orbit_walk``): ``_quad_steps`` when either is quadratic (a
+    ``QuadNum``), else ``_rational_steps``.  The one place where the two
+    walks are chosen."""
     if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
         r = radicand(beta, x)
-        return _quad_steps(x, beta), lambda step: _in_field(*step[1:], r)
-    return _rational_steps(x, beta), lambda step: Fraction(step[1], step[2])
+
+        def quad_bound(step: tuple) -> int | None:
+            # low/(D*2**32) <= T^i x, low = floor((X + Y*sqrt(r)) * 2**32)
+            low = (step[1] << 32) + _floor_root(step[2] << 32, r)
+            return low.bit_length() - step[3].bit_length() - 33 if low > 0 else None
+
+        return _quad_steps(x, beta), quad_bound, lambda step: _in_field(*step[1:], r)
+    return (_rational_steps(x, beta),
+            lambda step: step[1].bit_length() - step[2].bit_length() - 1 if step[1] else None,
+            lambda step: Fraction(step[1], step[2]))
 
 
 def _unit_point(x: Real) -> Real:
@@ -408,6 +421,28 @@ def _unit_point(x: Real) -> Real:
     if isinstance(x, CertifiedReal) and x.exact is not None:
         return x.exact
     return x
+
+
+def _orbit_walk(x: Real, system: BetaSystem,
+                n: int) -> tuple[Iterable[tuple], Callable[[tuple], int | None],
+                                 Callable[[tuple], Real]]:
+    """The walk of ``orbit`` with no point built: (steps, bound, point).
+
+    Each of the n steps is a tuple led by digit_i.  ``bound(step)`` is an
+    integer k with T^i x >= 2**k, or None when the step holds no such k (T^i
+    x may be 0), from integers the step already holds: for an unreduced
+    rational pair (X, D), X >= 2**(bitlen(X) - 1) and D < 2**bitlen(D) give
+    k = bitlen(X) - bitlen(D) - 1; a quadratic triple (X, Y, D) takes the same
+    bound from low = X*2**32 + floor(Y*sqrt(r)*2**32) over D*2**32; a
+    certified step, from the lower end of the enclosure it holds, never
+    refined for the bound.  ``point(step)`` builds T^i x as ``orbit`` yields
+    it.  The one place where the exact and the certified walks are chosen.
+    """
+    x = _unit_point(x)
+    if not system.is_exact or isinstance(x, CertifiedReal):
+        return _certified_walk(x, system, n)
+    steps, bound, point = _exact_steps(x, system.beta_exact)
+    return islice(steps, n), bound, point
 
 
 def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
@@ -430,17 +465,14 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     width reached, which it also carries as ``site``, ``bits`` and
     ``width_log2``.
     """
-    x = _unit_point(x)
-    if not system.is_exact or isinstance(x, CertifiedReal):
-        yield from _certified_orbit(x, system, n)
-        return
-    steps, point = _exact_steps(x, system.beta_exact)
-    for step in islice(steps, n):
+    steps, _, point = _orbit_walk(x, system, n)
+    for step in steps:
         yield step[0], point(step)
 
 
-def _certified_orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, CertifiedReal]]:
-    """``orbit`` of a point in [0, 1) that is not walked exactly."""
+def _certified_walk(x: Real, system: BetaSystem, n: int) -> tuple[list, Callable, Callable]:
+    """``_orbit_walk`` of a point in [0, 1) that is not walked exactly: each
+    step is (digit_i, lo, hi, i), T^i x in [lo, hi] / 2**B."""
     guard = system.alphabet_max.bit_length()
     refinable = system.is_exact and x.refinable
     extra = n * guard + system.declared_bits
@@ -461,31 +493,30 @@ def _certified_orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int,
             f"orbit digit {len(walk) + 1} undecided at {B} bits: T^{len(walk)} x "
             f"has enclosure width below 2^{width}",
             site="orbit digit", bits=B, width_log2=width) from None
-    for i, (d, lo, hi) in enumerate(walk, start=1):
 
-        def refiner(bits: int, i=i) -> tuple[Fraction, Fraction]:
+    def point(step: tuple) -> CertifiedReal:
+        _, lo, hi, i = step
+
+        def refiner(bits: int) -> tuple[Fraction, Fraction]:
             fine = max(bits + i * guard, B)  # nested in the first walk
             _, lo, hi = _walk(x, system, i, fine)[i - 1]
             return Fraction(lo, 1 << fine), Fraction(hi, 1 << fine)
 
-        yield d, CertifiedReal(None, refiner if refinable else None, Fraction(lo, 1 << B),
-                               Fraction(hi, 1 << B), B - (hi - lo).bit_length())
+        return CertifiedReal(None, refiner if refinable else None, Fraction(lo, 1 << B),
+                             Fraction(hi, 1 << B), B - (hi - lo).bit_length())
+
+    return ([(d, lo, hi, i) for i, (d, lo, hi) in enumerate(walk, start=1)],
+            lambda step: step[1].bit_length() - 1 - B if step[1] > 0 else None, point)
 
 
 def expand(x: Real, system: BetaSystem, n: int) -> Word:
     """First n digits of the greedy expansion of x in base beta.
 
-    An exact point under an exact beta reads the digits of its exact walk
-    on integer coordinates (see ``orbit``) and builds no point values, no
-    ``Fraction`` nor ``QuadNum``; any other is ``orbit``'s certified walk."""
+    The digits of ``orbit``'s walk, with no point value built: no
+    ``Fraction``, ``QuadNum`` nor ``CertifiedReal``."""
     if n < 1:
         raise ValueError("need at least one digit")
-    x = _unit_point(x)
-    if not system.is_exact or isinstance(x, CertifiedReal):
-        steps = _certified_orbit(x, system, n)
-    else:
-        steps = _exact_steps(x, system.beta_exact)[0]
-    return tuple(step[0] for step in islice(steps, n))
+    return tuple(step[0] for step in _orbit_walk(x, system, n)[0])
 
 
 def _golden_extend(acc: tuple[int, int], digits: Sequence[int], i: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from betadim.approximation import (
     scaled_errors,
 )
 from betadim.errors import PrecisionExhausted, PreconditionViolated
-from betadim.exact import QuadNum, compare, root_interval
-from betadim.numerics import GOLDEN, eval_word, make_beta, orbit
+from betadim.exact import CertifiedReal, QuadNum, compare, root_interval
+from betadim.numerics import GOLDEN, _orbit_walk, eval_word, make_beta, orbit
 from test_numerics import lazy_sqrt2_minus_1
 
 PHI = GOLDEN
@@ -269,7 +270,8 @@ class TestHits:
 
     def test_hit_floats_are_correctly_rounded(self):
         # T^n x = phi**(n - 200) here, far below the 2**-64 absolute width a
-        # fixed enclosure would give its float
+        # fixed enclosure would give its float; the ratio is the quotient's
+        # own float, not the quotient of two rounded floats
         b = make_beta("golden")
         rec = detect_hits(b.pow(-200), b, psi_exponential(b, Fraction(1, 2)), 12)
         assert rec.hit_indices() == list(range(1, 13))
@@ -278,7 +280,32 @@ class TestHits:
             for h in rec.hits:
                 err, psi = phi ** (h["n"] - 200), phi ** (-mpmath.mpf(h["n"]) / 2)
                 assert h["scaled_error"] == float(err) and h["psi"] == float(psi)
-                assert h["ratio"] == float(err) / float(psi)
+                assert h["ratio"] == float(err / psi)
+
+    def test_ratio_survives_float_underflow(self):
+        # T^620 x = 2**-1380 and psi(620) = 2**-1240 both round to 0.0, yet
+        # their ratio 2**-140 is a normal float, and the JSON stays standard
+        b = make_beta("2")
+        rec = detect_hits(Fraction(1, 2 ** 2000), b, psi_exponential(b, 2), 620)
+        hit = rec.hits[-1]
+        assert (hit["n"], hit["scaled_error"], hit["psi"]) == (620, 0.0, 0.0)
+        assert hit["ratio"] == 2.0 ** -140
+        json.loads(rec.to_json(), parse_constant=pytest.fail)
+
+    def test_ratio_of_certified_values_is_correctly_rounded(self):
+        # the lazy point's orbit and an irrational psi: both refine, so the
+        # ratio is the float nearest the true quotient
+        b = make_beta("golden")
+        rec = detect_hits(lazy_sqrt2_minus_1(), b, psi_exponential(b, Fraction(1, 2)), 30)
+        assert rec.hits
+        with mpmath.workdps(200):
+            phi, t, points = (1 + mpmath.sqrt(5)) / 2, mpmath.sqrt(2) - 1, [None]
+            for _ in range(30):
+                t = phi * t - mpmath.floor(phi * t)
+                points.append(t)
+            for h in rec.hits:
+                n = h["n"]
+                assert h["ratio"] == float(points[n] / phi ** (-mpmath.mpf(n) / 2)), n
 
     def test_monotone_in_psi(self):
         b = make_beta("1.8")
@@ -309,6 +336,22 @@ class TestEvidence:
         assert data["finite_horizon_only"] is True
         assert set(data) >= {"x", "beta", "psi", "hits", "violations", "consistent"}
 
+    def test_compared_counts_the_uncleared_n(self, monkeypatch):
+        # every n that reaches a certified comparison builds psi(n) once
+        built = []
+        value = PsiFunction.value
+        monkeypatch.setattr(PsiFunction, "value",
+                            lambda self, n: built.append(n) or value(self, n))
+        b = make_beta("9/5")
+        psi = psi_exponential(b, Fraction(3, 2))
+        rep = exactness_evidence(Fraction(1, 3), b, psi, horizon=1000)
+        assert rep.compared == len(built) and json.loads(rep.to_json())["compared"] == rep.compared
+        assert set(rep.hits) <= set(built)
+        built.clear()
+        rec = detect_hits(Fraction(1, 3), b, psi, 1000)
+        assert rec.compared == len(built) and json.loads(rec.to_json())["compared"] == rec.compared
+        assert rec.hit_indices() == rep.hits
+
     def test_bad_constant_rejected(self):
         b = make_beta("2")
         psi = psi_exponential(b, 1)
@@ -327,27 +370,33 @@ class TestEvidence:
     def test_psi_refined_once_per_value(self, monkeypatch):
         # c*psi(n) scales psi(n)'s own enclosure, so deciding it asks psi for
         # no more bits than deciding psi(n) did; each refinement of an
-        # exponential psi takes two roots
-        calls = []
+        # exponential psi takes two roots.  psi is built only at the n the
+        # magnitude bound cannot clear: a handful of 1000 here
+        calls, built = [], []
 
         def counted(x, k, bits):
             calls.append(bits)
             return root_interval(x, k, bits)
 
+        value = PsiFunction.value
         monkeypatch.setattr(approximation, "root_interval", counted)
-        b = make_beta("golden")
-        psi = psi_exponential(b, Fraction(1, 2))
-        rep = exactness_evidence(Fraction(1, 3), b, psi, horizon=100)
-        inexact = sum(psi.value_exact(n) is None for n in range(1, 101))
-        assert inexact == 50
+        monkeypatch.setattr(PsiFunction, "value",
+                            lambda self, n: built.append(n) or value(self, n))
+        b = make_beta("9/5")
+        psi = psi_exponential(b, Fraction(3, 2))
+        rep = exactness_evidence(Fraction(1, 3), b, psi, horizon=1000)
+        assert 0 < len(built) <= 10 and len(built) == len(set(built)) == rep.compared
+        inexact = sum(psi.value_exact(n) is None for n in built)
+        assert inexact
         assert len(calls) == 2 * inexact
         assert rep.hits and all(rep.violations[c] for c in rep.c_values)
 
 
 def evidence_at_every_n(x, system, psi, cs, horizon):
     """exactness_evidence's hits and violations, with psi(n) and every
-    c*psi(n) compared at every n."""
+    c*psi(n) compared at every n up to the horizon or the table's end."""
     hits, violations = [], {float(c): [] for c in cs}
+    horizon = min(horizon, psi.max_index() or horizon)
     for n, err in enumerate(scaled_errors(x, system, horizon), start=1):
         pv = psi.value(n)
         if compare(err, pv) < 0:
@@ -358,10 +407,24 @@ def evidence_at_every_n(x, system, psi, cs, horizon):
     return hits, violations
 
 
+def hits_at_every_n(x, system, psi, horizon):
+    """detect_hits's hits with their two floats, psi(n) compared at every n
+    up to the horizon or the table's end."""
+    horizon = min(horizon, psi.max_index() or horizon)
+    return [(n, float(err), float(pv))
+            for n, err in enumerate(scaled_errors(x, system, horizon), start=1)
+            if compare(err, (pv := psi.value(n))) < 0]
+
+
 S13_SPEC = "quad:(1+1*sqrt(13))/2"
 
 
-@pytest.mark.parametrize("spec, point, alpha, horizon", [
+# (spec, point, alpha, horizon): alpha is the exponent of psi_exponential,
+# or a maker of another psi.  The magnitude bound clears most n of the first
+# rows; it cannot clear GOLDEN**-200 nor 2**-2000 (T^n x below psi(n) up to
+# about n = 130 and 666), x = 0 (no k), a constant psi >= 1 nor a table entry
+# equal to T^n x (T^2 x = 1/3 = psi(2), compare = 0: no hit)
+SCREEN_CASES = [
     ("9/5", lambda: Fraction(1, 3), Fraction(3, 2), 120),
     ("golden", lambda: QuadNum(Fraction(1, 3), Fraction(1, 7), 5), Fraction(1, 2), 80),
     (S13_SPEC, lambda: QuadNum(Fraction(1, 5), Fraction(1, 9), 13), Fraction(1, 2), 80),
@@ -370,14 +433,73 @@ S13_SPEC = "quad:(1+1*sqrt(13))/2"
     # violations at every n: T^n x = phi**(n - 200) < c * phi**(-n/2)
     ("golden", lambda: GOLDEN ** -200, Fraction(1, 2), 60),
     ("2", lambda: Fraction(5, 8), Fraction(1), 20),
-])
+    ("2", lambda: Fraction(1, 2 ** 2000), Fraction(2), 700),
+    ("2", lambda: Fraction(0), Fraction(1), 20),
+    ("dec:1.8@200", lambda: Fraction(2, 7), Fraction(1, 2), 60),
+    ("2", lambda: Fraction(1, 3), lambda b: psi_table(
+        b, [1, Fraction(1, 3), Fraction(1, 3), Fraction(1, 4), Fraction(1, 8)]), 10),
+    ("9/5", lambda: Fraction(1, 3),
+     lambda b: psi_tempered(b, Fraction(3, 2), Fraction(1, 2), Fraction(7, 8)), 120),
+    ("golden", lambda: QuadNum(Fraction(1, 3), Fraction(1, 7), 5),
+     lambda b: psi_tempered(b, Fraction(1, 2), 2), 80),
+    ("2", lambda: Fraction(1, 3), lambda b: psi_exponential(b, 1, c=3), 40),
+    ("golden", lambda: QuadNum(Fraction(1, 3), Fraction(1, 7), 5),
+     lambda b: psi_exponential(b, 0, c=Fraction(3, 2)), 40),
+    ("golden", lazy_sqrt2_minus_1, lambda b: psi_exponential(b, 0, c=1), 20),
+]
+
+
+def case_psi(b, alpha):
+    return alpha(b) if callable(alpha) else psi_exponential(b, alpha)
+
+
+@pytest.mark.parametrize("spec, point, alpha, horizon", SCREEN_CASES)
 def test_c_psi_compared_only_at_hits_changes_nothing(spec, point, alpha, horizon):
     b = make_beta(spec)
-    psi = psi_exponential(b, alpha)
+    psi = case_psi(b, alpha)
     cs = [Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)]
     rep = exactness_evidence(point(), b, psi, cs, horizon=horizon)
     hits, violations = evidence_at_every_n(point(), b, psi, cs, horizon)
     assert (rep.hits, rep.violations) == (hits, violations)
-    assert hits
+    assert hits and rep.compared >= len(hits)
     for v in violations.values():
         assert set(v) <= set(hits)
+
+
+@pytest.mark.parametrize("spec, point, alpha, horizon", SCREEN_CASES)
+def test_screened_hits_change_nothing(spec, point, alpha, horizon):
+    b = make_beta(spec)
+    psi = case_psi(b, alpha)
+    rec = detect_hits(point(), b, psi, horizon)
+    want = hits_at_every_n(point(), b, psi, horizon)
+    assert [(h["n"], h["scaled_error"], h["psi"]) for h in rec.hits] == want
+    assert want and rec.compared >= len(want)
+
+
+def test_magnitude_bound_does_not_refine_the_lazy_point():
+    # the bound reads the lower end the walk already holds
+    calls = []
+    x = lazy_sqrt2_minus_1()
+    refine = x._refiner
+    x._refiner = lambda bits: calls.append(bits) or refine(bits)
+    steps, bound, _ = _orbit_walk(x, make_beta("golden"), 60)
+    walked = len(calls)
+    assert walked and all(bound(step) is not None for step in steps)
+    assert len(calls) == walked
+
+
+def test_magnitude_bounds_hold():
+    # k and m bracket T^n x and psi(n) as the module docstring says, on exact,
+    # quadratic, lazy and interval orbits and on every psi family
+    for spec, point, alpha, horizon in SCREEN_CASES:
+        b = make_beta(spec)
+        psi = case_psi(b, alpha)
+        horizon = min(horizon, psi.max_index() or horizon)
+        steps, bound, build = _orbit_walk(point(), b, horizon)
+        ceiling = psi._log2_ceiling()
+        for n, step in enumerate(steps, 1):
+            k, t, pv = bound(step), build(step), psi.value(n)
+            if k is not None:  # a lower end of T^n x is at least 2**k
+                lo = t.enclosure(64)[0] if isinstance(t, CertifiedReal) else t
+                assert lo >= Fraction(2) ** k, (spec, n)
+            assert compare(pv, Fraction(2) ** ceiling(n)) <= 0, (spec, n)
