@@ -28,7 +28,7 @@ from .errors import PreconditionViolated
 from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue,
                     _log2_floor_fraction, compare, decide, exact_enclosure, inv_pow_fixed,
                     iroot, ln_interval, pow_interval, root_interval)
-from .numerics import BetaSystem, Real, _orbit_walk, orbit
+from .numerics import BetaSystem, Real, _orbit_walk
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +235,6 @@ def alpha_of(psi: PsiFunction, horizon: int = 64) -> AlphaEstimate:
 # ---------------------------------------------------------------------------
 # Errors and hits
 # ---------------------------------------------------------------------------
-
-
-def scaled_errors(x: Real, system: BetaSystem, horizon: int) -> list[Real]:
-    """[T^1(x), ..., T^horizon(x)] = beta**n (x - truncation_n) for each n."""
-    return [t for _, t in orbit(x, system, horizon)]
 
 
 @dataclass

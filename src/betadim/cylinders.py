@@ -15,24 +15,26 @@ definitional one and is kept as a cross-check.  On the fast path a
 cylinder's length and fullness depend only on its final automaton
 state, so a sweep of order n computes them at most n+1 times.  Left
 endpoints are Horner values of the digits, never sums of lengths, so the
-two routes stay independent; a sweep or search carries its prefix values
-down the stream of words (``_carry``), about beta/(beta-1) digits a word.
+two routes stay independent.  The sweep, ``successor`` and the search for
+a full cylinder read one stream of words, ``words._dfs``, the last two
+resumed at a given word, and the sweep and search carry prefix values
+down it (``_carry``), about beta/(beta-1) digits a word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InvariantFailure, NotAdmissible, PreconditionViolated
+from .errors import InvariantFailure, PreconditionViolated
 from .exact import Exact, QuadNum, compare
 from .numerics import BetaSystem, Word, eval_word, expand, word_evaluator
-from .words import ParryAutomaton, _dfs, _renyi, check_cap
+from .words import _dfs, _renyi, _states, check_cap
 
 
-@dataclass(frozen=True)
-class CylinderInterval:
+class CylinderInterval(NamedTuple):
     """Half-open interval [left, left + length) of one admissible word."""
 
     word: Word
@@ -41,20 +43,10 @@ class CylinderInterval:
     is_full: bool
 
 
-def _states(word: Sequence[int], auto: ParryAutomaton) -> list[int]:
-    """states[i], the follower state after the first i digits of word;
-    NotAdmissible, naming the base, when the walk dies."""
-    states = auto.walk(word)
-    if states is None:
-        raise NotAdmissible(f"word {tuple(word)} is not admissible for beta "
-                            f"{auto.system.spec!r}")
-    return states
-
-
 def cylinder(word: Sequence[int], system: BetaSystem) -> CylinderInterval:
     """Exact cylinder of an admissible word (follower-route length); an
     interval beta raises PrecisionExhausted."""
-    state = _states(word, ParryAutomaton(system))[-1]
+    state = _states(word, system)[-1]
     n = len(word)
     length = system.pow(-n) * system.tail_sup(state)
     return CylinderInterval(tuple(word), eval_word(word, system), length,
@@ -64,25 +56,7 @@ def cylinder(word: Sequence[int], system: BetaSystem) -> CylinderInterval:
 def is_full(word: Sequence[int], system: BetaSystem) -> bool:
     """Maximal-length test via the follower state; equivalent to: every
     admissible continuation keeps the word admissible."""
-    return system.is_full_state(_states(word, ParryAutomaton(system))[-1])
-
-
-def _advance(digits: list[int], states: list[int], auto: ParryAutomaton) -> int:
-    """Step the admissible word ``digits`` and its ``_states`` in place to
-    the next admissible word of the same length: grow the last digit that
-    can grow, zero the digits after it and walk again only the states past
-    it.  Returns that digit's position (1-based), or 0 at the last word."""
-    n = len(digits)
-    i = n
-    while i and digits[i - 1] >= auto.max_digit(states[i - 1]):
-        i -= 1
-    if not i:
-        return 0
-    digits[i - 1] += 1
-    digits[i:] = [0] * (n - i)
-    for j in range(i - 1, n):
-        states[j + 1] = auto.step(states[j], digits[j])
-    return i
+    return system.is_full_state(_states(word, system)[-1])
 
 
 def _carry(stack: list, word: Sequence[int], j: int, extend) -> object:
@@ -98,10 +72,10 @@ def _carry(stack: list, word: Sequence[int], j: int, extend) -> object:
 
 
 def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
-    """Next admissible word of the same length, or None at the end."""
-    auto = ParryAutomaton(system)
-    digits = list(word)
-    return tuple(digits) if _advance(digits, _states(word, auto), auto) else None
+    """Next admissible word of the same length, or None at the end: the
+    second word of ``words._dfs`` resumed at ``word``."""
+    later = islice(_dfs(system, len(word), word), 1, None) if word else ()
+    return next((w for w, _, _ in later), None)
 
 
 def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
@@ -201,11 +175,10 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     (n+1) * beta**-n < hi - lo, which guarantees existence in the
     non-strict case.  An interval beta raises PrecisionExhausted.
 
-    The search starts at the expansion of lo and steps through successors
-    (``_advance``, the rule ``successor`` also uses) on one running state
-    stack, states[i] after the first i digits, and ``_carry``'s stack of
-    prefix values: a step that grows digit j zeroes the digits after it, so
-    the left end is the value of the first j digits.
+    The search resumes the sweep's DFS (``words._dfs``) at the expansion
+    of lo and folds left ends as ``iter_cylinders`` does (``_carry``): the
+    first word is folded whole, and a later word that grows digit j has
+    zeros after it, so its left end is the value of its first j digits.
     """
     if not all(isinstance(end, (int, Fraction, QuadNum)) for end in (lo, hi)):
         raise PreconditionViolated("interval ends must be exact")
@@ -218,22 +191,17 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     lo_clamped = lo if compare(lo, 0) > 0 else Fraction(0)
     if compare(lo_clamped, 1) >= 0:
         raise PreconditionViolated("interval lies outside [0, 1)")
-    digits = list(expand(lo_clamped, system, n))
 
     need = 1 if strict else 0
-    auto = ParryAutomaton(system)
     start, extend, finish = word_evaluator(system)
-    states = _states(digits, auto)
     stack = [(0, start)]
-    j = n  # the first word has no zero tail: it is folded whole
-    while j:  # j = 0: past the last word of order n
-        left = finish(_carry(stack, digits, j, extend), j)
+    for w, state, j in _dfs(system, n, expand(lo_clamped, system, n)):
+        left = finish(_carry(stack, w, j, extend), j)
         if compare(left, hi) >= 0:
             break
         if (compare(left, lo) >= need
                 and compare(left + pm, hi) <= -need
-                and system.is_full_state(states[n])):
-            return tuple(digits)
-        j = _advance(digits, states, auto)
+                and system.is_full_state(state)):
+            return w
     raise InvariantFailure(
         f"no full order-{n} cylinder found inside the interval")

@@ -11,7 +11,10 @@ t of the same length (Parry 1960).  Two views of that set are used.
   checking.  From state s a digit d dies above t_{s+1}, moves to s+1 on
   equality and resets to 0 below it: by domination every border k of
   t1...ts has t_{s+1} <= t_k, so a smaller digit extends none.  It tests
-  and streams single words (``is_admissible``, ``words_with_states``).
+  single words (``is_admissible``).  One DFS, ``_dfs``, steps by the same
+  rule through the words of one length in lexicographic order, from the
+  first word or resumed at any admissible word: ``words_with_states``, the
+  cylinder sweep, ``successor`` and the full-cylinder search all read it.
 * The Renyi-Parry recursion.  In lexicographic order the admissible words
   of length r are, for i = 1..r, t_i copies of the block of all admissible
   words of length r-i (each copy behind one prefix t1...t_{i-1}d, d < t_i),
@@ -38,7 +41,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, NotAdmissible
 from .numerics import BetaSystem, Word
 
 #: The one enumeration cap: the most admissible words a sweep may stream.
@@ -85,15 +88,23 @@ class ParryAutomaton:
         """Dense tables (trans[state][digit], max_digit[state]) for states
         0..n; trans rows only cover digits 0..max_digit[state]."""
         maxd = [self.max_digit(s) for s in range(n + 1)]
-        trans = [[self.step(s, d) for d in range(maxd[s] + 1)]
-                 for s in range(n + 1)]
-        return trans, maxd
+        return [[0] * t + [s + 1] for s, t in enumerate(maxd)], maxd
 
 
 def is_admissible(word: Sequence[int], system: BetaSystem) -> bool:
     """Parry criterion: every suffix stays lexicographically at or below
     the quasi-greedy prefix of its own length."""
     return ParryAutomaton(system).walk(word) is not None
+
+
+def _states(word: Sequence[int], system: BetaSystem) -> list[int]:
+    """states[i], the follower state after the first i digits of word;
+    NotAdmissible, naming the base, when the walk dies."""
+    states = ParryAutomaton(system).walk(word)
+    if states is None:
+        raise NotAdmissible(f"word {tuple(word)} is not admissible for beta "
+                            f"{system.spec!r}")
+    return states
 
 
 def check_cap(system: BetaSystem, n: int, what: str) -> None:
@@ -111,23 +122,49 @@ def check_cap(system: BetaSystem, n: int, what: str) -> None:
             f"{what} at order {n} may exceed cap {ENUM_CAP} for beta {system.spec!r}")
 
 
-def _dfs(system: BetaSystem, n: int) -> Iterator[tuple[Word, int, int]]:
+def _dfs(system: BetaSystem, n: int, start: Sequence[int] | None = None
+         ) -> Iterator[tuple[Word, int, int]]:
     """The one DFS over the admissible length-n words, in lexicographic order:
-    (word, final state, j), j the first position that changed, zeros after it."""
+    (word, final state, j), j the first position that changed, zeros after it.
+
+    Given ``start``, an admissible length-n word, the stream resumes there:
+    it yields ``start`` with j = n, then every later word.  A negative digit
+    raises ValueError and an inadmissible word NotAdmissible, naming the
+    base.  The steps follow the counter with reset of ``ParryAutomaton``,
+    with t_{s+1} read from ``system.star`` when a digit is first read from
+    state s, so a digit of 1 that no step needs is never decided."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    trans, maxd = ParryAutomaton(system).transition_table(n)
+    digit = system.star.digit
+    top: list[int] = []  # top[s] = t_{s+1}, the largest digit from state s
     digits = [-1] * (n + 1)
     states = [0] * (n + 1)
     i = j = 1
+    if start is not None:
+        for i, d in enumerate(start, 1):
+            s = states[i - 1]
+            if s == len(top):
+                top.append(digit(s + 1))
+            if not 0 <= d <= top[s]:
+                _states(start, system)  # raises the walk's ValueError or NotAdmissible
+            digits[i] = d
+            states[i] = s + 1 if d == top[s] else 0
+        yield tuple(start), states[n], n
+        j = n
     while i >= 1:
         d = digits[i] + 1
-        if d > maxd[states[i - 1]]:
+        s = states[i - 1]
+        try:
+            t = top[s]
+        except IndexError:  # the first digit read from state s
+            top.append(digit(s + 1))
+            t = top[s]
+        if d > t:
             digits[i] = -1
             i = j = i - 1  # the next digit to grow is at i or above
             continue
         digits[i] = d
-        states[i] = trans[states[i - 1]][d]
+        states[i] = s + 1 if d == t else 0
         if i == n:
             yield tuple(digits[1:]), states[n], j
             j = n
@@ -205,24 +242,3 @@ def _assert_renyi(count: int, n: int, system: BetaSystem) -> None:
 def renyi_bounds(n: int, system: BetaSystem):
     """The exact pair (beta**n, beta**(n+1)/(beta-1))."""
     return system.pow(n), system.pow(n + 1) / (system.beta_exact - 1)
-
-
-# ---------------------------------------------------------------------------
-# Text format: compact digit string for one-char alphabets, else CSV
-# ---------------------------------------------------------------------------
-
-
-def format_word(word: Sequence[int], system: BetaSystem | None = None) -> str:
-    wide = (system.alphabet_max > 9) if system is not None else any(d > 9 for d in word)
-    if wide:
-        return ",".join(str(d) for d in word)
-    return "".join(str(d) for d in word)
-
-
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if not text:
-        return ()
-    if "," in text:
-        return tuple(int(p) for p in text.split(","))
-    return tuple(int(c) for c in text)

@@ -14,7 +14,6 @@ from betadim.approximation import (
     psi_exponential,
     psi_table,
     psi_tempered,
-    scaled_errors,
 )
 from betadim.errors import PrecisionExhausted, PreconditionViolated
 from betadim.exact import CertifiedReal, QuadNum, compare, root_interval
@@ -214,7 +213,7 @@ class TestApproxError:
             b = make_beta(spec)
             for _ in range(20):
                 x = Fraction(rng.randint(0, 88), 89)
-                for err in scaled_errors(x, b, 30):
+                for _, err in orbit(x, b, 30):
                     assert err >= 0
                     assert err < 1
 
@@ -397,7 +396,7 @@ def evidence_at_every_n(x, system, psi, cs, horizon):
     c*psi(n) compared at every n up to the horizon or the table's end."""
     hits, violations = [], {float(c): [] for c in cs}
     horizon = min(horizon, psi.max_index() or horizon)
-    for n, err in enumerate(scaled_errors(x, system, horizon), start=1):
+    for n, (_, err) in enumerate(orbit(x, system, horizon), start=1):
         pv = psi.value(n)
         if compare(err, pv) < 0:
             hits.append(n)
@@ -412,7 +411,7 @@ def hits_at_every_n(x, system, psi, horizon):
     up to the horizon or the table's end."""
     horizon = min(horizon, psi.max_index() or horizon)
     return [(n, float(err), float(pv))
-            for n, err in enumerate(scaled_errors(x, system, horizon), start=1)
+            for n, (_, err) in enumerate(orbit(x, system, horizon), start=1)
             if compare(err, (pv := psi.value(n))) < 0]
 
 

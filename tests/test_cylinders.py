@@ -188,6 +188,13 @@ class TestCylinderBasics:
             with pytest.raises(NotAdmissible, match="for beta 'golden'"):
                 call((1, 1), b)
 
+    def test_negative_digit_raises_value_error(self):
+        b = make_beta("golden")
+        for call in (cylinder, is_full, successor):
+            with pytest.raises(ValueError, match="non-negative") as err:
+                call((0, -1, 0), b)
+            assert type(err.value) is ValueError, call
+
 
 class TestSuccessorAndPartition:
     def test_successor_golden(self):
@@ -195,6 +202,21 @@ class TestSuccessorAndPartition:
         assert successor((0, 0), b) == (0, 1)
         assert successor((0, 1), b) == (1, 0)
         assert successor((1, 0), b) is None
+
+    def test_empty_word(self):
+        b = make_beta("golden")
+        assert successor((), b) is None
+        assert length_by_partition((), b) == 1
+
+    def test_successor_reads_digits_of_1_lazily(self):
+        # dec:1.8@200 decides only the first 232 digits of 1; the follower
+        # states of these words stay far below that, so no step reads past it
+        b = make_beta(DEC)
+        assert successor((0,) * 300, b) == (0,) * 299 + (1,)
+        for w in ((1, 0) * 150, (1, 0, 0) * 100):
+            nxt = successor(w, b)
+            j = next(i for i in range(300) if nxt[i] != w[i])
+            assert nxt[j] > w[j] and not any(nxt[j + 1:]) and is_admissible(nxt, b), w
 
     def test_partition_sums_to_one_exactly(self):
         for spec in BETAS:
@@ -226,7 +248,7 @@ class TestSweep:
             b = make_beta(spec)
             for n in range(1, 9):
                 for c in iter_cylinders(n, b):
-                    # dataclass equality: word, left, length and is_full
+                    # tuple equality: word, left, length and is_full
                     assert c == cylinder(c.word, b), (spec, c.word)
 
     def test_tail_sup_runs_at_most_once_per_state(self, monkeypatch):

@@ -17,9 +17,7 @@ from betadim.words import (
     _dfs,
     count_admissible,
     enumerate_admissible,
-    format_word,
     is_admissible,
-    parse_word,
     renyi_bounds,
     words_with_states,
 )
@@ -251,19 +249,6 @@ class TestCount:
         assert 11 < float(upper) < 11.2
 
 
-class TestTextFormat:
-    def test_roundtrip_compact(self):
-        b = make_beta("2.5")
-        w = (1, 0, 2, 2)
-        assert parse_word(format_word(w, b)) == w
-
-    def test_roundtrip_wide(self):
-        w = (10, 0, 11)
-        text = format_word(w)
-        assert "," in text
-        assert parse_word(text) == w
-
-
 class TestAutomaton:
     def test_reset_rule_matches_fail_chain(self):
         cases = [(spec, 400) for spec in
@@ -281,6 +266,15 @@ class TestAutomaton:
                     assert auto.step(s, d) == kmp_step(t, fail, s, d), (spec, s, d)
                 assert trans[s] == [kmp_step(t, fail, s, d)
                                     for d in range(t[s + 1] + 1)], (spec, s)
+
+    def test_transition_table_is_the_step_table(self):
+        # the reference: the table as it was built from step, one call a cell
+        cases = [(spec, 60) for spec in BETAS + ["9/5", S13, PHI2]] + [(DEC, 200)]
+        for spec, n in cases:
+            auto = ParryAutomaton(make_beta(spec))
+            maxd = [auto.max_digit(s) for s in range(n + 1)]
+            trans = [[auto.step(s, d) for d in range(maxd[s] + 1)] for s in range(n + 1)]
+            assert auto.transition_table(n) == (trans, maxd), spec
 
 
 class TestWordsWithStates:
@@ -307,6 +301,19 @@ class TestWordsWithStates:
                     assert not any(w[j:]), (spec, w)
                     before = w
                 assert [w for w, _, _ in _dfs(b, n)] == list(enumerate_admissible(n, b))
+
+
+    def test_stream_resumes_at_any_word(self):
+        # resumed at w, the stream yields w with j = n, then the tail of the
+        # stream from the first word
+        for spec in ("2", "golden", "9/5", "5/2", S13, DEC):
+            b = make_beta(spec)
+            for n in range(1, 9):
+                stream = list(_dfs(b, n))
+                for k, (w, state, _) in enumerate(stream):
+                    resumed = list(_dfs(b, n, w))
+                    assert resumed[0] == (w, state, n), (spec, w)
+                    assert resumed[1:] == stream[k + 1:], (spec, w)
 
 
 class TestAutomatonPerSystem:
