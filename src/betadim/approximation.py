@@ -14,18 +14,19 @@ psi(n) is built: the orbit walk gives an integer k with T^n x >= 2**k
 psi(n) > c*psi(n) for every c in (0, 1), so n is neither a hit nor a
 violation, and only the n this test cannot clear reach a certified
 comparison (counted as ``compared`` in each report).
+
+Speeds and reports are immutable ``NamedTuple``s; ``to_json`` loads json
+on first use, so importing this module loads neither it nor dataclasses.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionViolated
-from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue,
+from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue, _ln2_fixed,
                     _log2_floor_fraction, compare, decide, exact_enclosure, inv_pow_fixed,
                     iroot, ln_interval, pow_interval, root_interval)
 from .numerics import BetaSystem, Real, _orbit_walk
@@ -36,16 +37,7 @@ from .numerics import BetaSystem, Real, _orbit_walk
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PsiFunction:
-    """A non-increasing approximation speed tied to one base.
-
-    Families:
-      exponential  psi(n) = c * n**(-p) * beta**(-alpha*n); p = 0 is the
-                   plain exponential speed, p > 0 a tempered one
-      table        explicit positive values psi(1), psi(2), ...
-    """
-
+class _PsiFields(NamedTuple):
     system: BetaSystem
     family: str
     alpha: Fraction = Fraction(0)
@@ -53,7 +45,20 @@ class PsiFunction:
     p: Fraction = Fraction(0)
     table: tuple[Fraction, ...] = ()
 
-    def __post_init__(self):
+
+class PsiFunction(_PsiFields):
+    """An immutable, non-increasing approximation speed tied to one base.
+
+    Families:
+      exponential  psi(n) = c * n**(-p) * beta**(-alpha*n); p = 0 is the
+                   plain exponential speed, p > 0 a tempered one
+      table        explicit positive values psi(1), psi(2), ...
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in ("exponential", "table"):
             raise ValueError(f"unknown psi family {self.family!r}")
         if self.family == "table":
@@ -70,6 +75,9 @@ class PsiFunction:
                 raise ValueError("psi must be non-increasing")
             if self.table:
                 raise ValueError("an exponential psi takes no table")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def describe(self) -> str:
         if self.family == "table":
@@ -162,9 +170,10 @@ class PsiFunction:
         A table entry N/M < 2**(bitlen(N) - bitlen(M) + 1).  An exponential
         psi(n) <= c * beta**(-alpha*n), as n**-p <= 1, and with lam <= log2
         beta that is <= 2**(ceil(log2 c) - floor(alpha*n*lam)).  lam is a
-        fixed-point lower bound, taken once here from the low end of beta's
-        enclosure (an interval beta's declared one) through ``ln_interval``,
-        so it holds for an interval beta too.
+        fixed-point lower bound, taken once here: ln of the low end of
+        beta's enclosure (an interval beta's declared one) from below by
+        ``ln_interval``, so it holds for an interval beta too, over ln 2
+        from above, read from the cached fixed-point bounds ``_ln2_fixed``.
         """
         if self.family == "table":
             table = self.table
@@ -172,8 +181,8 @@ class PsiFunction:
                               - table[n - 1].denominator.bit_length() + 1)
         top = -_log2_floor_fraction(1 / self.c)  # ceil(log2 c)
         F = 32  # lam to 2**-30 or so: alpha*n*lam loses under a bit below n = 2**29
-        (lnb, _), (_, ln2) = ln_interval(self.system.beta.enclosure(F)[0], F), ln_interval(2, F)
-        lam = max(0, (lnb.numerator * ln2.denominator << F) // (lnb.denominator * ln2.numerator))
+        lnb, ln2 = ln_interval(self.system.beta.enclosure(F)[0], F)[0], _ln2_fixed(F + 8)[1]
+        lam = max(0, (lnb.numerator << 2 * F + 8) // (lnb.denominator * ln2))
         a, den = self.alpha.numerator * lam, self.alpha.denominator << F
         return lambda n: top - a * n // den
 
@@ -196,16 +205,14 @@ def psi_exponential(system: BetaSystem, alpha, c=1) -> PsiFunction:
 
 
 def psi_tempered(system: BetaSystem, alpha, p, c=1) -> PsiFunction:
-    return PsiFunction(system, "exponential", alpha=Fraction(alpha),
-                       p=Fraction(p), c=Fraction(c))
+    return PsiFunction(system, "exponential", alpha=Fraction(alpha), p=Fraction(p), c=Fraction(c))
 
 
 def psi_table(system: BetaSystem, values: Sequence) -> PsiFunction:
     return PsiFunction(system, "table", table=tuple(Fraction(v) for v in values))
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
+class AlphaEstimate(NamedTuple):
     value: Fraction | float
     exact: bool
     horizon: int
@@ -237,22 +244,23 @@ def alpha_of(psi: PsiFunction, horizon: int = 64) -> AlphaEstimate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HitRecord:
+class HitRecord(NamedTuple):
     """Indices n <= horizon where the truncation beats psi(n)/beta^n;
-    ``compared`` counts the n that reached a certified comparison."""
+    ``compared`` counts the n that reached a certified comparison.  An
+    immutable record, built once; ``to_json`` loads json on first use."""
 
     x_text: str
     beta_spec: str
     psi_text: str
     horizon: int
-    hits: list[dict] = field(default_factory=list)
+    hits: list[dict]
     compared: int = 0
 
     def hit_indices(self) -> list[int]:
         return [h["n"] for h in self.hits]
 
     def to_json(self) -> str:
+        import json
         return json.dumps({
             "x": self.x_text, "beta": self.beta_spec, "psi": self.psi_text,
             "horizon": self.horizon, "hits": self.hits, "compared": self.compared,
@@ -305,30 +313,29 @@ def detect_hits(x: Real, system: BetaSystem, psi: PsiFunction,
     An n with T^n x >= 2**k >= 2**m >= psi(n), k and m the integer bounds of
     the module docstring, is no hit, so neither T^n x nor psi(n) is built
     there; ``compared`` counts the others."""
-    cap = psi.max_index()
-    if cap is not None:
-        horizon = min(horizon, cap)
-    rec = HitRecord(str(x), system.spec, psi.describe(), horizon)
+    horizon = min(horizon, psi.max_index() or horizon)  # a table ends at its length
+    hits, compared = [], 0
     for n, err, pv in _uncleared(x, system, psi, horizon):
-        rec.compared += 1
+        compared += 1
         if compare(err, pv) < 0:
-            rec.hits.append({
+            hits.append({
                 "n": n,
                 "scaled_error": float(err),
                 "psi": float(pv),
                 "ratio": _ratio(err, pv),
             })
-    return rec
+    return HitRecord(str(x), system.spec, psi.describe(), horizon, hits, compared)
 
 
-@dataclass
-class EvidenceReport:
+class EvidenceReport(NamedTuple):
     """Finite-horizon evidence for exact-order approximation.
 
     Consistency at a constant c means: at least one hit of psi and no hit
     of c*psi up to the horizon.  This is evidence only; membership is an
     infinite condition that no finite run can certify.  ``compared`` counts
-    the n that reached a certified comparison.
+    the n that reached a certified comparison.  ``violations`` is keyed by
+    float(c), and ``consistent`` takes c as a Fraction or a float.  An
+    immutable record, built once; ``to_json`` loads json on first use.
     """
 
     x_text: str
@@ -340,10 +347,11 @@ class EvidenceReport:
     violations: dict[float, list[int]]
     compared: int = 0
 
-    def consistent(self, c: float) -> bool:
-        return bool(self.hits) and not self.violations[c]
+    def consistent(self, c: Fraction | float) -> bool:
+        return bool(self.hits) and not self.violations[float(c)]
 
     def to_json(self) -> str:
+        import json
         return json.dumps({
             "x": self.x_text, "beta": self.beta_spec, "psi": self.psi_text,
             "horizon": self.horizon,
@@ -374,12 +382,9 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
     if len({float(c) for c in cs}) < len(cs):
         # the report is keyed by float(c): equal keys would merge violations
         raise PreconditionViolated("constants must differ as floats")
-    cap = psi.max_index()
-    if cap is not None:
-        horizon = min(horizon, cap)
-    hits: list[int] = []
+    horizon = min(horizon, psi.max_index() or horizon)  # a table ends at its length
+    hits, compared = [], 0
     violations: dict[float, list[int]] = {float(c): [] for c in cs}
-    compared = 0
     for n, err, pv in _uncleared(x, system, psi, horizon):
         compared += 1
         if compare(err, pv) < 0:

@@ -23,7 +23,6 @@ down it (``_carry``), about beta/(beta-1) digits a word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
@@ -87,8 +86,7 @@ def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
     return eval_word(nxt, system) - eval_word(word, system)
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     beta_spec: str
     order: int
     count_admissible: int

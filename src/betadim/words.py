@@ -48,15 +48,10 @@ from .numerics import BetaSystem, Word
 ENUM_CAP = 10 ** 8
 
 class ParryAutomaton:
-    """Follower automaton of the admissible words of one base.
-
-    State s is the length of the longest suffix of the word read so far
-    that equals t1...ts.  Reading digit d from state s, with t = t_{s+1},
-    dies if d > t, moves to s+1 if d == t and resets to 0 if d < t.  The
-    reset is exact: if t1...t_{k-1} is also a suffix (a border), domination
-    (the shift of t by s-k+1 is at most t) gives t_{s+1} <= t_k, so
-    d < t_{s+1} extends no border.  The automaton holds no state of its
-    own; it reads the digits from the system's store ``system.star``.
+    """Follower automaton of the admissible words of one base: the counter
+    with reset of the module docstring, state s the length of the longest
+    suffix of the word read so far that equals t1...ts.  It holds no state
+    of its own; it reads the digits from the system's store ``system.star``.
     """
 
     def __init__(self, system: BetaSystem):
@@ -73,17 +68,6 @@ class ParryAutomaton:
         t = self.system.star.digit(state + 1)
         return None if digit > t else (state + 1 if digit == t else 0)
 
-    def walk(self, word: Sequence[int]) -> list[int] | None:
-        """[s_0, ..., s_n], s_i the state after the first i digits of the
-        word, or None when the word is not admissible."""
-        states = [0]
-        for d in word:
-            s = self.step(states[-1], d)
-            if s is None:
-                return None
-            states.append(s)
-        return states
-
     def transition_table(self, n: int) -> tuple[list[list[int]], list[int]]:
         """Dense tables (trans[state][digit], max_digit[state]) for states
         0..n; trans rows only cover digits 0..max_digit[state]."""
@@ -94,13 +78,32 @@ class ParryAutomaton:
 def is_admissible(word: Sequence[int], system: BetaSystem) -> bool:
     """Parry criterion: every suffix stays lexicographically at or below
     the quasi-greedy prefix of its own length."""
-    return ParryAutomaton(system).walk(word) is not None
+    return _walk(word, system, []) is not None
+
+
+def _walk(word: Sequence[int], system: BetaSystem, top: list[int]) -> list[int] | None:
+    """[s_0, ..., s_n], s_i the follower state after the first i digits of
+    word, or None when it is not admissible; a negative digit raises
+    ValueError.  top[s] = t_{s+1} is read from ``system.star`` when a digit
+    is first read from state s and appended to ``top``, which ``_dfs`` keeps."""
+    digit, states, s = system.star.digit, [0], 0
+    for d in word:
+        if s == len(top):
+            top.append(digit(s + 1))
+        t = top[s]
+        if not 0 <= d <= t:
+            if d < 0:
+                raise ValueError("digits are non-negative")
+            return None
+        s = s + 1 if d == t else 0
+        states.append(s)
+    return states
 
 
 def _states(word: Sequence[int], system: BetaSystem) -> list[int]:
     """states[i], the follower state after the first i digits of word;
     NotAdmissible, naming the base, when the walk dies."""
-    states = ParryAutomaton(system).walk(word)
+    states = _walk(word, system, [])
     if states is None:
         raise NotAdmissible(f"word {tuple(word)} is not admissible for beta "
                             f"{system.spec!r}")
@@ -141,14 +144,8 @@ def _dfs(system: BetaSystem, n: int, start: Sequence[int] | None = None
     states = [0] * (n + 1)
     i = j = 1
     if start is not None:
-        for i, d in enumerate(start, 1):
-            s = states[i - 1]
-            if s == len(top):
-                top.append(digit(s + 1))
-            if not 0 <= d <= top[s]:
-                _states(start, system)  # raises the walk's ValueError or NotAdmissible
-            digits[i] = d
-            states[i] = s + 1 if d == top[s] else 0
+        states = _walk(start, system, top) or _states(start, system)  # NotAdmissible
+        digits[1:], i = start, n
         yield tuple(start), states[n], n
         j = n
     while i >= 1:

@@ -7,6 +7,7 @@ import pytest
 
 from betadim import approximation
 from betadim.approximation import (
+    DEFAULT_C_GRID,
     PsiFunction,
     alpha_of,
     detect_hits,
@@ -96,6 +97,23 @@ class TestPsiFamilies:
             PsiFunction(b, "tempered", alpha=Fraction(1), p=Fraction(1))
         with pytest.raises(ValueError):
             PsiFunction(b, "exponential", alpha=Fraction(1), table=(Fraction(1, 2),))
+
+    def test_psi_is_an_immutable_value(self):
+        b = make_beta("2")
+        psi = psi_tempered(b, Fraction(3, 2), Fraction(1, 2), Fraction(7, 8))
+        same = PsiFunction(b, "exponential", Fraction(3, 2), Fraction(7, 8), Fraction(1, 2))
+        assert psi == same and hash(psi) == hash(same)
+        assert psi != psi_tempered(b, Fraction(3, 2), Fraction(1, 2))
+        assert psi != psi_tempered(make_beta("2"), Fraction(3, 2), Fraction(1, 2), Fraction(7, 8))
+        assert len({psi, same, psi_table(b, [1, Fraction(1, 2)]),
+                    psi_table(b, [1, Fraction(1, 2)])}) == 2
+        for name in ("alpha", "table", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(psi, name, Fraction(1))
+        assert psi._replace(c=Fraction(1, 2)) == psi_tempered(
+            b, Fraction(3, 2), Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(ValueError, match="non-increasing"):
+            psi._replace(alpha=Fraction(-1))
 
 
 class TestPsiValues:
@@ -335,6 +353,15 @@ class TestEvidence:
         assert data["finite_horizon_only"] is True
         assert set(data) >= {"x", "beta", "psi", "hits", "violations", "consistent"}
 
+    def test_consistent_takes_a_constant_as_fraction_or_float(self):
+        b = make_beta("2")
+        x = Fraction(1, 2 ** 5) + Fraction(1, 2 ** 40)
+        rep = exactness_evidence(x, b, psi_exponential(b, Fraction(1, 2)), horizon=60)
+        assert rep.hits
+        for c in DEFAULT_C_GRID:
+            assert rep.consistent(c) == rep.consistent(float(c)) == (not rep.violations[float(c)])
+        assert rep.consistent(Fraction(9, 10)) == rep.consistent(0.9)
+
     def test_compared_counts_the_uncleared_n(self, monkeypatch):
         # every n that reaches a certified comparison builds psi(n) once
         built = []
@@ -502,3 +529,37 @@ def test_magnitude_bounds_hold():
                 lo = t.enclosure(64)[0] if isinstance(t, CertifiedReal) else t
                 assert lo >= Fraction(2) ** k, (spec, n)
             assert compare(pv, Fraction(2) ** ceiling(n)) <= 0, (spec, n)
+
+
+# to_json of the first and third rows of SCREEN_CASES, byte for byte: a stored
+# report must stay comparable with a new one
+JSON_ROWS = {
+    0: ('{"beta": "9/5", "compared": 2, "hits": [{"n": 2, "psi": 0.17146776406035666, '
+        '"ratio": 0.46656, "scaled_error": 0.08}], "horizon": 120, "psi": "beta^-3/2n", '
+        '"x": "1/3"}',
+        '{"beta": "9/5", "compared": 2, "consistent": {"0.9": false, "0.99": false}, '
+        '"finite_horizon_only": true, "hits": [2], "horizon": 120, "psi": "beta^-3/2n", '
+        '"violations": {"0.9": [2], "0.99": [2]}, "x": "1/3"}'),
+    2: ('{"beta": "quad:(1+1*sqrt(13))/2", "compared": 5, "hits": [{"n": 1, '
+        '"psi": 0.6589829632931833, "ratio": 0.5813287676613714, '
+        '"scaled_error": 0.383085753961065}, {"n": 3, "psi": 0.2861689834195988, '
+        '"ratio": 0.10978759085453267, "scaled_error": 0.03141780326692845}, {"n": 4, '
+        '"psi": 0.18858048469644503, "ratio": 0.38364601761734346, '
+        '"scaled_error": 0.07234815195413952}, {"n": 8, "psi": 0.03556259920834614, '
+        '"ratio": 0.9669921912253756, "scaled_error": 0.03438875573414844}], '
+        '"horizon": 80, "psi": "beta^-1/2n", "x": "QuadNum(1/5 + 1/9*sqrt(13))"}',
+        '{"beta": "quad:(1+1*sqrt(13))/2", "compared": 5, "consistent": {"0.9": false, '
+        '"0.99": false}, "finite_horizon_only": true, "hits": [1, 3, 4, 8], "horizon": 80, '
+        '"psi": "beta^-1/2n", "violations": {"0.9": [1, 3, 4], "0.99": [1, 3, 4, 8]}, '
+        '"x": "QuadNum(1/5 + 1/9*sqrt(13))"}'),
+}
+
+
+@pytest.mark.parametrize("row", sorted(JSON_ROWS))
+def test_report_json_is_unchanged(row):
+    spec, point, alpha, horizon = SCREEN_CASES[row]
+    b = make_beta(spec)
+    psi = case_psi(b, alpha)
+    hits_json, evidence_json = JSON_ROWS[row]
+    assert detect_hits(point(), b, psi, horizon).to_json() == hits_json
+    assert exactness_evidence(point(), b, psi, horizon=horizon).to_json() == evidence_json

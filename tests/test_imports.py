@@ -1,0 +1,31 @@
+"""Importing the package stays cheap: every module of it, imported in a
+fresh isolated interpreter, loads none of the heavy standard-library modules
+that records built on dataclasses or an eager json import would pull in."""
+
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+HEAVY = ("dataclasses", "inspect", "ast", "json")
+
+# the modules are listed here, since pkgutil itself loads inspect and ast;
+# the child imports each of them and prints the heavy modules that appeared
+CODE = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+for name in sys.argv[2].split(","):
+    importlib.import_module("betadim." + name)
+print(*sorted((set(sys.modules) - before) & set(sys.argv[3:])))
+"""
+
+
+def test_import_loads_no_heavy_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    names = [m.name for m in pkgutil.iter_modules([str(src / "betadim")])]
+    assert len(names) >= 6, names
+    done = subprocess.run([sys.executable, "-I", "-c", CODE, str(src), ",".join(names), *HEAVY],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -15,6 +15,7 @@ from betadim.numerics import expand, make_beta
 from betadim.words import (
     ParryAutomaton,
     _dfs,
+    _walk,
     count_admissible,
     enumerate_admissible,
     is_admissible,
@@ -275,6 +276,28 @@ class TestAutomaton:
             maxd = [auto.max_digit(s) for s in range(n + 1)]
             trans = [[auto.step(s, d) for d in range(maxd[s] + 1)] for s in range(n + 1)]
             assert auto.transition_table(n) == (trans, maxd), spec
+
+    def test_walk_is_the_step_walk(self):
+        # the one walk on a local list against ParryAutomaton.step, one call
+        # a digit, on every word over the alphabet, admissible or not
+        for spec in BETAS + ["9/5", S13, PHI2]:
+            b = make_beta(spec)
+            auto = ParryAutomaton(b)
+            for n in range(1, 7):
+                for w in itertools.product(range(b.alphabet_max + 2), repeat=n):
+                    states = [0]
+                    for d in w:
+                        states.append(auto.step(states[-1], d))
+                        if states[-1] is None:
+                            states = None
+                            break
+                    assert _walk(w, b, []) == states, (spec, w)
+
+    def test_walk_rejects_a_negative_digit(self):
+        b = make_beta("golden")
+        for w in ((-1,), (0, -1, 0), (1, 0, -1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                is_admissible(w, b)
 
 
 class TestWordsWithStates:
