@@ -27,8 +27,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionViolated
 from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue, _ln2_fixed,
-                    _log2_floor_fraction, compare, decide, exact_enclosure, inv_pow_fixed,
-                    iroot, ln_interval, pow_interval, root_interval)
+                    compare, decide, exact_enclosure, inv_pow_fixed, iroot, ln_interval,
+                    pow_interval, root_interval)
 from .numerics import BetaSystem, Real, _orbit_walk
 
 
@@ -179,7 +179,9 @@ class PsiFunction(_PsiFields):
             table = self.table
             return lambda n: (table[n - 1].numerator.bit_length()
                               - table[n - 1].denominator.bit_length() + 1)
-        top = -_log2_floor_fraction(1 / self.c)  # ceil(log2 c)
+        N, M = self.c.numerator, self.c.denominator  # ceil(log2 c): c <= 2**e iff N <= M*2**e
+        e = N.bit_length() - M.bit_length()
+        top = e + (N > M << e if e >= 0 else N << -e > M)
         F = 32  # lam to 2**-30 or so: alpha*n*lam loses under a bit below n = 2**29
         lnb, ln2 = ln_interval(self.system.beta.enclosure(F)[0], F)[0], _ln2_fixed(F + 8)[1]
         lam = max(0, (lnb.numerator << 2 * F + 8) // (lnb.denominator * ln2))

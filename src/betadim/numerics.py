@@ -26,8 +26,8 @@ fact is decided exactly when the system is built, never by probing digits:
   beta the orbit of 1 is eventually periodic (Schmidt, Bull. LMS 1980), so
   its exact orbit is walked, with the points seen so far, until it reaches
   0 (giving m) or repeats a point (an infinite expansion);
-* an interval beta is never walked: no finite expansion can be certified
-  for it, and its digits are decided one by one as they are read.
+* an interval beta has no finite expansion that can be certified: its
+  digits are decided as they are read, on the interval walk below.
 
 Exact orbits of a quadratic beta, or of a quadratic point, walk the
 integer coordinates (X, Y, D) of ``exact`` (see its module docstring),
@@ -41,11 +41,12 @@ point; ``expand`` none; ``approximation`` only those the bound cannot
 clear).
 
 Orbits of points known through enclosures (a lazy real, or any point
-under an interval beta) walk the two ends of one enclosure: T is
-increasing on each cylinder (Parry 1960) and beta*x increasing in beta
-for x >= 0, so ends that share a digit enclose every point between them
-and the images of the ends enclose its image.  ``orbit`` states the
-precision rule; no ``CertifiedReal`` arithmetic is built.
+under an interval beta), and 1 under an interval beta, walk the two ends
+of one enclosure (``_interval_steps``): T is increasing on each cylinder
+(Parry 1960) and beta*x increasing in beta for x >= 0, so ends that share
+a digit enclose every point between them and the images of the ends
+enclose its image.  ``orbit`` states the precision rule; no
+``CertifiedReal`` arithmetic is built.
 
 All operations are pure.  The digit store and the power cache grow
 under locks, and the automaton of the ``words`` module holds no state, so
@@ -132,7 +133,9 @@ class StarExpansion:
     and otherwise the walk stops at T^L(1) = T^(L-p)(1), so the digits
     after t_L repeat those after t_(L-p) (L > p: the expansion of 1 is
     never purely periodic).  It is None for every other beta, whose digits
-    are read one by one as they are asked for.  Past t_L a digit is read
+    are read one by one as they are asked for, from one walk of 1: the
+    exact walk, or the interval walk of orbits, which ends at the first
+    digit that an interval beta cannot decide.  Past t_L a digit is read
     from t_1..t_L by that rule and never stored, so a Pisot beta's store
     keeps L digits however deep it is read.  The Renyi-Parry counts of
     ``words`` read t_1..t_L only and cost O(L) a step through it.
@@ -147,7 +150,7 @@ class StarExpansion:
     (``count_admissible(1000)``) would store O(n**2) bits.  Both lists only
     grow, under one lock, so a stored value is read without locking; a
     failed extension (an interval beta out of precision) keeps every digit
-    stored before it.
+    stored before it, and every later read past them fails the same way.
     """
 
     def __init__(self, system: "BetaSystem"):
@@ -158,9 +161,8 @@ class StarExpansion:
         self.period: int | None = None
         beta = self._beta = system.beta_exact
         if beta is None:  # 1 is exact, so beta's width outgrows rounding: no guard bits
-            self._bits = bits = PRECISION_START + system.declared_bits
-            self._x = (1 << bits, 1 << bits)
-            self._ends = _dyadic(*system.beta.enclosure(bits), bits)
+            self._bits = PRECISION_START + system.declared_bits
+            self._steps = _interval_steps(Fraction(1), system, self._bits)
             return
         if not _is_pisot(beta):
             self._steps = _exact_steps(Fraction(1), beta)[0]  # t_k, T^k(1) from k = 1
@@ -199,16 +201,12 @@ class StarExpansion:
             raise ValueError("digit index starts at 1")
         with self._lock:
             while len(digits) <= i:
-                if self._beta is None:
-                    step = _step(self._x, self._ends, self._bits)
-                    if step is None:
-                        raise PrecisionExhausted(
-                            f"digit {len(digits)} of 1 undecided at {self._bits} bits",
-                            site="digit of 1", bits=self._bits)
-                    d, self._x = step
-                else:
-                    d = next(self._steps)[0]
-                digits.append(d)
+                step = next(self._steps, None)
+                if step is None:  # only an interval walk ends, and stays ended
+                    raise PrecisionExhausted(
+                        f"digit {len(digits)} of 1 undecided at {self._bits} bits",
+                        site="digit of 1", bits=self._bits)
+                digits.append(step[0])
         return digits[i]
 
     def prefix(self, n: int) -> Word:
@@ -333,35 +331,29 @@ def _dyadic(lo: Fraction, hi: Fraction, bits: int) -> tuple[int, int]:
             -((-hi.numerator << bits) // hi.denominator))
 
 
-def _step(x: tuple[int, int], beta: tuple[int, int],
-          bits: int) -> tuple[int, tuple[int, int]] | None:
-    """T on the ends of x = [lo, hi] under beta in [blo, bhi], numerators
-    over 2**bits, lo >= 0.  While floor(blo*lo) = floor(bhi*hi) = d, every
-    point of the box has digit d and T x lies in [blo*lo - d, bhi*hi - d]
-    (T is increasing on a cylinder, beta*x increasing in beta), rounded
-    outward here to multiples of 2**-bits; None when the floors differ."""
-    ylo, yhi = beta[0] * x[0], beta[1] * x[1]
-    d = ylo >> 2 * bits
-    if d != yhi >> 2 * bits:
-        return None
-    return d, ((ylo - (d << 2 * bits)) >> bits, -((-yhi + (d << 2 * bits)) >> bits))
-
-
 def _ends(x: Real, bits: int) -> tuple[int, int]:
     """An enclosure of x as numerators over 2**bits."""
     return _dyadic(*(x.enclosure(bits) if isinstance(x, CertifiedReal)
                      else exact_enclosure(x, bits)), bits)
 
 
-def _walk(x: Real, system: BetaSystem, n: int, bits: int) -> list[tuple[int, int, int]]:
-    """(digit, lo, hi) of T^i x, i = 1..n, up to the first undecided digit."""
-    ends = _ends(x, bits)
-    beta = _dyadic(*system.beta.enclosure(bits), bits)
-    out = []
-    while len(out) < n and (step := _step(ends, beta, bits)) is not None:
-        d, ends = step
-        out.append((d, *ends))
-    return out
+def _interval_steps(x: Real, system: BetaSystem, bits: int) -> Iterator[tuple[int, int, int]]:
+    """(digit, lo, hi) of T^i x, i = 1, 2, ..., T^i x in [lo, hi] / 2**bits,
+    ending at the first undecided digit.  With x in [lo, hi], lo >= 0, and
+    beta in [blo, bhi], all over 2**bits: while floor(blo*lo) = floor(bhi*hi)
+    = d, every point of the box has digit d and T x lies in [blo*lo - d,
+    bhi*hi - d] (T is increasing on a cylinder, beta*x increasing in beta),
+    rounded outward to multiples of 2**-bits."""
+    lo, hi = _ends(x, bits)
+    blo, bhi = _dyadic(*system.beta.enclosure(bits), bits)
+    two = 2 * bits
+    while True:
+        ylo, yhi = blo * lo, bhi * hi
+        d = ylo >> two
+        if d != yhi >> two:
+            return
+        lo, hi = (ylo - (d << two)) >> bits, -((-yhi + (d << two)) >> bits)
+        yield d, lo, hi
 
 
 def _quad_steps(x: Exact, beta: Exact) -> Iterator[tuple[int, int, int, int]]:
@@ -454,16 +446,16 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     of another quadratic field than beta raises ``ValueError("mixed
     radicands")``), and else the reduced ``Fraction`` of its pair (X, D).
 
-    Any other point walks the ends of one enclosure of x (``_step``) at
-    2**-B, B from the ladder ``decide``: the rung, plus n * bitlen(ceil(beta)
-    - 1) guard bits (a step widens by beta < 2**bitlen), plus an interval
-    beta's declared bits.  T^i x comes as a ``CertifiedReal`` with rational
-    ends; when x and beta can refine, it refines by walking i digits again
-    from a finer enclosure of x, nested in the first, never through
-    T^(i-1) x.  An undecided walk raises ``PrecisionExhausted`` naming the
-    first undecided digit, the bits B of the last walk and the enclosure
-    width reached, which it also carries as ``site``, ``bits`` and
-    ``width_log2``.
+    Any other point walks the ends of one enclosure of x (``_interval_steps``)
+    at 2**-B, B from the ladder ``decide``: the rung, plus n *
+    bitlen(ceil(beta) - 1) guard bits (a step widens by beta < 2**bitlen),
+    plus an interval beta's declared bits.  T^i x comes as a
+    ``CertifiedReal`` with rational ends; when x and beta can refine, it
+    refines by walking i digits again from a finer enclosure of x, nested in
+    the first, never through T^(i-1) x.  An undecided walk raises
+    ``PrecisionExhausted`` naming the first undecided digit, the bits B of
+    the last walk and the enclosure width reached, which it also carries as
+    ``site``, ``bits`` and ``width_log2``.
     """
     steps, _, point = _orbit_walk(x, system, n)
     for step in steps:
@@ -479,7 +471,7 @@ def _certified_walk(x: Real, system: BetaSystem, n: int) -> tuple[list, Callable
     last: list[tuple[int, list]] = []  # the latest walk, for the error below
 
     def walk_at(rung: int) -> tuple[int, list]:
-        last[:] = [(rung + extra, _walk(x, system, n, rung + extra))]
+        last[:] = [(rung + extra, list(islice(_interval_steps(x, system, rung + extra), n)))]
         return last[0]
 
     try:
@@ -499,7 +491,7 @@ def _certified_walk(x: Real, system: BetaSystem, n: int) -> tuple[list, Callable
 
         def refiner(bits: int) -> tuple[Fraction, Fraction]:
             fine = max(bits + i * guard, B)  # nested in the first walk
-            _, lo, hi = _walk(x, system, i, fine)[i - 1]
+            *_, (_, lo, hi) = islice(_interval_steps(x, system, fine), i)
             return Fraction(lo, 1 << fine), Fraction(hi, 1 << fine)
 
         return CertifiedReal(None, refiner if refinable else None, Fraction(lo, 1 << B),

@@ -10,11 +10,13 @@ t of the same length (Parry 1960).  Two views of that set are used.
   never exceed it) makes the longest match the only constraint that needs
   checking.  From state s a digit d dies above t_{s+1}, moves to s+1 on
   equality and resets to 0 below it: by domination every border k of
-  t1...ts has t_{s+1} <= t_k, so a smaller digit extends none.  It tests
-  single words (``is_admissible``).  One DFS, ``_dfs``, steps by the same
-  rule through the words of one length in lexicographic order, from the
-  first word or resumed at any admissible word: ``words_with_states``, the
-  cylinder sweep, ``successor`` and the full-cylinder search all read it.
+  t1...ts has t_{s+1} <= t_k, so a smaller digit extends none.  One walk,
+  ``_walk``, steps by this rule through single words (``is_admissible``,
+  ``_states``).  One DFS, ``_dfs``, steps by the same rule through the
+  words of one length in lexicographic order, from the first word or
+  resumed at any admissible word: ``words_with_states``, the cylinder
+  sweep, ``successor`` and the full-cylinder search all read it.
+  ``ParryAutomaton`` only lays the rule out as dense tables.
 * The Renyi-Parry recursion.  In lexicographic order the admissible words
   of length r are, for i = 1..r, t_i copies of the block of all admissible
   words of length r-i (each copy behind one prefix t1...t_{i-1}d, d < t_i),
@@ -48,30 +50,20 @@ from .numerics import BetaSystem, Word
 ENUM_CAP = 10 ** 8
 
 class ParryAutomaton:
-    """Follower automaton of the admissible words of one base: the counter
-    with reset of the module docstring, state s the length of the longest
-    suffix of the word read so far that equals t1...ts.  It holds no state
-    of its own; it reads the digits from the system's store ``system.star``.
+    """Follower automaton of the admissible words of one base, as dense
+    tables.  The rule itself, the counter with reset of the module
+    docstring, is stepped by ``_walk`` and ``_dfs``; this class only lays
+    it out, reading the digits from the system's store ``system.star``.
     """
 
     def __init__(self, system: BetaSystem):
         self.system = system
 
-    def max_digit(self, state: int) -> int:
-        """Largest digit readable from this state without dying."""
-        return self.system.star.digit(state + 1)
-
-    def step(self, state: int, digit: int) -> int | None:
-        """Next state, or None when the word becomes inadmissible."""
-        if digit < 0:
-            raise ValueError("digits are non-negative")
-        t = self.system.star.digit(state + 1)
-        return None if digit > t else (state + 1 if digit == t else 0)
-
     def transition_table(self, n: int) -> tuple[list[list[int]], list[int]]:
         """Dense tables (trans[state][digit], max_digit[state]) for states
-        0..n; trans rows only cover digits 0..max_digit[state]."""
-        maxd = [self.max_digit(s) for s in range(n + 1)]
+        0..n, max_digit[s] = t_{s+1}, the largest digit readable from s;
+        trans rows only cover digits 0..max_digit[state]."""
+        maxd = [self.system.star.digit(s + 1) for s in range(n + 1)]
         return [[0] * t + [s + 1] for s, t in enumerate(maxd)], maxd
 
 
@@ -111,16 +103,13 @@ def _states(word: Sequence[int], system: BetaSystem) -> list[int]:
 
 
 def check_cap(system: BetaSystem, n: int, what: str) -> None:
-    """The one cap policy: raise CapExceeded unless the upper bound
-    beta**(n+1)/(beta-1) on the number of admissible order-n words is
-    within the fixed ``ENUM_CAP``.  An interval beta takes the bound at its
-    worst endpoints, so the bound stays an upper bound."""
-    if system.is_exact:
-        upper = renyi_bounds(n, system)[1]
-    else:
-        lo, hi = system.beta.enclosure(64)
-        upper = hi ** (n + 1) / (lo - 1)
-    if upper > ENUM_CAP:
+    """The one cap policy: raise CapExceeded unless beta**(n+1)/(beta-1), an
+    upper bound on the number of admissible order-n words, is within the
+    fixed ``ENUM_CAP``.  Every beta, exact or interval, takes it at the worst
+    ends [lo, hi] of its enclosure to 2**-64, as hi**(n+1) > cap * (lo - 1):
+    no gcd, and lo <= 1 puts beta - 1 below 2**-64, past any cap anyway."""
+    lo, hi = system.beta.enclosure(64)
+    if hi ** (n + 1) > ENUM_CAP * (lo - 1):
         raise CapExceeded(
             f"{what} at order {n} may exceed cap {ENUM_CAP} for beta {system.spec!r}")
 
@@ -133,9 +122,9 @@ def _dfs(system: BetaSystem, n: int, start: Sequence[int] | None = None
     Given ``start``, an admissible length-n word, the stream resumes there:
     it yields ``start`` with j = n, then every later word.  A negative digit
     raises ValueError and an inadmissible word NotAdmissible, naming the
-    base.  The steps follow the counter with reset of ``ParryAutomaton``,
-    with t_{s+1} read from ``system.star`` when a digit is first read from
-    state s, so a digit of 1 that no step needs is never decided."""
+    base.  The steps follow the counter with reset of the module docstring,
+    as ``_walk``'s do, with t_{s+1} read from ``system.star`` when a digit
+    is first read from state s, so a digit of 1 that no step needs is never decided."""
     if n < 1:
         raise ValueError("order must be >= 1")
     digit = system.star.digit

@@ -17,7 +17,7 @@ from betadim.approximation import (
     psi_tempered,
 )
 from betadim.errors import PrecisionExhausted, PreconditionViolated
-from betadim.exact import CertifiedReal, QuadNum, compare, root_interval
+from betadim.exact import CertifiedReal, QuadNum, _log2_floor_fraction, compare, root_interval
 from betadim.numerics import GOLDEN, _orbit_walk, eval_word, make_beta, orbit
 from test_numerics import lazy_sqrt2_minus_1
 
@@ -529,6 +529,17 @@ def test_magnitude_bounds_hold():
                 lo = t.enclosure(64)[0] if isinstance(t, CertifiedReal) else t
                 assert lo >= Fraction(2) ** k, (spec, n)
             assert compare(pv, Fraction(2) ** ceiling(n)) <= 0, (spec, n)
+
+
+def test_log2_ceiling_of_c_from_bit_lengths(monkeypatch):
+    # ceil(log2 c) from bit lengths against -floor(log2(1/c)) by Fraction
+    # powers, on every c = N/M with N, M <= 299.  alpha = 0 leaves m = ceil(log2 c),
+    # whatever lam is, so the bound on ln beta is stubbed to keep the grid fast
+    monkeypatch.setattr(approximation, "ln_interval", lambda x, bits: (Fraction(1),) * 2)
+    b = make_beta("9/5")
+    for c in {Fraction(N, M) for N in range(1, 300) for M in range(1, 300)}:
+        psi = PsiFunction(b, "exponential", c=c)
+        assert psi._log2_ceiling()(1) == -_log2_floor_fraction(1 / c), c
 
 
 # to_json of the first and third rows of SCREEN_CASES, byte for byte: a stored

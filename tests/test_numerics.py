@@ -372,6 +372,18 @@ class TestCertifiedOrbit:
         assert (err.site, err.bits) == ("orbit digit", 564)
         assert str(err).endswith(f"width below 2^{err.width_log2}")
 
+    def test_ended_interval_walk_stays_ended(self):
+        # the digits of 1 come from a generator, which a raise would finish:
+        # every read past the last decided digit fails alike, and none of the
+        # digits before it is lost
+        b = make_beta("dec:1.8@200")
+        for i in (233, 233, 300):
+            with pytest.raises(PrecisionExhausted,
+                               match=r"^digit 233 of 1 undecided at 328 bits$") as info:
+                b.star.digit(i)
+            assert (info.value.site, info.value.bits) == ("digit of 1", 328)
+        assert b.star.prefix(232) == make_beta("1.8").star.prefix(232)
+
 
 def reference_orbit(x, beta, n):
     """The QuadNum/Fraction loop the integer coordinates replace."""

@@ -250,6 +250,13 @@ class TestCount:
         assert 11 < float(upper) < 11.2
 
 
+def walk_step(system, t, state, digit):
+    """The follower step of ``_walk``: walk t1...ts to reach state s, then
+    read the digit; None when the word dies."""
+    states = _walk(t[1:state + 1] + (digit,), system, [])
+    return None if states is None else states[-1]
+
+
 class TestAutomaton:
     def test_reset_rule_matches_fail_chain(self):
         cases = [(spec, 400) for spec in
@@ -259,35 +266,36 @@ class TestAutomaton:
         for spec, n in cases:
             b = make_beta(spec)
             t, fail = kmp_tables(b, n)
-            auto = ParryAutomaton(b)
-            trans, maxd = auto.transition_table(n)
+            trans, maxd = ParryAutomaton(b).transition_table(n)
             for s in range(n + 1):
                 assert maxd[s] == t[s + 1]
+                # every digit up to t_{s+1} + 1, the smallest one that dies
                 for d in range(t[s + 1] + 2):
-                    assert auto.step(s, d) == kmp_step(t, fail, s, d), (spec, s, d)
+                    assert walk_step(b, t, s, d) == kmp_step(t, fail, s, d), (spec, s, d)
                 assert trans[s] == [kmp_step(t, fail, s, d)
                                     for d in range(t[s + 1] + 1)], (spec, s)
 
     def test_transition_table_is_the_step_table(self):
-        # the reference: the table as it was built from step, one call a cell
+        # the reference: the table built cell by cell from the step of _walk
         cases = [(spec, 60) for spec in BETAS + ["9/5", S13, PHI2]] + [(DEC, 200)]
         for spec, n in cases:
-            auto = ParryAutomaton(make_beta(spec))
-            maxd = [auto.max_digit(s) for s in range(n + 1)]
-            trans = [[auto.step(s, d) for d in range(maxd[s] + 1)] for s in range(n + 1)]
-            assert auto.transition_table(n) == (trans, maxd), spec
+            b = make_beta(spec)
+            t, _ = kmp_tables(b, n)
+            maxd = [t[s + 1] for s in range(n + 1)]
+            trans = [[walk_step(b, t, s, d) for d in range(maxd[s] + 1)] for s in range(n + 1)]
+            assert ParryAutomaton(b).transition_table(n) == (trans, maxd), spec
 
     def test_walk_is_the_step_walk(self):
-        # the one walk on a local list against ParryAutomaton.step, one call
-        # a digit, on every word over the alphabet, admissible or not
+        # the one walk on a local list against the fail-chain step, one call
+        # a digit, on every word over the alphabet plus one, admissible or not
         for spec in BETAS + ["9/5", S13, PHI2]:
             b = make_beta(spec)
-            auto = ParryAutomaton(b)
+            t, fail = kmp_tables(b, 6)
             for n in range(1, 7):
                 for w in itertools.product(range(b.alphabet_max + 2), repeat=n):
                     states = [0]
                     for d in w:
-                        states.append(auto.step(states[-1], d))
+                        states.append(kmp_step(t, fail, states[-1], d))
                         if states[-1] is None:
                             states = None
                             break
