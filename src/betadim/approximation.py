@@ -170,11 +170,10 @@ class PsiFunction(_PsiFields):
         A table entry N/M < 2**(bitlen(N) - bitlen(M) + 1).  An exponential
         psi(n) <= c * beta**(-alpha*n), as n**-p <= 1, and with lam <= log2
         beta that is <= 2**(ceil(log2 c) - floor(alpha*n*lam)).  lam is a
-        fixed-point lower bound, taken once here: ln of the low end of
-        beta's enclosure (an interval beta's declared one) from below by
-        ``ln_interval``, so it holds for an interval beta too, over ln 2
-        from above, read from the cached fixed-point bounds ``_ln2_fixed``.
-        """
+        fixed-point lower bound, kept on the system on first use as no psi
+        changes it: ln of the low end of beta's enclosure (an interval
+        beta's declared one) from below by ``ln_interval``, so it holds for
+        an interval beta too, over ln 2 from above (``_ln2_fixed``)."""
         if self.family == "table":
             table = self.table
             return lambda n: (table[n - 1].numerator.bit_length()
@@ -183,8 +182,10 @@ class PsiFunction(_PsiFields):
         e = N.bit_length() - M.bit_length()
         top = e + (N > M << e if e >= 0 else N << -e > M)
         F = 32  # lam to 2**-30 or so: alpha*n*lam loses under a bit below n = 2**29
-        lnb, ln2 = ln_interval(self.system.beta.enclosure(F)[0], F)[0], _ln2_fixed(F + 8)[1]
-        lam = max(0, (lnb.numerator << 2 * F + 8) // (lnb.denominator * ln2))
+        system, lam = self.system, self.system._lam
+        if lam is None:  # an int: threads that race here store the same value
+            lnb, ln2 = ln_interval(system.beta.enclosure(F)[0], F)[0], _ln2_fixed(F + 8)[1]
+            lam = system._lam = max(0, (lnb.numerator << 2 * F + 8) // (lnb.denominator * ln2))
         a, den = self.alpha.numerator * lam, self.alpha.denominator << F
         return lambda n: top - a * n // den
 

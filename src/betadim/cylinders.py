@@ -18,13 +18,16 @@ endpoints are Horner values of the digits, never sums of lengths, so the
 two routes stay independent.  The sweep, ``successor`` and the search for
 a full cylinder read one stream of words, ``words._dfs``, the last two
 resumed at a given word, and the sweep and search carry prefix values
-down it (``_carry``), about beta/(beta-1) digits a word.
+down it (``_carry``), about beta/(beta-1) digits a word.  A swept record
+keeps the value carried and builds its left end only when ``left`` is
+read, as ``numerics._orbit_walk`` builds points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvariantFailure, PreconditionViolated
@@ -33,23 +36,42 @@ from .numerics import BetaSystem, Word, eval_word, expand, word_evaluator
 from .words import _dfs, _renyi, _states, check_cap
 
 
-class CylinderInterval(NamedTuple):
-    """Half-open interval [left, left + length) of one admissible word."""
+class CylinderInterval(tuple):
+    """Half-open interval [left, left + length) of one admissible word,
+    immutable, equal and hashed by (word, left, length, is_full).  It stores
+    (word, acc, j, length, is_full, finish).  In a sweep acc is the Horner
+    value carried for the word's first j digits, and ``left`` = finish(acc, j)
+    is built when read, as ``_orbit_walk`` builds points; else acc is ``left``."""
 
-    word: Word
-    left: Exact
-    length: Exact
-    is_full: bool
+    __slots__ = ()
+    word, length, is_full = (property(itemgetter(i)) for i in (0, 3, 4))
+    left = property(lambda self: self[1] if self[5] is None else self[5](self[1], self[2]))
+
+    def __new__(cls, word: Sequence[int], left: Exact, length: Exact, is_full: bool):
+        return tuple.__new__(cls, (tuple(word), left, 0, length, is_full, None))
+
+    def _values(self) -> tuple[Word, Exact, Exact, bool]:
+        return self[0], self.left, self[3], self[4]
+
+    def __eq__(self, other):
+        return isinstance(other, CylinderInterval) and self._values() == other._values()
+
+    __ne__ = object.__ne__  # not tuple's, which compares the stored items
+    __getnewargs__ = _values  # pickle and copy rebuild the record with ``left`` built
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "CylinderInterval(word=%r, left=%r, length=%r, is_full=%r)" % self._values()
 
 
 def cylinder(word: Sequence[int], system: BetaSystem) -> CylinderInterval:
     """Exact cylinder of an admissible word (follower-route length); an
     interval beta raises PrecisionExhausted."""
     state = _states(word, system)[-1]
-    n = len(word)
-    length = system.pow(-n) * system.tail_sup(state)
-    return CylinderInterval(tuple(word), eval_word(word, system), length,
-                            system.is_full_state(state))
+    length = system.pow(-len(word)) * system.tail_sup(state)
+    return CylinderInterval(word, eval_word(word, system), length, system.is_full_state(state))
 
 
 def is_full(word: Sequence[int], system: BetaSystem) -> bool:
@@ -147,16 +169,17 @@ def iter_cylinders(n: int, system: BetaSystem) -> Iterator[CylinderInterval]:
     The length beta**-n * tail_sup(state) and the fullness of a cylinder
     depend only on the final follower state of its word, one of 0..n, so
     the n+1 pairs are computed once per sweep.  Left endpoints are prefix
-    Horner values carried down ``words._dfs`` (``_carry``).  The cylinders
-    tile [0, 1) (Parry 1960): the last left end, from the digits, plus its
-    length, from ``tail_sup``, must be 1, else InvariantFailure."""
+    Horner values carried down ``words._dfs`` (``_carry``), built when read.
+    The cylinders tile [0, 1) (Parry 1960): the last left end, from the
+    digits, plus its length, from ``tail_sup``, must be 1, else InvariantFailure."""
     check_cap(system, n, "cylinder sweep")
     pm = system.pow(-n)
     start, extend, finish = word_evaluator(system)
     shapes = [(pm * system.tail_sup(s), system.is_full_state(s)) for s in range(n + 1)]
-    stack = [(0, start)]
+    stack, new = [(0, start)], tuple.__new__
     for w, state, j in _dfs(system, n):
-        c = CylinderInterval(w, finish(_carry(stack, w, j, extend), j), *shapes[state])
+        length, full = shapes[state]
+        c = new(CylinderInterval, (w, _carry(stack, w, j, extend), j, length, full, finish))
         yield c
     if c.left + c.length != 1:  # c: the last word t_1...t_n
         raise InvariantFailure(

@@ -258,6 +258,7 @@ class BetaSystem:
         self.alphabet_max = ceil_b - 1
         self._pow_cache: dict[int, Exact] = {}
         self._pow_lock = threading.Lock()
+        self._lam: int | None = None  # lam <= log2 beta of PsiFunction._log2_ceiling
         self.star = StarExpansion(self)
 
     # -- basic properties --------------------------------------------------

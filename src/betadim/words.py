@@ -107,11 +107,16 @@ def check_cap(system: BetaSystem, n: int, what: str) -> None:
     upper bound on the number of admissible order-n words, is within the
     fixed ``ENUM_CAP``.  Every beta, exact or interval, takes it at the worst
     ends [lo, hi] of its enclosure to 2**-64, as hi**(n+1) > cap * (lo - 1):
-    no gcd, and lo <= 1 puts beta - 1 below 2**-64, past any cap anyway."""
+    no gcd, and lo <= 1 puts beta - 1 below 2**-64, past any cap anyway.
+    The exponent doubles from 32 up to n + 1, stopping once past it (hi > 1 if lo > 1)."""
     lo, hi = system.beta.enclosure(64)
-    if hi ** (n + 1) > ENUM_CAP * (lo - 1):
-        raise CapExceeded(
-            f"{what} at order {n} may exceed cap {ENUM_CAP} for beta {system.spec!r}")
+    cap, k = ENUM_CAP * (lo - 1), min(n + 1, 32)
+    while hi ** k <= cap:
+        if k > n:
+            return
+        k = min(2 * k, n + 1)
+    raise CapExceeded(
+        f"{what} at order {n} may exceed cap {ENUM_CAP} for beta {system.spec!r}")
 
 
 def _dfs(system: BetaSystem, n: int, start: Sequence[int] | None = None

@@ -17,7 +17,8 @@ from betadim.approximation import (
     psi_tempered,
 )
 from betadim.errors import PrecisionExhausted, PreconditionViolated
-from betadim.exact import CertifiedReal, QuadNum, _log2_floor_fraction, compare, root_interval
+from betadim.exact import (CertifiedReal, QuadNum, _ln2_fixed, _log2_floor_fraction, compare,
+                           ln_interval, root_interval)
 from betadim.numerics import GOLDEN, _orbit_walk, eval_word, make_beta, orbit
 from test_numerics import lazy_sqrt2_minus_1
 
@@ -540,6 +541,31 @@ def test_log2_ceiling_of_c_from_bit_lengths(monkeypatch):
     for c in {Fraction(N, M) for N in range(1, 300) for M in range(1, 300)}:
         psi = PsiFunction(b, "exponential", c=c)
         assert psi._log2_ceiling()(1) == -_log2_floor_fraction(1 / c), c
+
+
+def fresh_log2_ceiling(spec, alpha):
+    """n -> m for c = 1 with lam taken afresh on a new system: ln of the low
+    end of beta's enclosure to 2**-32 over the upper bound on ln 2."""
+    lnb = ln_interval(make_beta(spec).beta.enclosure(32)[0], 32)[0]
+    lam = max(0, (lnb.numerator << 72) // (lnb.denominator * _ln2_fixed(40)[1]))
+    return lambda n: -(alpha.numerator * lam * n // (alpha.denominator << 32))
+
+
+def test_log2_ceiling_keeps_lam_per_system(monkeypatch):
+    # psi of both alphas on one system read the lam that the first one took
+    for spec in ("9/5", "golden", S13_SPEC, "dec:1.8@200"):
+        b = make_beta(spec)
+        for alpha in (Fraction(1, 2), Fraction(3, 2)):
+            ceiling = psi_exponential(b, alpha)._log2_ceiling()
+            want = fresh_log2_ceiling(spec, alpha)
+            assert [ceiling(n) for n in range(1, 2001)] == [want(n) for n in range(1, 2001)], spec
+    calls = []
+    monkeypatch.setattr(approximation, "ln_interval",
+                        lambda x, bits: calls.append(bits) or ln_interval(x, bits))
+    b = make_beta("9/5")
+    for alpha in (Fraction(1, 2), Fraction(3, 2)):
+        psi_exponential(b, alpha)._log2_ceiling()
+    assert len(calls) == 1
 
 
 # to_json of the first and third rows of SCREEN_CASES, byte for byte: a stored

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,8 +10,10 @@ from betadim.errors import (InvariantFailure, NotAdmissible, PrecisionExhausted,
                             PreconditionViolated)
 from betadim.exact import CertifiedReal, compare
 from betadim.numerics import GOLDEN, BetaSystem, eval_word, expand, make_beta, word_evaluator
+from betadim import cylinders
 from betadim.cylinders import (
     CensusRecord,
+    CylinderInterval,
     cylinder,
     find_full_in_interval,
     full_census,
@@ -301,6 +305,64 @@ class TestSweep:
                         acc = extend(extend(start, w[:k], 1), w[k:], k + 1)
                         assert finish(acc, n) == want, (spec, w, k)
                 assert eval_word(w, b) == want, (spec, w)
+
+
+class TestLeftEndsBuiltOnRead:
+    """A swept record keeps the value that the Horner fold carries for its
+    word and builds its left end only when ``left`` is read."""
+
+    def test_left_ends_read_after_the_sweep_equal_the_word_values(self):
+        # read only once the whole sweep is collected: a record that shared
+        # the fold's stack would read a later word's prefix
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            for n in range(1, 11):
+                for c in list(iter_cylinders(n, b)):
+                    assert c.left == eval_word(c.word, b), (spec, c.word)
+
+    def test_records_are_immutable(self):
+        b = make_beta("golden")
+        for c in (next(iter_cylinders(5, b)), cylinder((1, 0, 0), b)):
+            for name in ("word", "left", "length", "is_full"):
+                with pytest.raises(AttributeError):
+                    setattr(c, name, getattr(c, name))
+            with pytest.raises(AttributeError):
+                c.extra = 1
+
+    def test_a_swept_record_hashes_as_the_single_word_record(self):
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            for n in range(1, 11):
+                for c in iter_cylinders(n, b):
+                    single = cylinder(c.word, b)
+                    assert hash(c) == hash(single) and not c != single, (spec, c.word)
+
+    def test_a_sweep_that_reads_no_left_end_builds_one(self, monkeypatch):
+        # only the tiling check on the last cylinder builds a left end
+        built = []
+
+        def counted(system):
+            start, extend, finish = word_evaluator(system)
+            return start, extend, lambda acc, m: built.append(m) or finish(acc, m)
+
+        monkeypatch.setattr(cylinders, "word_evaluator", counted)
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            for n in range(1, 11):
+                built.clear()
+                read = [(c.word, c.length, c.is_full) for c in iter_cylinders(n, b)]
+                assert len(read) == count_admissible(n, b)
+                assert len(built) == 1, (spec, n, len(built))
+
+    def test_copies_and_repr_show_the_built_left_end(self):
+        b = make_beta("9/5")
+        for c in iter_cylinders(4, b):
+            single = cylinder(c.word, b)
+            for twin in (copy.copy(c), pickle.loads(pickle.dumps(c))):
+                assert twin == c and type(twin) is CylinderInterval, c.word
+            assert repr(c) == repr(single) == (
+                f"CylinderInterval(word={c.word!r}, left={c.left!r}, "
+                f"length={c.length!r}, is_full={c.is_full!r})")
 
 
 class TestFullness:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import sys
 import threading
 import weakref
@@ -13,9 +14,11 @@ from betadim.cylinders import iter_cylinders
 from betadim.errors import CapExceeded, PrecisionExhausted
 from betadim.numerics import expand, make_beta
 from betadim.words import (
+    ENUM_CAP,
     ParryAutomaton,
     _dfs,
     _walk,
+    check_cap,
     count_admissible,
     enumerate_admissible,
     is_admissible,
@@ -184,6 +187,26 @@ class TestEnumerate:
         # (about 1.72e8 words here), not the lower one (about 2.14e7)
         with pytest.raises(CapExceeded):
             enumerate_admissible(29, make_beta("dec:1.8@4"))
+
+    def test_cap_verdict_is_the_whole_power_of_the_upper_end(self):
+        # the doubled exponent stops early; its verdict is hi**(n+1) > cap*(lo-1)
+        for spec in ("2", "9/5", "golden", S13, DEC):
+            b = make_beta(spec)
+            lo, hi = b.beta.enclosure(64)
+            for n in range(1, 301):
+                try:
+                    check_cap(b, n, "test")
+                    over = False
+                except CapExceeded:
+                    over = True
+                assert over == (hi ** (n + 1) > ENUM_CAP * (lo - 1)), (spec, n)
+
+    def test_cap_far_past_it(self):
+        for spec in ("2", "golden", S13, DEC):
+            with pytest.raises(CapExceeded, match=(
+                    rf"^enumeration at order 100000 may exceed cap {ENUM_CAP} "
+                    rf"for beta '{re.escape(spec)}'$")):
+                enumerate_admissible(10 ** 5, make_beta(spec))
 
 
 class TestCount:
