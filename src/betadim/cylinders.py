@@ -135,10 +135,12 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     last i such that t_i > 0, that trailing run is 0 when t1...tr is full
     and trail_{r-j} + 1 otherwise.  The first block is the whole order r-1
     (t1 >= 1), so the longest run at order n is the longest trailing run
-    at orders 1..n.  Both sums are ``words._renyi``: when t_i = t_(i-p) for
-    every i > L (``system.star.repeat``), it takes each order from the
-    order p below it in O(L) operations, so the census is O(n * L) work,
-    and O(n * #{i <= n : t_i > 0}) for a beta with no known repeat.
+    at orders 1..n.  Both sums are one call of ``words._renyi``, which
+    reads c_n and f_n alone as the n-th coefficients of their series by
+    Bostan-Mori halving of the denominator 1 - T(z) they share: about
+    3*log2(n) packed integer products, of O(n log n) bits, and only
+    t_1..t_L when t_i = t_(i-p) for every i > L (``system.star.repeat``).
+    The trailing-run fold is O(n) steps.
 
     The full cylinders recur with gaps at most n (Bugeaud-Wang, J. Fractal
     Geom. 2014): among any n+1 consecutive order-n cylinders at least one
@@ -147,8 +149,6 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     if n < 1:
         raise ValueError("order must be >= 1")
     full = [int(system.is_full_state(r)) for r in range(n + 1)]  # r = 0: the empty word
-    counts = _renyi(system, n, lambda r: 1)
-    fulls = _renyi(system, n, full.__getitem__)
     trails, last = [0], 0  # last: the last i <= r with t_i > 0
     for r in range(1, n + 1):
         if system.star.digit(r):
@@ -158,7 +158,7 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     if max_gap > n:
         raise InvariantFailure(
             f"non-full run {max_gap} exceeds order {n} for beta {system.spec!r}")
-    return CensusRecord(system.spec, n, counts[n], fulls[n], max_gap)
+    return CensusRecord(system.spec, n, *_renyi(system, n, [1] * (n + 1), full), max_gap)
 
 
 def iter_cylinders(n: int, system: BetaSystem) -> Iterator[CylinderInterval]:

@@ -138,7 +138,8 @@ class StarExpansion:
     digit that an interval beta cannot decide.  Past t_L a digit is read
     from t_1..t_L by that rule and never stored, so a Pisot beta's store
     keeps L digits however deep it is read.  The Renyi-Parry counts of
-    ``words`` read t_1..t_L only and cost O(L) a step through it.
+    ``words`` read t_1..t_L only: their denominator 1 - z^p - T(z)(1 - z^p)
+    has degree L.
 
     An exact beta's store also holds, once asked for, the quasi-greedy
     orbit points p_0 = 1, p_s = beta * p_(s-1) - t_s = beta**s * (1 -

@@ -25,23 +25,33 @@ t of the same length (Parry 1960).  Two views of that set are used.
   and no word is ever enumerated.  ``cylinders.full_census`` folds the
   same decomposition together with fullness.
 
-Both sums are one helper, ``_renyi``.  For a Parry beta the digits repeat:
-``system.star.repeat`` = (L, p) records t_i = t_(i-p) for every i > L when
-the system is built.  Splitting the sum S_r = sum_{i<=r} t_i x_{r-i} at
-i = L and shifting its tail by p gives, for r > L,
+Both sums are one helper, ``_renyi``, which returns the order-n terms only.
+With T(z) = sum t_i z^i and E(z) the generating series of the 1s (or of
+the fullness flags), the recursion says x_n = [z^n] E(z)/(1 - T(z)), and
+the n-th coefficient of P/Q is taken by Bostan-Mori halving (Bostan and
+Mori, "A simple and fast algorithm for computing the N-th term of a
+linearly recurrent sequence", SOSA 2021): multiply P and Q by Q(-z), keep
+the half of P(z)Q(-z) of n's parity and the even half of Q(z)Q(-z), read
+both at z^2 and halve n, about log2(n) steps.  Cutting P and Q at degree n
+keeps the coefficient exact.  Each polynomial product is one Python
+integer product of the coefficients packed into byte slots (``_mul``).
+For a Parry beta the digits repeat: ``system.star.repeat`` = (L, p)
+records t_i = t_(i-p) for every i > L when the system is built, so
+D(z) = T(z)(1 - z^p) has degree L and
 
-    S_r = S_{r-p} + sum_{i<=L} t_i x_{r-i} - sum_{j<=L-p} t_j x_{r-p-j},
+    x_n = [z^n] E(z)(1 - z^p) / (1 - z^p - D(z)),
 
-so each order costs O(L) big-integer operations, not one per nonzero
-t_i with i <= r, and only t_1..t_L are read.  A beta with no known repeat
-(a non-integer rational, a non-Pisot quadratic, an interval beta) takes
-the whole sum: O(n * #{i <= n : t_i > 0}) for order n.
+a denominator of degree L, and only t_1..t_L are read.  A beta with no
+known repeat (a non-integer rational, a non-Pisot quadratic, an interval
+beta) takes 1 - T(z) cut at degree n.  Either way order n costs about
+2*log2(n) integer products of O(n log n) bits, where the sum itself took
+every order below n: O(n * L), or O(n**2), operations on n-bit integers.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from operator import itemgetter, sub
+from typing import Iterator, Sequence
 
 from .errors import CapExceeded, NotAdmissible
 from .numerics import BetaSystem, Word
@@ -178,47 +188,84 @@ def enumerate_admissible(n: int, system: BetaSystem) -> Iterator[Word]:
 def count_admissible(n: int, system: BetaSystem) -> int:
     """Number of admissible words of length n.
 
-    Computed by the Renyi-Parry recursion c_r = 1 + sum_{i<=r} t_i c_{r-i},
-    c_0 = 1, over the quasi-greedy digits t_i (``_renyi``, see the module
-    docstring), with no enumeration and no automaton walk: O(n * L) integer
-    operations when ``system.star.repeat`` is (L, p), else
-    O(n * #{i <= n : t_i > 0}).  Certified against the classical bounds
+    The Renyi-Parry count c_n = 1 + sum_{i<=n} t_i c_{n-i}, c_0 = 1, over
+    the quasi-greedy digits t_i, taken as the n-th coefficient of
+    1/((1 - z)(1 - T(z))) by Bostan-Mori halving (``_renyi``, see the module
+    docstring), with no enumeration, no automaton walk and no c_r for r < n:
+    about 2*log2(n) packed integer products of O(n log n) bits, and O(n)
+    list work.  Certified against the classical bounds
     beta**n <= count <= beta**(n+1)/(beta-1) when beta is exact.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    total = _renyi(system, n, lambda r: 1)[n]
+    (total,) = _renyi(system, n, [1] * (n + 1))
     _assert_renyi(total, n, system)
     return total
 
 
-def _renyi(system: BetaSystem, n: int, extra: Callable[[int], int]) -> list[int]:
-    """[x_0, ..., x_n] with x_0 = 1 and x_r = extra(r) + S_r, where
-    S_r = sum_{i<=r} t_i x_{r-i}.  extra(0) must be 1: then S_{r-p} is
-    x_{r-p} - extra(r-p) at every r > L and no list of the S_r is kept.
+def _renyi(system: BetaSystem, n: int, *extras: list[int]) -> list[int]:
+    """x_n = [z^n] E(z)/(1 - T(z)) for each E(z) = sum extra[r] z^r (r <= n),
+    T(z) = sum t_i z^i: the n-th term of x_r = extra[r] + sum_{i<=r} t_i x_{r-i}.
+    The series share their denominator, so it is halved once for all.
 
-    Past t_L the repeat identity of the module docstring gives each order
-    from the order p below it.  Without a repeat the whole sum is taken
-    over the nonzero t_i, read one by one (an interval beta raises
-    PrecisionExhausted at the first digit of 1 it cannot decide).
+    Without a repeat the denominator is 1 - T(z) cut at degree n, its digits
+    read one by one (an interval beta raises PrecisionExhausted at the first
+    digit of 1 it cannot decide).  With the repeat (L, p), D(z) = T(z)(1 - z^p)
+    has degree L, and x_n = [z^n] E(z)(1 - z^p)/(1 - z^p - D(z)): only
+    t_1..t_L are read.
     """
-    star, x = system.star, [1]
-    repeat = star.repeat
-    head = n if repeat is None else min(n, repeat[0])
-    steps: list[tuple[int, int]] = []  # (i, t_i) for the nonzero t_i, i <= head
-    for r in range(1, head + 1):
-        t = star.digit(r)
-        if t:
-            steps.append((r, t))
-        x.append(extra(r) + sum(t * x[r - i] for i, t in steps))
-    if head < n:
+    star, repeat = system.star, system.star.repeat
+    if repeat is None:
+        den = [1] + [-star.digit(i) for i in range(1, n + 1)]
+        nums = list(extras)
+    else:
         L, p = repeat
-        pre = [(j, t) for j, t in steps if j <= L - p]
-        for r in range(head + 1, n + 1):
-            x.append(extra(r) + x[r - p] - extra(r - p)
-                     + sum(t * x[r - i] for i, t in steps)
-                     - sum(t * x[r - p - j] for j, t in pre))
-    return x
+        t = [0] * (p + 1) + [star.digit(i) for i in range(1, L + 1)]  # t[p + i] = t_i
+        den = [1] + [t[j] - t[p + j] for j in range(1, L + 1)]  # 1 - z^p - D(z)
+        den[p] -= 1
+        nums = []
+        for extra in extras:
+            num = extra[:p] + list(map(sub, extra[p:], extra))  # E(z)(1 - z^p)
+            del num[max(1, len(bytes(map(bool, num)).rstrip(b"\0"))):]  # drop trailing zeros
+            nums.append(num)
+    return _coefficients(nums, den, n)
+
+
+def _coefficients(ps: list[list[int]], q: list[int], n: int) -> list[int]:
+    """[z^n] p(z)/q(z) for each p, integer polynomials, p non-empty, q[0] = 1
+    and q of degree >= 1 (Bostan and Mori, SOSA 2021): multiply each p and q
+    by q(-z); the new p is the half of p(z)q(-z) of n's parity and the new q
+    the even half of q(z)q(-z), both read at z^2, and n halves.  All stay cut
+    at degree n, which keeps the coefficients exact, and none empties."""
+    while n:
+        qm = q[:]
+        qm[1::2] = [-c for c in q[1::2]]
+        ps = [_mul(p, qm, n + 1)[n & 1::2] for p in ps]
+        q = _mul(q, qm, n + 1)[::2]
+        n >>= 1
+    return [p[0] for p in ps]
+
+
+def _mul(a: list[int], b: list[int], k: int) -> list[int]:
+    """The coefficients of degree < k of a(z) * b(z), a and b non-empty, as
+    one integer product (Kronecker substitution z = 2**(8w)).  Each signed
+    coefficient sits in a w-byte slot offset by h = 2**(8w - 1), so packing
+    and unpacking are one ``to_bytes``/``from_bytes`` a slot; w is chosen so
+    that every coefficient of the product lies strictly within h."""
+    k = min(k, len(a) + len(b) - 1)
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length())
+    w = bits // 8 + 1
+    h = 1 << (8 * w - 1)
+    slot = h.to_bytes(w, "little")
+
+    def pack(c: list[int]) -> int:
+        packed = b"".join([(x + h).to_bytes(w, "little") for x in c])
+        return int.from_bytes(packed, "little") - int.from_bytes(slot * len(c), "little")
+
+    r = pack(a) * pack(b) + int.from_bytes(slot * k, "little")
+    raw = (r & ((1 << 8 * w * k) - 1)).to_bytes(w * k, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - h for i in range(0, w * k, w)]
 
 
 def _assert_renyi(count: int, n: int, system: BetaSystem) -> None:

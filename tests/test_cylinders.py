@@ -472,7 +472,7 @@ class TestCensus:
             assert len(b.star._digits) <= L + 1, spec
 
     def test_count_full_against_the_fail_chain_dp(self):
-        for spec in REPEATING:
+        for spec in REPEATING + ["9/5", "5/2", S13]:
             b = make_beta(spec)
             rec = full_census(300, b)
             assert (rec.count_admissible, rec.count_full) == fail_chain_census(300, b), spec
@@ -501,6 +501,7 @@ class TestCensus:
         for call in (full_census, count_admissible):
             with pytest.raises(PrecisionExhausted):
                 call(300, b)
+            assert len(b.star._digits) == 233  # digits 1..232 stay stored
 
 
 class TestFindFull:

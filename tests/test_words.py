@@ -7,7 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betadim.cylinders import iter_cylinders
@@ -17,6 +17,7 @@ from betadim.words import (
     ENUM_CAP,
     ParryAutomaton,
     _dfs,
+    _mul,
     _walk,
     check_cap,
     count_admissible,
@@ -91,10 +92,28 @@ def automaton_dp_count(n, system):
 
 
 def fib(n):
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
+    """F(n), F(1) = F(2) = 1, by fast doubling: F(2k) = F(k)(2F(k+1) - F(k))
+    and F(2k+1) = F(k)**2 + F(k+1)**2."""
+    a, b = 0, 1  # F(k), F(k + 1), k the leading bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
+
+
+# polynomial coefficients for the packed product: small ones and ones past
+# 2**64, of either sign
+COEFFICIENT = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+
+
+def schoolbook(a, b):
+    """Coefficients of a(z) * b(z), one product per pair of coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def count_no_consecutive_ones(n):
@@ -234,14 +253,24 @@ class TestCount:
                 assert count_admissible(n, b) == len(list(enumerate_admissible(n, b)))
 
     def test_recursion_matches_automaton_dp(self):
+        # every n <= 60 steps through both halves of each parity, down to n = 1
+        for spec in BETAS + [S13, DEC]:
+            b = make_beta(spec)
+            for n in range(1, 61):
+                assert count_admissible(n, b) == automaton_dp_count(n, b), (spec, n)
         for spec in BETAS + [S13]:
             b = make_beta(spec)
             assert count_admissible(300, b) == automaton_dp_count(300, b), spec
+        # the benchmark's bases with no repeat, at its count order
+        for spec in ("9/5", "5/2", S13):
+            b = make_beta(spec)
+            assert count_admissible(1000, b) == automaton_dp_count(1000, b), spec
         # the expansion of 1 in DEC is decided to 232 digits only
         b = make_beta(DEC)
         assert count_admissible(200, b) == automaton_dp_count(200, b)
         with pytest.raises(PrecisionExhausted):
             count_admissible(300, b)
+        assert len(b.star._digits) == 233  # digits 1..232 stay stored
 
     def test_repeat_recurrence_matches_automaton_dp(self):
         for spec, repeat in REPEATING.items():
@@ -252,7 +281,8 @@ class TestCount:
 
     def test_repeat_recurrence_closed_forms(self):
         cases = [("2", 1000, 2 ** 1000), ("3", 1000, 3 ** 1000), ("golden", 1000, fib(1002)),
-                 (PHI2, 1000, fib(2002)), ("golden", 20000, fib(20002))]
+                 (PHI2, 1000, fib(2002)), ("golden", 20000, fib(20002)),
+                 ("golden", 10 ** 5, fib(10 ** 5 + 2)), ("2", 10 ** 5, 2 ** 10 ** 5)]
         for spec, n, want in cases:
             b = make_beta(spec)
             assert count_admissible(n, b) == want, (spec, n)
@@ -262,6 +292,22 @@ class TestCount:
     def test_no_repeat_without_a_pisot_beta(self):
         for spec in ("1.8", "2.5", "9/5", S13, "quad:(3+1*sqrt(2))/2", DEC):
             assert make_beta(spec).star.repeat is None, spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COEFFICIENT, min_size=1, max_size=12),
+           st.one_of(st.lists(st.just(0), min_size=1, max_size=4),
+                     st.lists(COEFFICIENT, min_size=1, max_size=12)),
+           st.integers(1, 26))
+    @example([0], [0], 1)
+    @example([-1], [1], 3)
+    @example([2 ** 64 + 1, -2 ** 64], [-2 ** 64, 2 ** 64 - 1, 3], 2)  # k below both lengths
+    @example([-(2 ** 200)], [2 ** 200 - 1], 1)
+    # products at the slot's bound: -147 needs the sign bit of a second byte,
+    # and 300 * 255**2 the length's share of the slot
+    @example([7] * 3, [-7] * 3, 5)
+    @example([255] * 300, [-255] * 300, 599)
+    def test_packed_product_is_the_schoolbook_product(self, a, b, k):
+        assert _mul(a, b, k) == schoolbook(a, b)[:k]
 
     def test_renyi_bounds_explicit(self):
         b = make_beta("golden")
