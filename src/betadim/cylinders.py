@@ -138,8 +138,10 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     at orders 1..n.  Both sums are one call of ``words._renyi``, which
     reads c_n and f_n alone as the n-th coefficients of their series by
     Bostan-Mori halving of the denominator 1 - T(z) they share: about
-    3*log2(n) packed integer products, of O(n log n) bits, and only
-    t_1..t_L when t_i = t_(i-p) for every i > L (``system.star.repeat``).
+    log2(n) steps of four half-size packed integer products per numerator
+    and denominator pair, two of them the denominator's squares, which the
+    pairs share, so six a step, of O(n log n) bits; and only t_1..t_L when
+    t_i = t_(i-p) for every i > L (``system.star.repeat``).
     The trailing-run fold is O(n) steps.
 
     The full cylinders recur with gaps at most n (Bugeaud-Wang, J. Fractal

@@ -33,8 +33,8 @@ Mori, "A simple and fast algorithm for computing the N-th term of a
 linearly recurrent sequence", SOSA 2021): multiply P and Q by Q(-z), keep
 the half of P(z)Q(-z) of n's parity and the even half of Q(z)Q(-z), read
 both at z^2 and halve n, about log2(n) steps.  Cutting P and Q at degree n
-keeps the coefficient exact.  Each polynomial product is one Python
-integer product of the coefficients packed into byte slots (``_mul``).
+keeps the coefficient exact.  A step packs the even and odd halves of P
+and Q once into byte slots (``_pack``) and takes four half-size products.
 For a Parry beta the digits repeat: ``system.star.repeat`` = (L, p)
 records t_i = t_(i-p) for every i > L when the system is built, so
 D(z) = T(z)(1 - z^p) has degree L and
@@ -44,8 +44,8 @@ D(z) = T(z)(1 - z^p) has degree L and
 a denominator of degree L, and only t_1..t_L are read.  A beta with no
 known repeat (a non-integer rational, a non-Pisot quadratic, an interval
 beta) takes 1 - T(z) cut at degree n.  Either way order n costs about
-2*log2(n) integer products of O(n log n) bits, where the sum itself took
-every order below n: O(n * L), or O(n**2), operations on n-bit integers.
+log2(n) such steps on O(n log n) bits, where the sum itself took every
+order below n: O(n * L), or O(n**2), operations on n-bit integers.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ def count_admissible(n: int, system: BetaSystem) -> int:
     the quasi-greedy digits t_i, taken as the n-th coefficient of
     1/((1 - z)(1 - T(z))) by Bostan-Mori halving (``_renyi``, see the module
     docstring), with no enumeration, no automaton walk and no c_r for r < n:
-    about 2*log2(n) packed integer products of O(n log n) bits, and O(n)
-    list work.  Certified against the classical bounds
-    beta**n <= count <= beta**(n+1)/(beta-1) when beta is exact.
+    log2(n) steps of four half-size packed integer products, two of them
+    squares, of O(n log n) bits, and O(n) list work.  Checked against the
+    bounds beta**n <= count <= beta**(n+1)/(beta-1) when beta is exact.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -232,49 +232,83 @@ def _renyi(system: BetaSystem, n: int, *extras: list[int]) -> list[int]:
 
 
 def _coefficients(ps: list[list[int]], q: list[int], n: int) -> list[int]:
-    """[z^n] p(z)/q(z) for each p, integer polynomials, p non-empty, q[0] = 1
-    and q of degree >= 1 (Bostan and Mori, SOSA 2021): multiply each p and q
-    by q(-z); the new p is the half of p(z)q(-z) of n's parity and the new q
-    the even half of q(z)q(-z), both read at z^2, and n halves.  All stay cut
-    at degree n, which keeps the coefficients exact, and none empties."""
+    """[z^n] p(z)/q(z) for each p, integer polynomials, p non-empty, q[0] = 1,
+    len(q) >= 2 (Bostan and Mori, SOSA 2021).  With p = p_e(z^2) + z p_o(z^2)
+    and q alike, n halves, q becomes q_e**2 - y q_o**2 and p becomes p_e q_e
+    - y p_o q_o (n even) or p_o q_e - p_e q_o (n odd), cut at the new n: four
+    products of halves packed in w-byte slots that fit them, y a slot's shift."""
     while n:
-        qm = q[:]
-        qm[1::2] = [-c for c in q[1::2]]
-        ps = [_mul(p, qm, n + 1)[n & 1::2] for p in ps]
-        q = _mul(q, qm, n + 1)[::2]
-        n >>= 1
+        half, odd = n >> 1, n & 1
+        bq = max(map(abs, q)).bit_length()
+        bp = max(max(map(abs, p)) for p in ps).bit_length()
+        w = (max(2 * bq, bp + bq) + len(q).bit_length()) // 8 + 1
+        qe, qo = _pack(q[::2], w), _pack(q[1::2], w)
+        ps = [_unpack(_pack(p[1::2], w) * qe - _pack(p[::2], w) * qo if odd
+                      else _pack(p[::2], w) * qe - (_pack(p[1::2], w) * qo << 8 * w),
+                      w, min(half, (len(p) + len(q) - 2 - odd) >> 1) + 1) for p in ps]
+        q = _unpack(qe * qe - (qo * qo << 8 * w), w, min(half, len(q) - 1) + 1)
+        n = half
     return [p[0] for p in ps]
 
 
-def _mul(a: list[int], b: list[int], k: int) -> list[int]:
-    """The coefficients of degree < k of a(z) * b(z), a and b non-empty, as
-    one integer product (Kronecker substitution z = 2**(8w)).  Each signed
-    coefficient sits in a w-byte slot offset by h = 2**(8w - 1), so packing
-    and unpacking are one ``to_bytes``/``from_bytes`` a slot; w is chosen so
-    that every coefficient of the product lies strictly within h."""
-    k = min(k, len(a) + len(b) - 1)
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length())
-    w = bits // 8 + 1
-    h = 1 << (8 * w - 1)
-    slot = h.to_bytes(w, "little")
+def _pack(c: list[int], w: int) -> int:
+    """sum c[i] * 2**(8*w*i), every |c[i]| < h = 2**(8w - 1): each c[i] + h
+    fills a w-byte slot, and the offsets come off as one integer."""
+    h = 1 << 8 * w - 1
+    return (int.from_bytes(b"".join([(x + h).to_bytes(w, "little") for x in c]), "little")
+            - int.from_bytes(h.to_bytes(w, "little") * len(c), "little"))
 
-    def pack(c: list[int]) -> int:
-        packed = b"".join([(x + h).to_bytes(w, "little") for x in c])
-        return int.from_bytes(packed, "little") - int.from_bytes(slot * len(c), "little")
 
-    r = pack(a) * pack(b) + int.from_bytes(slot * k, "little")
-    raw = (r & ((1 << 8 * w * k) - 1)).to_bytes(w * k, "little")
-    return [int.from_bytes(raw[i:i + w], "little") - h for i in range(0, w * k, w)]
+def _unpack(x: int, w: int, k: int) -> list[int]:
+    """The first k coefficients c_i of x = sum c_i * 2**(8*w*i), every |c_i|,
+    those past k too, below h = 2**(8w - 1): ``_pack``'s inverse."""
+    h, from_bytes = 1 << 8 * w - 1, int.from_bytes
+    x += from_bytes(h.to_bytes(w, "little") * k, "little")
+    raw = (x & (1 << 8 * w * k) - 1).to_bytes(w * k, "little")
+    return [from_bytes(raw[i:i + w], "little") - h for i in range(0, w * k, w)]
 
 
 def _assert_renyi(count: int, n: int, system: BetaSystem) -> None:
+    """Raise AssertionError unless beta**n <= count <= beta**(n+1)/(beta-1),
+    when beta is exact.  Fixed point decides first: with the ends of beta's
+    enclosure to 2**-64 rounded outward to lo >= l/2**64 and hi <= h/2**64,
+    m*2**e >= hi**n and m'*2**e' <= lo**(n+1) (``_pow_fixed``), so
+    m*2**e <= count proves the lower bound and count*(h/2**64 - 1) <= m'*2**e'
+    the upper one.  What they leave undecided, such as the tie count =
+    beta**n of an integer beta, is compared with the exact ``renyi_bounds``."""
     if not system.is_exact:
+        return
+    lo, hi = system.beta.enclosure(64)
+    h = -((-hi.numerator << 64) // hi.denominator)
+    m, e = _pow_fixed(h, n, True)
+    m1, e1 = _pow_fixed((lo.numerator << 64) // lo.denominator, n + 1, False)
+    if _at_most(m, e, count) and _at_most(count * (h - (1 << 64)), -64 - e1, m1):
         return
     lower, upper = renyi_bounds(n, system)
     if not (lower <= count and count <= upper):
         raise AssertionError(
-            f"count {count} violates growth bounds for beta {system.spec!r}, n={n}")
+            f"count of {count.bit_length()} bits violates growth bounds for beta "
+            f"{system.spec!r}, n={n}")
+
+
+def _pow_fixed(x: int, k: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m*2**e >= (x/2**64)**k when ``up``, else m*2**e <= it, for
+    x > 0 and k >= 1: square-and-multiply with every product cut to 64 bits,
+    rounded up or down."""
+    m, e = 1, 0
+    for bit in bin(k)[2:]:
+        m, e = m * m, 2 * e
+        if bit == "1":
+            m, e = m * x, e - 64
+        s = m.bit_length() - 64
+        if s > 0:
+            m, e = -(-m >> s) if up else m >> s, e + s
+    return m, e
+
+
+def _at_most(a: int, s: int, b: int) -> bool:
+    """a * 2**s <= b, with no division."""
+    return a << s <= b if s >= 0 else a <= b << -s
 
 
 def renyi_bounds(n: int, system: BetaSystem):

@@ -476,6 +476,11 @@ class TestCensus:
             b = make_beta(spec)
             rec = full_census(300, b)
             assert (rec.count_admissible, rec.count_full) == fail_chain_census(300, b), spec
+        # digits of 1 up to 10: the halving's first slots are wider than a byte
+        b = make_beta("31/3")
+        for n in range(1, 41):
+            rec = full_census(n, b)
+            assert (rec.count_admissible, rec.count_full) == fail_chain_census(n, b), n
 
     def test_fail_chain_dp_against_enumeration(self):
         for spec in REPEATING + ["9/5"]:

@@ -10,14 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betadim import words
 from betadim.cylinders import iter_cylinders
 from betadim.errors import CapExceeded, PrecisionExhausted
 from betadim.numerics import expand, make_beta
 from betadim.words import (
     ENUM_CAP,
     ParryAutomaton,
+    _assert_renyi,
+    _coefficients,
     _dfs,
-    _mul,
+    _pack,
+    _unpack,
     _walk,
     check_cap,
     count_admissible,
@@ -31,6 +35,7 @@ BETAS = ["golden", "1.8", "2.5", "2"]
 S13 = "quad:(1+1*sqrt(13))/2"
 DEC = "dec:1.8@200"
 PHI2 = "quad:(3+1*sqrt(5))/2"
+B31 = "31/3"
 # bases whose quasi-greedy digits repeat, with the (L, p) of system.star.repeat:
 # t_i = t_(i-p) for every i > L; golden squared has t = 2 1 1 1 ..., so L > p
 REPEATING = {"2": (1, 1), "3": (1, 1), "golden": (2, 2), PHI2: (2, 1),
@@ -102,7 +107,7 @@ def fib(n):
     return a
 
 
-# polynomial coefficients for the packed product: small ones and ones past
+# polynomial coefficients for the packed halving: small ones and ones past
 # 2**64, of either sign
 COEFFICIENT = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
 
@@ -114,6 +119,17 @@ def schoolbook(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def recurrence_term(p, q, n):
+    """x_n of the plain recurrence of p(z)/q(z), q[0] = 1:
+    x_r = p_r - sum_{1 <= i <= r} q_i x_{r-i}, with p_r = 0 past p and
+    q_i = 0 past q."""
+    x = []
+    for r in range(n + 1):
+        x.append((p[r] if r < len(p) else 0)
+                 - sum(q[i] * x[r - i] for i in range(1, min(r, len(q) - 1) + 1)))
+    return x[n]
 
 
 def count_no_consecutive_ones(n):
@@ -253,12 +269,14 @@ class TestCount:
                 assert count_admissible(n, b) == len(list(enumerate_admissible(n, b)))
 
     def test_recursion_matches_automaton_dp(self):
-        # every n <= 60 steps through both halves of each parity, down to n = 1
-        for spec in BETAS + [S13, DEC]:
+        # every n <= 60 steps through both halves of each parity, down to n = 1;
+        # 31/3 has digits of 1 up to 10, so even the first step's slots are
+        # wider than a byte
+        for spec in BETAS + [S13, DEC, B31]:
             b = make_beta(spec)
             for n in range(1, 61):
                 assert count_admissible(n, b) == automaton_dp_count(n, b), (spec, n)
-        for spec in BETAS + [S13]:
+        for spec in BETAS + [S13, B31]:
             b = make_beta(spec)
             assert count_admissible(300, b) == automaton_dp_count(300, b), spec
         # the benchmark's bases with no repeat, at its count order
@@ -282,7 +300,8 @@ class TestCount:
     def test_repeat_recurrence_closed_forms(self):
         cases = [("2", 1000, 2 ** 1000), ("3", 1000, 3 ** 1000), ("golden", 1000, fib(1002)),
                  (PHI2, 1000, fib(2002)), ("golden", 20000, fib(20002)),
-                 ("golden", 10 ** 5, fib(10 ** 5 + 2)), ("2", 10 ** 5, 2 ** 10 ** 5)]
+                 ("golden", 10 ** 5, fib(10 ** 5 + 2)), ("2", 10 ** 5, 2 ** 10 ** 5),
+                 ("golden", 10 ** 6, fib(10 ** 6 + 2))]
         for spec, n, want in cases:
             b = make_beta(spec)
             assert count_admissible(n, b) == want, (spec, n)
@@ -290,7 +309,7 @@ class TestCount:
             assert len(b.star._digits) == b.star.repeat[0] + 1, spec
 
     def test_no_repeat_without_a_pisot_beta(self):
-        for spec in ("1.8", "2.5", "9/5", S13, "quad:(3+1*sqrt(2))/2", DEC):
+        for spec in ("1.8", "2.5", "9/5", S13, "quad:(3+1*sqrt(2))/2", DEC, B31):
             assert make_beta(spec).star.repeat is None, spec
 
     @settings(max_examples=300, deadline=None)
@@ -306,8 +325,52 @@ class TestCount:
     # and 300 * 255**2 the length's share of the slot
     @example([7] * 3, [-7] * 3, 5)
     @example([255] * 300, [-255] * 300, 599)
-    def test_packed_product_is_the_schoolbook_product(self, a, b, k):
-        assert _mul(a, b, k) == schoolbook(a, b)[:k]
+    def test_pack_unpack_round_trips_at_the_slot_bounds(self, a, b, k):
+        # the narrowest byte slots that hold a, b and their product strictly
+        # inside 2**(8w - 1), as the halving step needs of its four products
+        c = schoolbook(a, b)
+        w = max(map(abs, a + b + c)).bit_length() // 8 + 1
+        assert _unpack(_pack(a, w) * _pack(b, w), w, k) == (c + [0] * k)[:k]
+        edge = (1 << 8 * w - 1) - 1
+        assert _unpack(_pack([-edge] + c + [edge], w), w, len(c) + 2) == [-edge] + c + [edge]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(COEFFICIENT, min_size=1, max_size=12), min_size=1, max_size=2),
+           st.lists(COEFFICIENT, min_size=1, max_size=40),
+           st.integers(1, 80))
+    # n's parity at each step from the last bit up: odd, even, odd, ...;
+    # even, odd, even, ...; odd at every step; even at every step but the last
+    @example([[1] * 86, [0, 1, 1]], [-1, -1], 0b1010101)
+    @example([[1] * 107, [0, 1, 1]], [-1, -1], 0b1101010)
+    @example([[2 ** 70, -3], [1]], [-1, 0, 2 ** 66, -5], 2 ** 6 - 1)
+    @example([[2 ** 70, -3], [1]], [-1, 0, 2 ** 66, -5], 2 ** 6)
+    # q longer than n + 1, its tail past z**n unread
+    @example([[1, -(2 ** 65)], [-1] * 30], [2 ** 80] * 40, 21)
+    def test_coefficients_are_the_recurrence_term(self, ps, tail, n):
+        q = [1] + tail
+        assert _coefficients(ps, q, n) == [recurrence_term(p, q, n) for p in ps]
+
+    def test_growth_bound_check(self, monkeypatch):
+        # the fixed-point enclosure decides real counts; the exact bounds are
+        # read only when it cannot, such as at the tie 3**n = beta**n once
+        # 3**n has more than 64 bits to round
+        exact = []
+        monkeypatch.setattr(words, "renyi_bounds",
+                            lambda n, s: exact.append((s.spec, n)) or renyi_bounds(n, s))
+        golden, two, three = make_beta("golden"), make_beta("2"), make_beta("3")
+        for n in (1, 2, 3, 20, 41, 1000, 20000):
+            count = fib(n + 2)
+            _assert_renyi(count, n, golden)
+            _assert_renyi(2 ** n, n, two)  # powers of 2 round exactly
+            assert exact == [], n
+            _assert_renyi(3 ** n, n, three)
+            assert exact == ([("3", n)] if 3 ** n >> 64 else []), n
+            # 2 * F(n+2) stays below phi**(n+2), the upper bound, as 2 < sqrt(5)
+            for bad, b in ((3 * count, golden), (count // 2, golden), (2 ** n - 1, two),
+                           (2 ** (n + 1) + 1, two), (3 ** n - 1, three)):
+                with pytest.raises(AssertionError, match="violates growth bounds"):
+                    _assert_renyi(bad, n, b)
+            exact.clear()
 
     def test_renyi_bounds_explicit(self):
         b = make_beta("golden")
