@@ -13,14 +13,13 @@ independent computations that must agree:
 The follower route is the fast path; the partition route is the
 definitional one and is kept as a cross-check.  On the fast path a
 cylinder's length and fullness depend only on its final automaton
-state, so a sweep of order n computes them at most n+1 times.  Left
-endpoints are Horner values of the digits, never sums of lengths, so the
-two routes stay independent.  The sweep, ``successor`` and the search for
-a full cylinder read one stream of words, ``words._dfs``, the last two
-resumed at a given word, and the sweep and search carry prefix values
-down it (``_carry``), about beta/(beta-1) digits a word.  A swept record
-keeps the value carried and builds its left end only when ``left`` is
-read, as ``numerics._orbit_walk`` builds points.
+state, so a sweep of order n computes them at most n+1 times.  The
+cylinders tile [0, 1) in lexicographic order (Parry 1960), so a sweep
+takes each left end as the one before plus its length, one add in the
+coordinates of the base's Horner kernel, built as a value only when
+read.  The partition route reads Horner values alone and stays
+independent.  The sweep, ``successor`` and the full-cylinder search read
+one stream of words, ``words._dfs``, the last two resumed at a word.
 """
 
 from __future__ import annotations
@@ -39,19 +38,19 @@ from .words import _dfs, _renyi, _states, check_cap
 class CylinderInterval(tuple):
     """Half-open interval [left, left + length) of one admissible word,
     immutable, equal and hashed by (word, left, length, is_full).  It stores
-    (word, acc, j, length, is_full, finish).  In a sweep acc is the Horner
-    value carried for the word's first j digits, and ``left`` = finish(acc, j)
-    is built when read, as ``_orbit_walk`` builds points; else acc is ``left``."""
+    (word, acc, length, is_full, finish).  In a sweep acc is the left end in
+    the Horner kernel's coordinates, and ``left`` = finish(acc, n) is built
+    when read, as ``_orbit_walk`` builds points; else acc is ``left``."""
 
     __slots__ = ()
-    word, length, is_full = (property(itemgetter(i)) for i in (0, 3, 4))
-    left = property(lambda self: self[1] if self[5] is None else self[5](self[1], self[2]))
+    word, length, is_full = (property(itemgetter(i)) for i in (0, 2, 3))
+    left = property(lambda self: self[1] if self[4] is None else self[4](self[1], len(self[0])))
 
     def __new__(cls, word: Sequence[int], left: Exact, length: Exact, is_full: bool):
-        return tuple.__new__(cls, (tuple(word), left, 0, length, is_full, None))
+        return tuple.__new__(cls, (tuple(word), left, length, is_full, None))
 
     def _values(self) -> tuple[Word, Exact, Exact, bool]:
-        return self[0], self.left, self[3], self[4]
+        return self[0], self.left, self[2], self[3]
 
     def __eq__(self, other):
         return isinstance(other, CylinderInterval) and self._values() == other._values()
@@ -80,23 +79,11 @@ def is_full(word: Sequence[int], system: BetaSystem) -> bool:
     return system.is_full_state(_states(word, system)[-1])
 
 
-def _carry(stack: list, word: Sequence[int], j: int, extend) -> object:
-    """The carried value of word[:j], j the first changed position, folded
-    in one call from the longest prefix kept on ``stack`` as (k, value); it
-    is the word's own value when the digits after j are zero."""
-    while stack[-1][0] >= j:
-        stack.pop()
-    k, acc = stack[-1]
-    acc = extend(acc, word[k:j], k + 1)
-    stack.append((j, acc))
-    return acc
-
-
 def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
     """Next admissible word of the same length, or None at the end: the
     second word of ``words._dfs`` resumed at ``word``."""
     later = islice(_dfs(system, len(word), word), 1, None) if word else ()
-    return next((w for w, _, _ in later), None)
+    return next((w for w, _ in later), None)
 
 
 def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
@@ -119,11 +106,9 @@ class CensusRecord(NamedTuple):
 def full_census(n: int, system: BetaSystem) -> CensusRecord:
     """Counts and the maximal run of consecutive non-full cylinders.
 
-    Folded over the Renyi-Parry decomposition of the words module, with no
-    enumeration.  Write t1 t2 ... for the quasi-greedy digits of 1: the
-    order-r words are, in lexicographic order, t_i blocks of all order-(r-i)
-    words behind the prefixes t1...t_{i-1}d, d < t_i, for i = 1..r, then
-    the single word t1...tr, which ends in automaton state r.  A prefix
+    Folded, with no enumeration, over the Renyi-Parry decomposition of the
+    words module: in lexicographic order, t_i blocks of all order-(r-i) words
+    behind t1...t_{i-1}d, d < t_i, for i = 1..r, then t1...tr, in state r.  A prefix
     t1...t_{i-1}d with d < t_i is full, and a full word u followed by a
     word v is full exactly when v is (Fan-Wang, Nonlinearity 2012), so each
     block repeats the census of order r-i.  Hence
@@ -135,14 +120,10 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     last i such that t_i > 0, that trailing run is 0 when t1...tr is full
     and trail_{r-j} + 1 otherwise.  The first block is the whole order r-1
     (t1 >= 1), so the longest run at order n is the longest trailing run
-    at orders 1..n.  Both sums are one call of ``words._renyi``, which
-    reads c_n and f_n alone as the n-th coefficients of their series by
-    Bostan-Mori halving of the denominator 1 - T(z) they share: about
-    log2(n) steps of four half-size packed integer products per numerator
-    and denominator pair, two of them the denominator's squares, which the
-    pairs share, so six a step, of O(n log n) bits; and only t_1..t_L when
-    t_i = t_(i-p) for every i > L (``system.star.repeat``).
-    The trailing-run fold is O(n) steps.
+    at orders 1..n.  Both sums are one call of ``words._renyi``, which reads
+    c_n and f_n alone as the n-th coefficients of two series sharing one
+    denominator (the ``words`` module docstring).  The trailing-run fold is
+    O(n) steps.
 
     The full cylinders recur with gaps at most n (Bugeaud-Wang, J. Fractal
     Geom. 2014): among any n+1 consecutive order-n cylinders at least one
@@ -152,8 +133,8 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
         raise ValueError("order must be >= 1")
     full = [int(system.is_full_state(r)) for r in range(n + 1)]  # r = 0: the empty word
     trails, last = [0], 0  # last: the last i <= r with t_i > 0
-    for r in range(1, n + 1):
-        if system.star.digit(r):
+    for r, t in enumerate(system.star.prefix(n), 1):
+        if t:
             last = r
         trails.append(0 if full[r] else trails[r - last] + 1)
     max_gap = max(trails)
@@ -170,20 +151,26 @@ def iter_cylinders(n: int, system: BetaSystem) -> Iterator[CylinderInterval]:
     PrecisionExhausted for an interval beta.
     The length beta**-n * tail_sup(state) and the fullness of a cylinder
     depend only on the final follower state of its word, one of 0..n, so
-    the n+1 pairs are computed once per sweep.  Left endpoints are prefix
-    Horner values carried down ``words._dfs`` (``_carry``), built when read.
-    The cylinders tile [0, 1) (Parry 1960): the last left end, from the
-    digits, plus its length, from ``tail_sup``, must be 1, else InvariantFailure."""
+    the n+1 of each, and each length lifted to the Horner kernel's
+    coordinates (``word_evaluator``), are computed once per sweep.  The
+    cylinders tile [0, 1) (Parry 1960), so each left end is the one before
+    plus its length, one add, built as a value when read.  The last word
+    t_1...t_n must start at its Horner value and end at 1, else InvariantFailure."""
     check_cap(system, n, "cylinder sweep")
     pm = system.pow(-n)
-    start, extend, finish = word_evaluator(system)
+    fold, finish, lift, add = word_evaluator(system)
     shapes = [(pm * system.tail_sup(s), system.is_full_state(s)) for s in range(n + 1)]
-    stack, new = [(0, start)], tuple.__new__
-    for w, state, j in _dfs(system, n):
+    steps = [lift(length, n) for length, _ in shapes]
+    acc, new = fold(()), tuple.__new__
+    for w, state in _dfs(system, n):
         length, full = shapes[state]
-        c = new(CylinderInterval, (w, _carry(stack, w, j, extend), j, length, full, finish))
+        c = new(CylinderInterval, (w, acc, length, full, finish))
         yield c
-    if c.left + c.length != 1:  # c: the last word t_1...t_n
+        acc = add(acc, steps[state])
+    if fold(c.word) != c[1]:  # c: the last word t_1...t_n
+        raise InvariantFailure(f"the last order-{n} left end {c.left} is not its digits' "
+                               f"value {finish(fold(c.word), n)}, for beta {system.spec!r}")
+    if acc != lift(1, n):
         raise InvariantFailure(
             f"order-{n} cylinders end at {c.left + c.length}, not 1, for beta {system.spec!r}")
 
@@ -199,9 +186,8 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     non-strict case.  An interval beta raises PrecisionExhausted.
 
     The search resumes the sweep's DFS (``words._dfs``) at the expansion
-    of lo and folds left ends as ``iter_cylinders`` does (``_carry``): the
-    first word is folded whole, and a later word that grows digit j has
-    zeros after it, so its left end is the value of its first j digits.
+    of lo, takes that word's left end by Horner and each later one, as
+    ``iter_cylinders`` does, by adding the length of the state stepped past.
     """
     if not all(isinstance(end, (int, Fraction, QuadNum)) for end in (lo, hi)):
         raise PreconditionViolated("interval ends must be exact")
@@ -216,15 +202,17 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
         raise PreconditionViolated("interval lies outside [0, 1)")
 
     need = 1 if strict else 0
-    start, extend, finish = word_evaluator(system)
-    stack = [(0, start)]
-    for w, state, j in _dfs(system, n, expand(lo_clamped, system, n)):
-        left = finish(_carry(stack, w, j, extend), j)
+    fold, finish, lift, add = word_evaluator(system)
+    acc = None
+    for w, state in _dfs(system, n, expand(lo_clamped, system, n)):
+        acc = fold(w) if acc is None else add(acc, lift(pm * system.tail_sup(before), n))
+        left = finish(acc, n)
         if compare(left, hi) >= 0:
             break
         if (compare(left, lo) >= need
                 and compare(left + pm, hi) <= -need
                 and system.is_full_state(state)):
             return w
+        before = state
     raise InvariantFailure(
         f"no full order-{n} cylinder found inside the interval")

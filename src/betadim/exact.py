@@ -110,13 +110,13 @@ def iroot(n: int, k: int) -> int:
 class QuadNum:
     """Exact number a + b*sqrt(d) with rational a, b and nonsquare d >= 2,
     stored as its reduced triple (X, Y, D) (module docstring), d = 0
-    exactly when Y = 0; ``a`` and ``b`` are read back from it.
+    exactly when Y = 0; ``a`` and ``b`` are read back from it once, and kept.
 
     Arithmetic stays inside one quadratic field; mixing two different
     nonzero radicands raises.  Rationals (b == 0) mix with everything.
     """
 
-    __slots__ = ("X", "Y", "D", "d")
+    __slots__ = ("X", "Y", "D", "d", "_ab")  # _ab: (a, b), filled when first read
 
     def __new__(cls, a=0, b=0, d: int = 0):
         a, b = Fraction(a), Fraction(b)
@@ -149,13 +149,16 @@ class QuadNum:
             return QuadNum._in_field(x.numerator, 0, x.denominator, 0)
         return None
 
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.X, self.D)
+    def _fractions(self) -> tuple[Fraction, Fraction]:
+        if not hasattr(self, "_ab"):
+            self._ab = Fraction(self.X, self.D), Fraction(self.Y, self.D)
+        return self._ab
 
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.Y, self.D)
+    a = property(lambda self: self._fractions()[0])
+    b = property(lambda self: self._fractions()[1])
+
+    def __getstate__(self):  # the stored triple alone: pickles and copies leave _ab out
+        return None, {"X": self.X, "Y": self.Y, "D": self.D, "d": self.d}
 
     @property
     def is_rational(self) -> bool:

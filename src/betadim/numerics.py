@@ -60,6 +60,7 @@ import re
 import threading
 from fractions import Fraction
 from itertools import islice
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
@@ -133,13 +134,11 @@ class StarExpansion:
     and otherwise the walk stops at T^L(1) = T^(L-p)(1), so the digits
     after t_L repeat those after t_(L-p) (L > p: the expansion of 1 is
     never purely periodic).  It is None for every other beta, whose digits
-    are read one by one as they are asked for, from one walk of 1: the
+    are read as far as they are asked for, from one walk of 1: the
     exact walk, or the interval walk of orbits, which ends at the first
     digit that an interval beta cannot decide.  Past t_L a digit is read
     from t_1..t_L by that rule and never stored, so a Pisot beta's store
-    keeps L digits however deep it is read.  The Renyi-Parry counts of
-    ``words`` read t_1..t_L only: their denominator 1 - z^p - T(z)(1 - z^p)
-    has degree L.
+    keeps L digits however deep it is read (``prefix`` too).
 
     An exact beta's store also holds, once asked for, the quasi-greedy
     orbit points p_0 = 1, p_s = beta * p_(s-1) - t_s = beta**s * (1 -
@@ -211,7 +210,16 @@ class StarExpansion:
         return digits[i]
 
     def prefix(self, n: int) -> Word:
-        return tuple(self.digit(i) for i in range(1, n + 1))
+        """t_1..t_n in one read: the store extended once and sliced, or past
+        t_L of a repeat (L, p) the last p stored digits repeated."""
+        digits, repeat = self._digits, self._repeat
+        if n >= len(digits):
+            if repeat:
+                L, p = repeat
+                return tuple(digits[1:] + digits[L - p + 1:] * ((n - L) // p + 1))[:n]
+            self.digit(n)
+        with self._lock:
+            return tuple(digits[1:max(n, 0) + 1])
 
     def point(self, s: int) -> Exact:
         """p_s, s >= 0, stored once; PrecisionExhausted for an interval beta."""
@@ -513,36 +521,39 @@ def expand(x: Real, system: BetaSystem, n: int) -> Word:
     return tuple(step[0] for step in _orbit_walk(x, system, n)[0])
 
 
-def _golden_extend(acc: tuple[int, int], digits: Sequence[int], i: int) -> tuple[int, int]:
-    a, b = acc  # phi * (a + b*phi) + d = (b + d) + (a + b)*phi
-    for d in digits:
-        a, b = b + d, a + b
-    return a, b
-
-
-def word_evaluator(system: BetaSystem) -> tuple[object, Callable, Callable]:
-    """The Horner kernel of this base, chosen once, in prefix form (start,
-    extend, finish): ``extend(acc, digits, i)`` folds the run ``digits``
-    from position i on into the carried value ``acc`` of the i - 1 digits
-    before it, ``finish(acc, m)`` gives the exact value of m digits carried,
-    and a word is ``finish(extend(start, word, 1), len(word))``.  A rational
-    p/q carries the value times p**m, golden times phi**m, others the value."""
+def word_evaluator(system: BetaSystem) -> tuple[Callable, Callable, Callable, Callable]:
+    """The Horner kernel of this base, chosen once, on carried values: (fold,
+    finish, lift, add).  ``fold(word)`` carries a word's value, ``finish(acc,
+    m)`` is the exact value of one carried at order m, ``lift(v, m)`` its
+    inverse and ``add`` the sum of two carried at one order.  A rational p/q
+    carries the value times p**m, an integer on order-m words and lengths;
+    golden phi**m times it as (a, b), a + b*phi in Z[phi]; others the value."""
     b = system.require_exact("word evaluation")
     if isinstance(b, Fraction):
         p, q = b.numerator, b.denominator
 
-        def rational(acc: int, digits: Sequence[int], i: int) -> int:
-            qi = q ** (i - 1)
-            for d in digits:
+        def rational(word: Sequence[int]) -> int:
+            acc, qi = 0, 1
+            for d in word:
                 qi *= q
                 acc *= p
                 if d:
                     acc += d * qi
             return acc
 
-        return 0, rational, lambda acc, n: Fraction(acc, p ** n)
+        def rational_lift(v: Exact, m: int) -> int | Fraction:  # a Fraction off the integers
+            x = v * p ** m
+            return x.numerator if x.denominator == 1 else x
+
+        return rational, lambda acc, m: Fraction(acc, p ** m), rational_lift, add
     if b == GOLDEN:
         cache = system._pow_cache
+
+        def golden(word: Sequence[int]) -> tuple[int, int]:
+            a = b = 0  # phi * (a + b*phi) + d = (b + d) + (a + b)*phi
+            for d in word:
+                a, b = b + d, a + b
+            return a, b
 
         def golden_finish(acc: tuple[int, int], n: int) -> Exact:
             a, bb = acc  # times phi**-n = (X + Y*sqrt(5))/D, read from the cache
@@ -551,15 +562,19 @@ def word_evaluator(system: BetaSystem) -> tuple[object, Callable, Callable]:
             u = 2 * a + bb
             return _in_field(u * X + 5 * bb * Y, u * Y + bb * X, 2 * v.D, 5)
 
-        return (0, 0), _golden_extend, golden_finish
+        def golden_lift(v: Exact, m: int) -> tuple[int, int]:
+            X, Y, D = coords(system.pow(m) * v)  # (X - Y)/D + (2Y/D)*phi
+            if (X - Y) % D or 2 * Y % D:
+                raise ValueError(f"phi**{m} * {v!r} is not in Z[phi]")
+            return (X - Y) // D, 2 * Y // D
 
-    def quadratic(acc: Exact, digits: Sequence[int], i: int) -> Exact:
-        for k, d in enumerate(digits, i):
-            if d:
-                acc = acc + d * system.pow(-k)
-        return acc
+        return golden, golden_finish, golden_lift, lambda x, y: (x[0] + y[0], x[1] + y[1])
 
-    return _in_field(0, 0, 1, 0), quadratic, lambda acc, n: acc
+    def quadratic(word: Sequence[int]) -> Exact:
+        return sum((d * system.pow(-k) for k, d in enumerate(word, 1) if d),
+                   _in_field(0, 0, 1, 0))
+
+    return quadratic, lambda acc, m: acc, lambda v, m: v, add
 
 
 def eval_word(word: Sequence[int], system: BetaSystem) -> Exact:
@@ -569,8 +584,8 @@ def eval_word(word: Sequence[int], system: BetaSystem) -> Exact:
     if not word:  # 0 for every exact beta, before any kernel is chosen
         system.require_exact("word evaluation")
         return Fraction(0)
-    start, extend, finish = word_evaluator(system)
-    return finish(extend(start, word, 1), len(word))
+    fold, finish, _, _ = word_evaluator(system)
+    return finish(fold(word), len(word))
 
 
 def make_beta(spec: str) -> BetaSystem:

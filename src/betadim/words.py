@@ -44,13 +44,12 @@ D(z) = T(z)(1 - z^p) has degree L and
 a denominator of degree L, and only t_1..t_L are read.  A beta with no
 known repeat (a non-integer rational, a non-Pisot quadratic, an interval
 beta) takes 1 - T(z) cut at degree n.  Either way order n costs about
-log2(n) such steps on O(n log n) bits, where the sum itself took every
-order below n: O(n * L), or O(n**2), operations on n-bit integers.
+log2(n) such steps on O(n log n) bits.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter, sub
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, NotAdmissible
@@ -73,7 +72,7 @@ class ParryAutomaton:
         """Dense tables (trans[state][digit], max_digit[state]) for states
         0..n, max_digit[s] = t_{s+1}, the largest digit readable from s;
         trans rows only cover digits 0..max_digit[state]."""
-        maxd = [self.system.star.digit(s + 1) for s in range(n + 1)]
+        maxd = list(self.system.star.prefix(n + 1))
         return [[0] * t + [s + 1] for s, t in enumerate(maxd)], maxd
 
 
@@ -130,28 +129,27 @@ def check_cap(system: BetaSystem, n: int, what: str) -> None:
 
 
 def _dfs(system: BetaSystem, n: int, start: Sequence[int] | None = None
-         ) -> Iterator[tuple[Word, int, int]]:
+         ) -> Iterator[tuple[Word, int]]:
     """The one DFS over the admissible length-n words, in lexicographic order:
-    (word, final state, j), j the first position that changed, zeros after it.
+    (word, final state).
 
     Given ``start``, an admissible length-n word, the stream resumes there:
-    it yields ``start`` with j = n, then every later word.  A negative digit
-    raises ValueError and an inadmissible word NotAdmissible, naming the
-    base.  The steps follow the counter with reset of the module docstring,
-    as ``_walk``'s do, with t_{s+1} read from ``system.star`` when a digit
-    is first read from state s, so a digit of 1 that no step needs is never decided."""
+    it yields ``start``, then every later word.  A negative digit raises
+    ValueError and an inadmissible word NotAdmissible, naming the base.  The
+    steps follow the counter with reset of the module docstring, as
+    ``_walk``'s do, with t_{s+1} read from ``system.star`` when a digit is
+    first read from state s, so a digit of 1 that no step needs is never decided."""
     if n < 1:
         raise ValueError("order must be >= 1")
     digit = system.star.digit
     top: list[int] = []  # top[s] = t_{s+1}, the largest digit from state s
     digits = [-1] * (n + 1)
     states = [0] * (n + 1)
-    i = j = 1
+    i = 1
     if start is not None:
         states = _walk(start, system, top) or _states(start, system)  # NotAdmissible
         digits[1:], i = start, n
-        yield tuple(start), states[n], n
-        j = n
+        yield tuple(start), states[n]
     while i >= 1:
         d = digits[i] + 1
         s = states[i - 1]
@@ -162,20 +160,19 @@ def _dfs(system: BetaSystem, n: int, start: Sequence[int] | None = None
             t = top[s]
         if d > t:
             digits[i] = -1
-            i = j = i - 1  # the next digit to grow is at i or above
+            i -= 1
             continue
         digits[i] = d
         states[i] = s + 1 if d == t else 0
         if i == n:
-            yield tuple(digits[1:]), states[n], j
-            j = n
+            yield tuple(digits[1:]), states[n]
         else:
             i += 1
 
 
 def words_with_states(system: BetaSystem, n: int) -> Iterator[tuple[Word, int]]:
     """All admissible length-n words, in lexicographic order, and their final state."""
-    return map(itemgetter(0, 1), _dfs(system, n))
+    return _dfs(system, n)
 
 
 def enumerate_admissible(n: int, system: BetaSystem) -> Iterator[Word]:
@@ -191,10 +188,9 @@ def count_admissible(n: int, system: BetaSystem) -> int:
     The Renyi-Parry count c_n = 1 + sum_{i<=n} t_i c_{n-i}, c_0 = 1, over
     the quasi-greedy digits t_i, taken as the n-th coefficient of
     1/((1 - z)(1 - T(z))) by Bostan-Mori halving (``_renyi``, see the module
-    docstring), with no enumeration, no automaton walk and no c_r for r < n:
-    log2(n) steps of four half-size packed integer products, two of them
-    squares, of O(n log n) bits, and O(n) list work.  Checked against the
-    bounds beta**n <= count <= beta**(n+1)/(beta-1) when beta is exact.
+    docstring), with no enumeration, no automaton walk and no c_r for r < n.
+    Checked against the bounds beta**n <= count <= beta**(n+1)/(beta-1)
+    when beta is exact.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -208,19 +204,17 @@ def _renyi(system: BetaSystem, n: int, *extras: list[int]) -> list[int]:
     T(z) = sum t_i z^i: the n-th term of x_r = extra[r] + sum_{i<=r} t_i x_{r-i}.
     The series share their denominator, so it is halved once for all.
 
-    Without a repeat the denominator is 1 - T(z) cut at degree n, its digits
-    read one by one (an interval beta raises PrecisionExhausted at the first
-    digit of 1 it cannot decide).  With the repeat (L, p), D(z) = T(z)(1 - z^p)
-    has degree L, and x_n = [z^n] E(z)(1 - z^p)/(1 - z^p - D(z)): only
-    t_1..t_L are read.
+    The denominator is that of the module docstring, its digits read in one
+    ``star.prefix`` call (an interval beta raises PrecisionExhausted at the
+    first digit of 1 it cannot decide).
     """
     star, repeat = system.star, system.star.repeat
     if repeat is None:
-        den = [1] + [-star.digit(i) for i in range(1, n + 1)]
+        den = [1] + [-t for t in star.prefix(n)]
         nums = list(extras)
     else:
         L, p = repeat
-        t = [0] * (p + 1) + [star.digit(i) for i in range(1, L + 1)]  # t[p + i] = t_i
+        t = [0] * (p + 1) + list(star.prefix(L))  # t[p + i] = t_i
         den = [1] + [t[j] - t[p + j] for j in range(1, L + 1)]  # 1 - z^p - D(z)
         den[p] -= 1
         nums = []

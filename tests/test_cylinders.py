@@ -295,25 +295,52 @@ class TestSweep:
         for spec in SWEEP_BETAS:
             b = make_beta(spec)
             powers = [b.beta_exact ** -i for i in range(1, 9)]
-            start, extend, finish = word_evaluator(b)
+            fold, finish, lift, add = word_evaluator(b)
             for n in range(1, 9):
                 for w in enumerate_admissible(n, b):
                     want = sum(d * p for d, p in zip(w, powers))
-                    assert finish(extend(start, w, 1), n) == want, (spec, w)
-                    # the prefix form: folding the word in two runs, split anywhere
-                    for k in range(1, n):
-                        acc = extend(extend(start, w[:k], 1), w[k:], k + 1)
-                        assert finish(acc, n) == want, (spec, w, k)
+                    assert finish(fold(w), n) == want, (spec, w)
+                    assert lift(want, n) == fold(w), (spec, w)  # finish's inverse
                 assert eval_word(w, b) == want, (spec, w)
+
+    def test_a_length_lifts_to_coordinates_that_finish_to_it(self):
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            fold, finish, lift, add = word_evaluator(b)
+            for n in range(1, 11):
+                for s in range(n + 1):
+                    length = b.pow(-n) * b.tail_sup(s)
+                    assert finish(lift(length, n), n) == length, (spec, n, s)
+
+    def test_sweep_checks_the_last_left_end_against_its_digits(self, monkeypatch):
+        # a Horner fold that is off by beta**-n on every non-empty word: the
+        # lengths still sum to 1, so only the digits of t1...tn can see it
+        def corrupted(system):
+            fold, finish, lift, add = word_evaluator(system)
+
+            def off(word):
+                return add(fold(word), fold((0,) * (len(word) - 1) + (1,))) if word else fold(word)
+
+            return off, finish, lift, add
+
+        monkeypatch.setattr(cylinders, "word_evaluator", corrupted)
+        n = 6
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            sweep = iter_cylinders(n, b)
+            assert sum(1 for _ in itertools.islice(sweep, count_admissible(n, b))) \
+                == count_admissible(n, b)
+            with pytest.raises(InvariantFailure, match="digits' value"):
+                next(sweep)
 
 
 class TestLeftEndsBuiltOnRead:
-    """A swept record keeps the value that the Horner fold carries for its
-    word and builds its left end only when ``left`` is read."""
+    """A swept record keeps its left end as the sweep carries it, in the
+    Horner kernel's coordinates, and builds the value only when ``left`` is read."""
 
     def test_left_ends_read_after_the_sweep_equal_the_word_values(self):
         # read only once the whole sweep is collected: a record that shared
-        # the fold's stack would read a later word's prefix
+        # the sweep's running value would read a later word's left end
         for spec in SWEEP_BETAS:
             b = make_beta(spec)
             for n in range(1, 11):
@@ -337,13 +364,13 @@ class TestLeftEndsBuiltOnRead:
                     single = cylinder(c.word, b)
                     assert hash(c) == hash(single) and not c != single, (spec, c.word)
 
-    def test_a_sweep_that_reads_no_left_end_builds_one(self, monkeypatch):
-        # only the tiling check on the last cylinder builds a left end
+    def test_a_sweep_that_reads_no_left_end_builds_none(self, monkeypatch):
+        # the tiling check on the last cylinder compares kernel coordinates
         built = []
 
         def counted(system):
-            start, extend, finish = word_evaluator(system)
-            return start, extend, lambda acc, m: built.append(m) or finish(acc, m)
+            fold, finish, lift, add = word_evaluator(system)
+            return fold, lambda acc, m: built.append(m) or finish(acc, m), lift, add
 
         monkeypatch.setattr(cylinders, "word_evaluator", counted)
         for spec in SWEEP_BETAS:
@@ -352,7 +379,7 @@ class TestLeftEndsBuiltOnRead:
                 built.clear()
                 read = [(c.word, c.length, c.is_full) for c in iter_cylinders(n, b)]
                 assert len(read) == count_admissible(n, b)
-                assert len(built) == 1, (spec, n, len(built))
+                assert not built, (spec, n, len(built))
 
     def test_copies_and_repr_show_the_built_left_end(self):
         b = make_beta("9/5")
@@ -571,9 +598,8 @@ class TestFindFull:
                         assert got == inside[0], (spec, n, lo, hi, strict)
 
     def test_leftmost_full_cylinder_at_depth(self):
-        # orders where the search's prefix stack is deep: the first word is
-        # folded whole, and each step folds the digits from the nearest kept
-        # prefix to the digit it grows
+        # deep orders: the first word's left end is its Horner value, and
+        # each step adds the length of the cylinder it steps past
         rng = random.Random(5)
         for spec in ("2", "9/5", "2.5", "golden", PHI2):
             b = make_beta(spec)

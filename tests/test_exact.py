@@ -126,7 +126,8 @@ class TestQuadNum:
 def assert_reduced(z: QuadNum) -> None:
     assert z.D > 0 and math.gcd(z.X, z.Y, z.D) == 1, (z.X, z.Y, z.D)
     assert (z.d == 0) == (z.Y == 0), (z.Y, z.d)
-    assert not any(isinstance(getattr(z, f), Fraction) for f in QuadNum.__slots__)
+    # the stored coordinates are integers; only the ``_ab`` slot keeps Fractions
+    assert all(type(v) is int for v in (z.X, z.Y, z.D, z.d)), (z.X, z.Y, z.D, z.d)
 
 
 def seeded_values(d: int, seed: int, count: int = 40) -> list[QuadNum]:
@@ -191,6 +192,25 @@ class TestOneFormat:
         assert (x.a, x.b, x.d) == (Fraction(3, 2), Fraction(-5, 3), 13)
         assert (x.X, x.Y, x.D) == (9, -10, 6)
         assert (PHI.X, PHI.Y, PHI.D, PHI.d) == (1, 1, 2, 5)
+
+    def test_read_coordinates_are_kept_and_change_nothing_else(self):
+        import copy
+        import pickle
+        # make() is a fresh number whose coordinates were never read; hashing
+        # and printing read them, so those come after the pickle checks
+        for make in (lambda: QuadNum(Fraction(6, 4), Fraction(-10, 6), 13),
+                     lambda: QuadNum(Fraction(-7, 3)), lambda: PHI ** 5):
+            read = make()
+            first = (read.a, read.b)
+            assert (read.a, read.b) == first and read.a is first[0] and read.b is first[1]
+            assert first == (make().a, make().b)
+            for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.dumps(read, proto) == pickle.dumps(make(), proto)
+                assert pickle.loads(pickle.dumps(read, proto)) == make()
+            for twin in (copy.copy(read), copy.deepcopy(read)):
+                assert pickle.dumps(twin) == pickle.dumps(make())
+                assert (twin.X, twin.Y, twin.D, twin.d) == (read.X, read.Y, read.D, read.d)
+            assert read == make() and hash(read) == hash(make()) and repr(read) == repr(make())
 
     def test_mixed_radicands_raise_in_every_operation(self):
         import operator

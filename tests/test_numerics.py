@@ -553,6 +553,20 @@ class TestOrbitOfOne:
             assert not b._pow_cache, spec
         assert powers == []
 
+    def test_prefix_reads_what_digit_reads(self):
+        # one bulk read, sliced from the store or, for a Parry beta, from the
+        # repeat rule: same digits as digit by digit, and no digit stored past t_L
+        for spec in ORBIT_BETAS + ["3", "dec:1.8@200"]:
+            bulk, single = make_beta(spec), make_beta(spec)
+            for n in (0, 1, 2, 5, 13, 40, 41, 120, 7, 3, -5):
+                assert bulk.star.prefix(n) == tuple(
+                    single.star.digit(i) for i in range(1, n + 1)), (spec, n)
+            assert len(bulk.star._digits) == len(single.star._digits), spec
+        dec = make_beta("dec:1.8@200")
+        with pytest.raises(PrecisionExhausted, match="undecided"):
+            dec.star.prefix(2000)
+        assert dec.star.prefix(5) == make_beta("1.8").star.prefix(5)
+
     def test_interval_beta_has_no_points(self):
         b = make_beta("dec:1.8@200")
         for s in (0, 1, 50):

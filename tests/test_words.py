@@ -450,32 +450,22 @@ class TestWordsWithStates:
                                if w[n - length:] == b.star.prefix(length))
                     assert state == best, (spec, w)
 
-    def test_stream_names_the_first_changed_position(self):
-        # the sweep reads j as the first position that changed and relies on
-        # the digits after it being zero
+    def test_stream_is_the_sorted_enumeration(self):
         for spec in BETAS + [S13, PHI2]:
             b = make_beta(spec)
             for n in range(1, 9):
-                before = None
-                for w, state, j in _dfs(b, n):
-                    first = 1 if before is None else next(
-                        i for i in range(1, n + 1) if w[i - 1] != before[i - 1])
-                    assert j == first, (spec, w)
-                    assert not any(w[j:]), (spec, w)
-                    before = w
-                assert [w for w, _, _ in _dfs(b, n)] == list(enumerate_admissible(n, b))
-
+                assert [w for w, _ in _dfs(b, n)] == list(enumerate_admissible(n, b))
 
     def test_stream_resumes_at_any_word(self):
-        # resumed at w, the stream yields w with j = n, then the tail of the
-        # stream from the first word
+        # resumed at w, the stream yields w, then the tail of the stream
+        # from the first word
         for spec in ("2", "golden", "9/5", "5/2", S13, DEC):
             b = make_beta(spec)
             for n in range(1, 9):
                 stream = list(_dfs(b, n))
-                for k, (w, state, _) in enumerate(stream):
+                for k, (w, state) in enumerate(stream):
                     resumed = list(_dfs(b, n, w))
-                    assert resumed[0] == (w, state, n), (spec, w)
+                    assert resumed[0] == (w, state), (spec, w)
                     assert resumed[1:] == stream[k + 1:], (spec, w)
 
 
