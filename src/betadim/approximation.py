@@ -26,9 +26,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionViolated
-from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue, _ln2_fixed,
-                    compare, decide, exact_enclosure, inv_pow_fixed, iroot, ln_interval,
-                    pow_interval, root_interval)
+from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue, compare,
+                    decide, exact_enclosure, iroot, pow_fixed, pow_interval, root_interval)
 from .numerics import BetaSystem, Real, _orbit_walk
 
 
@@ -127,13 +126,18 @@ class PsiFunction(_PsiFields):
         on its ends, since the slope of the root is at most 1/x there.  An
         exact beta takes beta**-k exactly from the system's one power cache
         (``system.pow``), so the value refines.  An interval beta takes
-        bhi**-k rounded down and blo**-k rounded up over 2**P, P = w + mag +
-        bitlen(k) + 4, from its declared ends by ``inv_pow_fixed``, once, at
-        the declared bits + PRECISION_START: no rung can make the value
-        narrower than beta's declared width lets it be, so it is a fixed
-        interval, and a comparison it cannot decide fails at the first rung.
-        No end of an enclosure of beta is raised to a power exactly; only
-        the factor n**-p comes from ``pow_interval``.
+        bhi**-k from below and blo**-k from above as 1/(m*2**e), m*2**e the
+        ``pow_fixed`` of its declared ends to P = w + mag + bitlen(k) + 4
+        bits, rounded up and down.  There each cut moves a power by a factor
+        within 1 +- 2**(1 - P), and the first rounding of an end (> 1) by one
+        within 1 +- 2**-P, which the power multiplies by k; all of them stay
+        within 1 +- 6k*2**-P < 1 +- 2**-(w + mag + 1), so the two ends
+        move by at most 2**-(w + mag) together.  It is done once, at the
+        declared bits + PRECISION_START: no rung can make the value narrower
+        than beta's declared width lets it be, so it is a fixed interval, and
+        a comparison it cannot decide fails at the first rung.  No end of an
+        enclosure of beta is raised to a power exactly; only the factor
+        n**-p comes from ``pow_interval``.
         """
         exact = self.value_exact(n)
         if exact is not None:
@@ -159,21 +163,23 @@ class PsiFunction(_PsiFields):
                 lambda bits: psi(bits + 8, *exact_enclosure(power, bits + 8 + mag)))
         w = system.declared_bits + PRECISION_START + 8
         blo, bhi = system.beta.enclosure(w)
-        P = w + mag + k.bit_length() + 4  # (k + 2) * 2**-P < 2**-(w + mag)
+        P = w + mag + k.bit_length() + 4
+        (mlo, elo), (mhi, ehi) = pow_fixed(bhi, k, P, True), pow_fixed(blo, k, P, False)
         return CertifiedReal.from_interval(*psi(
-            w, Fraction(inv_pow_fixed(bhi, k, P, up=False), 1 << P),
-            Fraction(inv_pow_fixed(blo, k, P, up=True), 1 << P)))
+            w, Fraction(2) ** -elo / mlo, Fraction(2) ** -ehi / mhi))
 
     def _log2_ceiling(self) -> Callable[[int], int]:
         """n -> an integer m with psi(n) <= 2**m, on integers only.
 
         A table entry N/M < 2**(bitlen(N) - bitlen(M) + 1).  An exponential
-        psi(n) <= c * beta**(-alpha*n), as n**-p <= 1, and with lam <= log2
-        beta that is <= 2**(ceil(log2 c) - floor(alpha*n*lam)).  lam is a
-        fixed-point lower bound, kept on the system on first use as no psi
-        changes it: ln of the low end of beta's enclosure (an interval
-        beta's declared one) from below by ``ln_interval``, so it holds for
-        an interval beta too, over ln 2 from above (``_ln2_fixed``)."""
+        psi(n) <= c * beta**(-alpha*n), as n**-p <= 1, and with lam*2**-32 <=
+        log2 beta that is <= 2**(ceil(log2 c) - floor(alpha*n*lam*2**-32)).
+        lam takes no logarithm: it is e + bitlen(m) - 1 for m*2**e, the
+        ``pow_fixed`` of lo**(2**32) rounded down, lo the low end of beta's
+        enclosure to 2**-32 (an interval beta's declared one), so 2**lam <=
+        lo**(2**32) <= beta**(2**32), for an interval beta too.  Its 64-bit
+        roundings move that power by a factor within 1 - 2**-29, so lam is
+        floor(2**32*log2 lo) or one below."""
         if self.family == "table":
             table = self.table
             return lambda n: (table[n - 1].numerator.bit_length()
@@ -182,10 +188,8 @@ class PsiFunction(_PsiFields):
         e = N.bit_length() - M.bit_length()
         top = e + (N > M << e if e >= 0 else N << -e > M)
         F = 32  # lam to 2**-30 or so: alpha*n*lam loses under a bit below n = 2**29
-        system, lam = self.system, self.system._lam
-        if lam is None:  # an int: threads that race here store the same value
-            lnb, ln2 = ln_interval(system.beta.enclosure(F)[0], F)[0], _ln2_fixed(F + 8)[1]
-            lam = system._lam = max(0, (lnb.numerator << 2 * F + 8) // (lnb.denominator * ln2))
+        pm, pe = pow_fixed(self.system.beta.enclosure(F)[0], 1 << F, 64, False)
+        lam = max(0, pe + pm.bit_length() - 1)
         a, den = self.alpha.numerator * lam, self.alpha.denominator << F
         return lambda n: top - a * n // den
 

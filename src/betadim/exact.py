@@ -18,8 +18,9 @@ Four layers live here:
   enclosures at doubling precision up to a hard cap and then raises
   ``PrecisionExhausted``.
 * enclosure utilities -- integer k-th roots, rational b-th root
-  enclosures, directed fixed-point inverse powers (``inv_pow_fixed``, for
-  the ends of an interval beta), and rigorously bounded natural
+  enclosures, directed fixed-point powers of an end of beta's enclosure
+  (``pow_fixed``: the growth-bound check, an interval beta's psi values
+  and psi's magnitude ceiling), and rigorously bounded natural
   logarithms.  ``pow_interval`` raises a rational to a rational power
   exactly before its root; it now serves only the factor n**-p of a
   tempered speed, never an end of an enclosure of beta.  All enclosure
@@ -578,33 +579,32 @@ def pow_interval(x: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fractio
     return root_interval(base, e.denominator, bits)
 
 
-def _shift(n: int, s: int, up: bool) -> int:
-    """n / 2**s rounded down, or up when ``up``."""
-    return -(-n >> s) if up else n >> s
+def pow_fixed(b: Fraction, k: int, bits: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m*2**e >= b**k when ``up``, else m*2**e <= b**k, for
+    rational b > 0 and integer k >= 0, with no exact power of b.
 
-
-def inv_pow_fixed(b: Fraction, k: int, bits: int, up: bool) -> int:
-    """b**-k * 2**bits rounded down to an integer, or up when ``up``, for
-    rational b > 1 and integer k >= 0, with no exact power of b.
-
-    b**k is raised left to right in fixed point over 2**q, q = bits + 4,
-    with b and every product rounded against the final direction, and then
-    inverted with one rounding.  Every value stays >= 1, so a rounding
-    moves it by a factor within [1 - 2**-q, 1 + 2**-q], and b**k carries at
-    most 3k such factors: k from b, and at most k/e from a rounding at
-    exponent e, where the exponent doubles with each squaring.  Hence for
-    2**bits >= k the results of the two directions differ by at most
-    0.42k + 2, below k + 2.
+    b is rounded to a multiple of 2**-bits, and b**k is raised left to
+    right: each square, times that b where k's bit is set, is cut to
+    ``bits`` bits, each rounding in the one direction.  A cut leaves m >=
+    2**(bits - 1), so it moves the value by a factor within 1 +- 2**(1 -
+    bits), and the rounding of b by one within 1 +- 2**-bits/b, which the
+    power multiplies by k.  The cut at level j of the binary expansion of k
+    (j = 0 at its leading bit) is raised with the value to 2**r <= k/2**j,
+    r the squarings left, so m*2**e is b**k times a factor within
+    (1 +- 2**-bits/b)**k * (1 +- 2**(1 - bits))**(2k).  A power of 2 comes
+    out exact.
     """
-    q = bits + 4
-    num = b.numerator << q
-    r, base = 1 << q, (num // b.denominator if up else -(-num // b.denominator))
+    num = b.numerator << bits
+    x = -(-num // b.denominator) if up else num // b.denominator
+    m, e = 1, 0
     for bit in bin(k)[2:]:
-        r = _shift(r * r, q, not up)
+        m, e = m * m, 2 * e
         if bit == "1":
-            r = _shift(r * base, q, not up)
-    one = 1 << (bits + q)
-    return -(-one // r) if up else one // r
+            m, e = m * x, e - bits
+        s = m.bit_length() - bits
+        if s > 0:
+            m, e = -(-m >> s) if up else m >> s, e + s
+    return m, e
 
 
 _LN2_CACHE: dict[int, tuple[int, int]] = {}

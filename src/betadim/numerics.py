@@ -257,17 +257,14 @@ class BetaSystem:
                 raise PrecisionExhausted(
                     "declared precision cannot separate beta from 1")
             self.beta = CertifiedReal.from_interval(lo, hi)
-            clo = -((-lo.numerator) // lo.denominator)
-            chi = -((-hi.numerator) // hi.denominator)
-            if clo != chi:
+            ceil_b = math.ceil(lo)
+            if ceil_b != math.ceil(hi):
                 raise PrecisionExhausted(
                     "declared precision straddles an integer boundary")
-            ceil_b = clo
             self.declared_bits = (hi - lo).denominator.bit_length()
         self.alphabet_max = ceil_b - 1
         self._pow_cache: dict[int, Exact] = {}
         self._pow_lock = threading.Lock()
-        self._lam: int | None = None  # lam <= log2 beta of PsiFunction._log2_ceiling
         self.star = StarExpansion(self)
 
     # -- basic properties --------------------------------------------------

@@ -53,6 +53,7 @@ from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, NotAdmissible
+from .exact import pow_fixed
 from .numerics import BetaSystem, Word
 
 #: The one enumeration cap: the most admissible words a sweep may stream.
@@ -264,40 +265,26 @@ def _unpack(x: int, w: int, k: int) -> list[int]:
 
 def _assert_renyi(count: int, n: int, system: BetaSystem) -> None:
     """Raise AssertionError unless beta**n <= count <= beta**(n+1)/(beta-1),
-    when beta is exact.  Fixed point decides first: with the ends of beta's
-    enclosure to 2**-64 rounded outward to lo >= l/2**64 and hi <= h/2**64,
-    m*2**e >= hi**n and m'*2**e' <= lo**(n+1) (``_pow_fixed``), so
-    m*2**e <= count proves the lower bound and count*(h/2**64 - 1) <= m'*2**e'
-    the upper one.  What they leave undecided, such as the tie count =
-    beta**n of an integer beta, is compared with the exact ``renyi_bounds``."""
+    when beta is exact.  Fixed point decides first: on the ends lo <= beta
+    <= hi of beta's enclosure to 2**-64, ``pow_fixed`` gives m*2**e >= hi**n
+    and m'*2**e' <= lo**(n+1), so m*2**e <= count proves the lower bound and
+    count*(hi - 1) <= m'*2**e' the upper one.  A power of 2 comes out exact,
+    so beta = 2 decides here; what fixed point leaves undecided, such as the
+    tie count = beta**n of a larger integer beta, is compared with the exact
+    ``renyi_bounds``."""
     if not system.is_exact:
         return
     lo, hi = system.beta.enclosure(64)
-    h = -((-hi.numerator << 64) // hi.denominator)
-    m, e = _pow_fixed(h, n, True)
-    m1, e1 = _pow_fixed((lo.numerator << 64) // lo.denominator, n + 1, False)
-    if _at_most(m, e, count) and _at_most(count * (h - (1 << 64)), -64 - e1, m1):
+    m, e = pow_fixed(hi, n, 64, True)
+    m1, e1 = pow_fixed(lo, n + 1, 64, False)
+    if _at_most(m, e, count) and _at_most(
+            count * (hi.numerator - hi.denominator), -e1, m1 * hi.denominator):
         return
     lower, upper = renyi_bounds(n, system)
     if not (lower <= count and count <= upper):
         raise AssertionError(
             f"count of {count.bit_length()} bits violates growth bounds for beta "
             f"{system.spec!r}, n={n}")
-
-
-def _pow_fixed(x: int, k: int, up: bool) -> tuple[int, int]:
-    """(m, e) with m*2**e >= (x/2**64)**k when ``up``, else m*2**e <= it, for
-    x > 0 and k >= 1: square-and-multiply with every product cut to 64 bits,
-    rounded up or down."""
-    m, e = 1, 0
-    for bit in bin(k)[2:]:
-        m, e = m * m, 2 * e
-        if bit == "1":
-            m, e = m * x, e - 64
-        s = m.bit_length() - 64
-        if s > 0:
-            m, e = -(-m >> s) if up else m >> s, e + s
-    return m, e
 
 
 def _at_most(a: int, s: int, b: int) -> bool:

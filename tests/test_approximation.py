@@ -17,9 +17,10 @@ from betadim.approximation import (
     psi_tempered,
 )
 from betadim.errors import PrecisionExhausted, PreconditionViolated
-from betadim.exact import (CertifiedReal, QuadNum, _ln2_fixed, _log2_floor_fraction, compare,
-                           ln_interval, root_interval)
+from betadim.exact import (PRECISION_START, CertifiedReal, QuadNum, _ln2_fixed,
+                           _log2_floor_fraction, compare, ln_interval, root_interval)
 from betadim.numerics import GOLDEN, _orbit_walk, eval_word, make_beta, orbit
+from test_contract import FAMILIES
 from test_numerics import lazy_sqrt2_minus_1
 
 PHI = GOLDEN
@@ -182,6 +183,30 @@ class TestPsiValues:
         assert not psi.value(5).refinable
         with pytest.raises(PrecisionExhausted, match="at 128 bits"):
             compare(psi.value(5), psi.value(5))
+
+    def test_interval_beta_value_is_no_wider_than_it_must_be(self):
+        # psi(n) of an interval beta spans psi at beta's two declared ends,
+        # and the fixed-point powers and the roots, taken at the w bits the
+        # value is built at, widen that spread by less than 2**-w (0.72 *
+        # 2**-w at worst here); containment alone would pass a slip in them
+        b = make_beta("dec:1.8@200")
+        w = b.declared_bits + PRECISION_START + 8
+        c = Fraction(7, 8)
+        psis = [(psi_exponential(b, a), a, Fraction(1), Fraction(0))
+                for a in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2, 3))]
+        psis.append((psi_tempered(b, Fraction(3, 2), Fraction(1, 2), c),
+                     Fraction(3, 2), c, Fraction(1, 2)))
+        with mpmath.workprec(w + 64):
+            def mp(q):
+                return mpmath.mpf(q.numerator) / q.denominator
+
+            ends = [mp(e) for e in b.beta.enclosure(w)]
+            for psi, a, c, p in psis:
+                for n in (1, 2, 3, 7, 64, 499, 1000, 1001):
+                    lo, hi = psi.value(n).enclosure(w)
+                    true = [mp(c) * mpmath.power(n, -mp(p)) * mpmath.power(beta, -mp(a) * n)
+                            for beta in ends]
+                    assert mp(hi - lo) <= true[0] - true[1] + mpmath.ldexp(1, -w), (a, p, n)
 
     def test_log_value_matches_float(self):
         import math
@@ -535,8 +560,9 @@ def test_magnitude_bounds_hold():
 def test_log2_ceiling_of_c_from_bit_lengths(monkeypatch):
     # ceil(log2 c) from bit lengths against -floor(log2(1/c)) by Fraction
     # powers, on every c = N/M with N, M <= 299.  alpha = 0 leaves m = ceil(log2 c),
-    # whatever lam is, so the bound on ln beta is stubbed to keep the grid fast
-    monkeypatch.setattr(approximation, "ln_interval", lambda x, bits: (Fraction(1),) * 2)
+    # whatever lam is, so the power of beta that bounds it is stubbed to keep
+    # the grid fast
+    monkeypatch.setattr(approximation, "pow_fixed", lambda b, k, bits, up: (1, 0))
     b = make_beta("9/5")
     for c in {Fraction(N, M) for N in range(1, 300) for M in range(1, 300)}:
         psi = PsiFunction(b, "exponential", c=c)
@@ -544,28 +570,36 @@ def test_log2_ceiling_of_c_from_bit_lengths(monkeypatch):
 
 
 def fresh_log2_ceiling(spec, alpha):
-    """n -> m for c = 1 with lam taken afresh on a new system: ln of the low
-    end of beta's enclosure to 2**-32 over the upper bound on ln 2."""
+    """n -> m for c = 1 with lam taken by the ln route, the independent
+    oracle: ln of the low end of beta's enclosure to 2**-32 over the upper
+    bound on ln 2."""
     lnb = ln_interval(make_beta(spec).beta.enclosure(32)[0], 32)[0]
     lam = max(0, (lnb.numerator << 72) // (lnb.denominator * _ln2_fixed(40)[1]))
     return lambda n: -(alpha.numerator * lam * n // (alpha.denominator << 32))
 
 
-def test_log2_ceiling_keeps_lam_per_system(monkeypatch):
-    # psi of both alphas on one system read the lam that the first one took
+def test_log2_ceiling_matches_the_ln_route():
+    # the fixed-point power gives the ln route's lam on these bases
     for spec in ("9/5", "golden", S13_SPEC, "dec:1.8@200"):
         b = make_beta(spec)
         for alpha in (Fraction(1, 2), Fraction(3, 2)):
             ceiling = psi_exponential(b, alpha)._log2_ceiling()
             want = fresh_log2_ceiling(spec, alpha)
             assert [ceiling(n) for n in range(1, 2001)] == [want(n) for n in range(1, 2001)], spec
-    calls = []
-    monkeypatch.setattr(approximation, "ln_interval",
-                        lambda x, bits: calls.append(bits) or ln_interval(x, bits))
-    b = make_beta("9/5")
-    for alpha in (Fraction(1, 2), Fraction(3, 2)):
-        psi_exponential(b, alpha)._log2_ceiling()
-    assert len(calls) == 1
+
+
+def test_lam_is_a_lower_bound_on_log2_beta():
+    # lam = -m(2**32) for alpha = c = 1.  On every exact and interval family
+    # of the contract matrix it is at least the ln route's, and 2**lam <=
+    # lo**(2**32), lo the low end of beta's enclosure to 2**-32 (equal on 2)
+    for spec in FAMILIES.values():
+        b = make_beta(spec)
+        lam = -psi_exponential(b, 1)._log2_ceiling()(2 ** 32)
+        assert lam >= -fresh_log2_ceiling(spec, Fraction(1))(2 ** 32), spec
+        lo = b.beta.enclosure(32)[0]
+        with mpmath.workprec(256):
+            assert mpmath.ldexp(1, lam) <= mpmath.power(
+                mpmath.mpf(lo.numerator) / lo.denominator, 2 ** 32), spec
 
 
 # to_json of the first and third rows of SCREEN_CASES, byte for byte: a stored

@@ -14,9 +14,9 @@ from betadim.exact import (
     LogValue,
     QuadNum,
     compare,
-    inv_pow_fixed,
     iroot,
     ln_interval,
+    pow_fixed,
     pow_interval,
     root_interval,
 )
@@ -243,27 +243,40 @@ class TestIntegerRoots:
             assert mpmath.mpf(lo.numerator) / lo.denominator <= val
             assert mpmath.mpf(hi.numerator) / hi.denominator >= val
 
-    def test_inv_pow_fixed_rounds_outward(self):
-        # b**-k over 2**P, checked in exact rational arithmetic: the two
-        # rounding directions bracket it and lie at most k + 2 units apart.
-        # The last two bases keep b**-k near 1, so a flipped inner rounding
-        # moves the result by more units than the final rounding absorbs:
-        # the first of them rounds from b on, the second is exact at P = 64
-        # and rounds from its first square on
+    def test_pow_fixed_rounds_outward(self):
+        # b**k as m*2**e, checked in exact rational arithmetic: the two
+        # rounding directions bracket it and lie at most 4(k + 2) units of
+        # 2**-P * b**k apart (3.85(k + 2) at worst here).  The last three
+        # bases keep b**k near 1: 1 + 2**-40 is exact at both widths and
+        # rounds from its first square on, the other two round from b on at
+        # P = 64.  Flipping the direction of the cuts fails the bracket or
+        # the bound on every base, and that of b on all but 1 + 2**-40
+        def value(b, k, P, up):
+            m, e = pow_fixed(b, k, P, up)
+            return m * Fraction(2) ** e
+
         for b in (Fraction(9, 5), *PHI.enclosure(200), 1 + Fraction(1, 2 ** 40),
                   1 + Fraction(1, 3 * 2 ** 40), 1 + Fraction(2 ** 57 + 1, 2 ** 68)):
-            for k in (1, 2, 3, 64, 1001):
+            for k in (0, 1, 2, 3, 64, 1001):
                 for P in (64, 1200):
-                    lo = inv_pow_fixed(b, k, P, up=False)
-                    hi = inv_pow_fixed(b, k, P, up=True)
-                    assert lo <= b ** -k * 2 ** P <= hi, (b, k, P)
-                    assert hi - lo <= k + 2, (b, k, P)
-        # 1 + m/2**30 has an exact square at the 68 bits used for P = 64 and
-        # a cube that rounds, so only the multiplication by b rounds here
+                    lo, hi = value(b, k, P, False), value(b, k, P, True)
+                    assert lo <= b ** k <= hi, (b, k, P)
+                    assert hi - lo <= 4 * (k + 2) * b ** k / 2 ** P, (b, k, P)
+        # 1 + m/2**30 is exact at 64 bits and has an exact square there but a
+        # cube that rounds, so only the multiplication by b rounds here: the
+        # two directions are one unit apart
         for m in range(1, 400, 2):
             b = 1 + Fraction(m, 2 ** 30)
-            lo, hi = inv_pow_fixed(b, 3, 64, up=False), inv_pow_fixed(b, 3, 64, up=True)
-            assert lo <= b ** -3 * 2 ** 64 <= hi <= lo + 5, m
+            (mlo, elo), (mhi, ehi) = pow_fixed(b, 3, 64, False), pow_fixed(b, 3, 64, True)
+            assert mlo * Fraction(2) ** elo < b ** 3 < mhi * Fraction(2) ** ehi, m
+            assert (mhi, ehi) == (mlo + 1, elo), m
+        # a power of 2 comes out exact, which lets the growth-bound check
+        # decide beta = 2 with no exact fallback
+        for k in (0, 1, 2, 63, 64, 65, 1001, 2 ** 32):
+            for P in (64, 1200):
+                for up in (False, True):
+                    m, e = pow_fixed(Fraction(2), k, P, up)
+                    assert m == 1 << m.bit_length() - 1 and e + m.bit_length() - 1 == k
 
 
 class TestLn:
