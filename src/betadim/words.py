@@ -35,6 +35,10 @@ the half of P(z)Q(-z) of n's parity and the even half of Q(z)Q(-z), read
 both at z^2 and halve n, about log2(n) steps.  Cutting P and Q at degree n
 keeps the coefficient exact.  A step packs the even and odd halves of P
 and Q once into byte slots (``_pack``) and takes four half-size products.
+A slot holds its coefficient in two's complement, so the offset that makes
+every slot non-negative comes on and off the whole integer as one XOR and
+one subtraction; a slot of at most 8 bytes is widened to 1, 2, 4 or 8, whose
+slots ``array`` writes and ``memoryview`` reads in C.
 For a Parry beta the digits repeat: ``system.star.repeat`` = (L, p)
 records t_i = t_(i-p) for every i > L when the system is built, so
 D(z) = T(z)(1 - z^p) has degree L and
@@ -49,6 +53,7 @@ log2(n) such steps on O(n log n) bits.
 
 from __future__ import annotations
 
+import sys
 from operator import sub
 from typing import Iterator, Sequence
 
@@ -226,41 +231,73 @@ def _renyi(system: BetaSystem, n: int, *extras: list[int]) -> list[int]:
     return _coefficients(nums, den, n)
 
 
+#: The machine integer widths, in bytes, with their ``array``/``memoryview``
+#: typecodes.  Their native byte order puts slot 0 first only on a
+#: little-endian machine, so elsewhere every width takes the per-slot path.
+_CODES = ({memoryview(bytes(8)).cast(c).itemsize: c for c in "bhiq"}
+          if sys.byteorder == "little" else {})
+
+
 def _coefficients(ps: list[list[int]], q: list[int], n: int) -> list[int]:
     """[z^n] p(z)/q(z) for each p, integer polynomials, p non-empty, q[0] = 1,
     len(q) >= 2 (Bostan and Mori, SOSA 2021).  With p = p_e(z^2) + z p_o(z^2)
     and q alike, n halves, q becomes q_e**2 - y q_o**2 and p becomes p_e q_e
     - y p_o q_o (n even) or p_o q_e - p_e q_o (n odd), cut at the new n: four
-    products of halves packed in w-byte slots that fit them, y a slot's shift."""
+    products of halves packed in w-byte slots that fit them, y a slot's shift.
+    A width of at most 8 bytes is rounded up to the next machine width (1, 2,
+    4 or 8), whose slots ``_pack`` and ``_unpack`` convert in C."""
+    from array import array  # once a call: at import it would slow every cold start
     while n:
         half, odd = n >> 1, n & 1
-        bq = max(map(abs, q)).bit_length()
-        bp = max(max(map(abs, p)) for p in ps).bit_length()
+        bq = max(max(q), -min(q)).bit_length()
+        bp = max(max(max(p), -min(p)) for p in ps).bit_length()
         w = (max(2 * bq, bp + bq) + len(q).bit_length()) // 8 + 1
-        qe, qo = _pack(q[::2], w), _pack(q[1::2], w)
-        ps = [_unpack(_pack(p[1::2], w) * qe - _pack(p[::2], w) * qo if odd
-                      else _pack(p[::2], w) * qe - (_pack(p[1::2], w) * qo << 8 * w),
+        if w <= 8:
+            w = 1 << (w - 1).bit_length()  # 1, 2, 4 or 8 bytes, a machine width
+        qe, qo = _pack(q[::2], w, array), _pack(q[1::2], w, array)
+        ps = [_unpack(_pack(p[1::2], w, array) * qe - _pack(p[::2], w, array) * qo if odd
+                      else _pack(p[::2], w, array) * qe
+                      - (_pack(p[1::2], w, array) * qo << 8 * w),
                       w, min(half, (len(p) + len(q) - 2 - odd) >> 1) + 1) for p in ps]
         q = _unpack(qe * qe - (qo * qo << 8 * w), w, min(half, len(q) - 1) + 1)
         n = half
     return [p[0] for p in ps]
 
 
-def _pack(c: list[int], w: int) -> int:
-    """sum c[i] * 2**(8*w*i), every |c[i]| < h = 2**(8w - 1): each c[i] + h
-    fills a w-byte slot, and the offsets come off as one integer."""
-    h = 1 << 8 * w - 1
-    return (int.from_bytes(b"".join([(x + h).to_bytes(w, "little") for x in c]), "little")
-            - int.from_bytes(h.to_bytes(w, "little") * len(c), "little"))
+def _pack(c: list[int], w: int, array) -> int:
+    """sum c[i] * 2**(8*w*i), every c[i] in [-h, h), h = 2**(8w - 1).
+
+    Each c[i] fills a w-byte slot in two's complement.  XOR with the
+    repeated-h integer H = sum h * 2**(8*w*i) flips each slot's top bit,
+    which turns every slot into c[i] + h, so subtracting H leaves the sum.
+    At a machine width (``_CODES``) the slots are written by ``array``, the
+    type passed in by ``_coefficients`` so that importing this module does
+    not load it; a wider slot is written by its own ``to_bytes``.  A c[i] outside [-h, h) raises OverflowError either way."""
+    code = _CODES.get(w)
+    raw = (array(code, c).tobytes() if code
+           else b"".join([x.to_bytes(w, "little", signed=True) for x in c]))
+    rep = _repeated_h(w, len(c))
+    return (int.from_bytes(raw, "little") ^ rep) - rep
 
 
 def _unpack(x: int, w: int, k: int) -> list[int]:
-    """The first k coefficients c_i of x = sum c_i * 2**(8*w*i), every |c_i|,
-    those past k too, below h = 2**(8w - 1): ``_pack``'s inverse."""
-    h, from_bytes = 1 << 8 * w - 1, int.from_bytes
-    x += from_bytes(h.to_bytes(w, "little") * k, "little")
-    raw = (x & (1 << 8 * w * k) - 1).to_bytes(w * k, "little")
-    return [from_bytes(raw[i:i + w], "little") - h for i in range(0, w * k, w)]
+    """The first k coefficients c_i of x = sum c_i * 2**(8*w*i), every c_i,
+    those past k too, in [-h, h), h = 2**(8w - 1): ``_pack``'s inverse.
+    Adding H (see ``_pack``) lifts each slot to c_i + h in [0, 2**(8w)) with
+    no carry, the mask keeps k slots and XOR with H gives back their two's
+    complement, read by ``memoryview`` at a machine width and slot by slot
+    past it."""
+    rep = _repeated_h(w, k)
+    raw = (((x + rep) & (1 << 8 * w * k) - 1) ^ rep).to_bytes(w * k, "little")
+    code = _CODES.get(w)
+    if code:
+        return memoryview(raw).cast(code).tolist()
+    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, w * k, w)]
+
+
+def _repeated_h(w: int, k: int) -> int:
+    """sum h * 2**(8*w*i) over i < k, h = 2**(8w - 1): the top bit of k slots."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * k, "little")
 
 
 def _assert_renyi(count: int, n: int, system: BetaSystem) -> None:

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import weakref
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from betadim.errors import CapExceeded, PrecisionExhausted
 from betadim.numerics import expand, make_beta
 from betadim.words import (
     ENUM_CAP,
+    _CODES,
     ParryAutomaton,
     _assert_renyi,
     _coefficients,
@@ -325,14 +327,33 @@ class TestCount:
     # and 300 * 255**2 the length's share of the slot
     @example([7] * 3, [-7] * 3, 5)
     @example([255] * 300, [-255] * 300, 599)
+    @example([1000] * 2, [-1000] * 2, 3)  # narrowest width 3, rounded up to 4
     def test_pack_unpack_round_trips_at_the_slot_bounds(self, a, b, k):
         # the narrowest byte slots that hold a, b and their product strictly
-        # inside 2**(8w - 1), as the halving step needs of its four products
+        # inside 2**(8w - 1), as the halving step needs of its four products,
+        # and the machine width they round up to: the two conversion paths
         c = schoolbook(a, b)
-        w = max(map(abs, a + b + c)).bit_length() // 8 + 1
-        assert _unpack(_pack(a, w) * _pack(b, w), w, k) == (c + [0] * k)[:k]
-        edge = (1 << 8 * w - 1) - 1
-        assert _unpack(_pack([-edge] + c + [edge], w), w, len(c) + 2) == [-edge] + c + [edge]
+        narrow = max(map(abs, a + b + c)).bit_length() // 8 + 1
+        for w in {narrow, min((m for m in _CODES if m >= narrow), default=narrow)}:
+            h = 1 << 8 * w - 1
+            codes = []  # array is called at a machine width only
+
+            def spy(code, c):
+                codes.append(code)
+                return array(code, c)
+
+            for x in (a, b, c, [-h] + c + [h - 1]):
+                codes.clear()
+                # the value itself, which a round trip alone would not pin:
+                # a slip of byte order or sign could still invert
+                assert _pack(x, w, spy) == sum(v << 8 * w * i for i, v in enumerate(x))
+                assert codes == ([_CODES[w]] if w in _CODES else [])
+            assert _unpack(_pack(a, w, array) * _pack(b, w, array), w, k) == (c + [0] * k)[:k]
+            assert _unpack(_pack([-h] + c + [h - 1], w, array), w, len(c) + 2) == [-h] + c + [h - 1]
+            # a coefficient past the slot raises, never wraps into the next one
+            for bad in (h, -h - 1):
+                with pytest.raises(OverflowError):
+                    _pack(c + [bad] + c, w, array)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(COEFFICIENT, min_size=1, max_size=12), min_size=1, max_size=2),
@@ -371,6 +392,13 @@ class TestCount:
                 with pytest.raises(AssertionError, match="violates growth bounds"):
                     _assert_renyi(bad, n, b)
             exact.clear()
+        # the upper bound 3**(n+1)/2 lies half a unit above an integer: the
+        # fixed-point power of beta**(n+1) that may prove it must round down,
+        # or the next integer up would pass unchecked
+        for n in (41, 1000, 20000):
+            _assert_renyi(3 ** (n + 1) // 2, n, three)
+            with pytest.raises(AssertionError, match="violates growth bounds"):
+                _assert_renyi(3 ** (n + 1) // 2 + 1, n, three)
 
     def test_renyi_bounds_explicit(self):
         b = make_beta("golden")
