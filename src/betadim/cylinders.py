@@ -11,15 +11,15 @@ independent computations that must agree:
   length is beta**-n, exactly on full words.
 
 The follower route is the fast path; the partition route is the
-definitional one and is kept as a cross-check.  On the fast path a
-cylinder's length and fullness depend only on its final automaton
-state, so a sweep of order n computes them at most n+1 times.  The
-cylinders tile [0, 1) in lexicographic order (Parry 1960), so a sweep
-takes each left end as the one before plus its length, one add in the
-coordinates of the base's Horner kernel, built as a value only when
-read.  The partition route reads Horner values alone and stays
-independent.  The sweep, ``successor`` and the full-cylinder search read
-one stream of words, ``words._dfs``, the last two resumed at a word.
+definitional one and is kept as a cross-check.  Every cylinder record
+comes from one stream, ``_sweep``: the words of ``words._dfs``, from the
+first or resumed at a word, each with the length and fullness of its
+final automaton state, computed once per state.  The cylinders tile
+[0, 1) in lexicographic order (Parry 1960), so the stream adds each length
+to the left end before, one add in the coordinates of the order-n Horner
+kernel, built as a value only when read.  ``iter_cylinders``, ``cylinder``
+and ``find_full_in_interval`` read it; ``length_by_partition`` reads the
+Horner values of ``successor``'s words alone and stays independent.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from .words import _dfs, _renyi, _states, check_cap
 class CylinderInterval(tuple):
     """Half-open interval [left, left + length) of one admissible word,
     immutable, equal and hashed by (word, left, length, is_full).  It stores
-    (word, acc, length, is_full, finish).  In a sweep acc is the left end in
-    the Horner kernel's coordinates, and ``left`` = finish(acc, n) is built
-    when read, as ``_orbit_walk`` builds points; else acc is ``left``."""
+    (word, acc, length, is_full, finish).  From ``_sweep`` acc is the left end
+    in the coordinates of the order-n Horner kernel, and ``left`` = finish(acc)
+    is built when read, as ``_orbit_walk`` builds points; else acc is ``left``."""
 
     __slots__ = ()
     word, length, is_full = (property(itemgetter(i)) for i in (0, 2, 3))
-    left = property(lambda self: self[1] if self[4] is None else self[4](self[1], len(self[0])))
+    left = property(lambda self: self[1] if self[4] is None else self[4](self[1]))
 
     def __new__(cls, word: Sequence[int], left: Exact, length: Exact, is_full: bool):
         return tuple.__new__(cls, (tuple(word), left, length, is_full, None))
@@ -66,11 +66,10 @@ class CylinderInterval(tuple):
 
 
 def cylinder(word: Sequence[int], system: BetaSystem) -> CylinderInterval:
-    """Exact cylinder of an admissible word (follower-route length); an
-    interval beta raises PrecisionExhausted."""
-    state = _states(word, system)[-1]
-    length = system.pow(-len(word)) * system.tail_sup(state)
-    return CylinderInterval(word, eval_word(word, system), length, system.is_full_state(state))
+    """Exact cylinder of an admissible word, the first record of ``_sweep``
+    resumed at it (follower-route length); the empty word gives [0, 1),
+    full.  An interval beta raises PrecisionExhausted."""
+    return next(_sweep(system, len(word), word))
 
 
 def is_full(word: Sequence[int], system: BetaSystem) -> bool:
@@ -82,7 +81,7 @@ def is_full(word: Sequence[int], system: BetaSystem) -> bool:
 def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
     """Next admissible word of the same length, or None at the end: the
     second word of ``words._dfs`` resumed at ``word``."""
-    later = islice(_dfs(system, len(word), word), 1, None) if word else ()
+    later = islice(_dfs(system, len(word), word), 1, None)
     return next((w for w, _ in later), None)
 
 
@@ -144,35 +143,42 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     return CensusRecord(system.spec, n, *_renyi(system, n, [1] * (n + 1), full), max_gap)
 
 
-def iter_cylinders(n: int, system: BetaSystem) -> Iterator[CylinderInterval]:
-    """Every order-n cylinder, in lexicographic order of its word.
+def _sweep(system: BetaSystem, n: int,
+           start: Sequence[int] | None = None) -> Iterator[CylinderInterval]:
+    """The one stream of cylinder records (module docstring): the order-n
+    cylinders in lexicographic order of their words, from the first or from
+    ``start``, the first left end its word's Horner value.  A state's length
+    beta**-n * tail_sup(state), lifted, and fullness are computed when it is
+    first reached.  A stream that runs out ends at t_1...t_n, which must
+    start at its Horner value and end at 1, else InvariantFailure."""
+    fold, finish, lift, add = word_evaluator(system, n)
+    pm, shapes = system.pow(-n), [None] * (n + 1)
+    acc, new = fold(start or ()), tuple.__new__
 
-    Raises CapExceeded, before any cylinder, past ``words.ENUM_CAP``, and
-    PrecisionExhausted for an interval beta.
-    The length beta**-n * tail_sup(state) and the fullness of a cylinder
-    depend only on the final follower state of its word, one of 0..n, so
-    the n+1 of each, and each length lifted to the Horner kernel's
-    coordinates (``word_evaluator``), are computed once per sweep.  The
-    cylinders tile [0, 1) (Parry 1960), so each left end is the one before
-    plus its length, one add, built as a value when read.  The last word
-    t_1...t_n must start at its Horner value and end at 1, else InvariantFailure."""
-    check_cap(system, n, "cylinder sweep")
-    pm = system.pow(-n)
-    fold, finish, lift, add = word_evaluator(system)
-    shapes = [(pm * system.tail_sup(s), system.is_full_state(s)) for s in range(n + 1)]
-    steps = [lift(length, n) for length, _ in shapes]
-    acc, new = fold(()), tuple.__new__
-    for w, state in _dfs(system, n):
-        length, full = shapes[state]
+    def reach(state: int) -> tuple:  # (length, is_full, lifted length), once a state
+        length = pm * system.tail_sup(state)
+        shapes[state] = shape = (length, system.is_full_state(state), lift(length))
+        return shape
+
+    for w, state in _dfs(system, n, start):
+        length, full, step = shapes[state] or reach(state)
         c = new(CylinderInterval, (w, acc, length, full, finish))
         yield c
-        acc = add(acc, steps[state])
+        acc = add(acc, step)
     if fold(c.word) != c[1]:  # c: the last word t_1...t_n
         raise InvariantFailure(f"the last order-{n} left end {c.left} is not its digits' "
-                               f"value {finish(fold(c.word), n)}, for beta {system.spec!r}")
-    if acc != lift(1, n):
+                               f"value {finish(fold(c.word))}, for beta {system.spec!r}")
+    if acc != lift(1):
         raise InvariantFailure(
             f"order-{n} cylinders end at {c.left + c.length}, not 1, for beta {system.spec!r}")
+
+
+def iter_cylinders(n: int, system: BetaSystem) -> Iterator[CylinderInterval]:
+    """Every order-n cylinder, in lexicographic order of its word: all of
+    ``_sweep``.  CapExceeded comes at once past ``words.ENUM_CAP``, and
+    PrecisionExhausted for an interval beta."""
+    check_cap(system, n, "cylinder sweep")
+    return _sweep(system, n)
 
 
 def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
@@ -185,9 +191,9 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     (n+1) * beta**-n < hi - lo, which guarantees existence in the
     non-strict case.  An interval beta raises PrecisionExhausted.
 
-    The search resumes the sweep's DFS (``words._dfs``) at the expansion
-    of lo, takes that word's left end by Horner and each later one, as
-    ``iter_cylinders`` does, by adding the length of the state stepped past.
+    The search reads the stream of ``_sweep`` resumed at the expansion of
+    lo: that word's left end by Horner, each later one by adding the length
+    of the cylinder stepped past, lifted once per state.
     """
     if not all(isinstance(end, (int, Fraction, QuadNum)) for end in (lo, hi)):
         raise PreconditionViolated("interval ends must be exact")
@@ -202,17 +208,11 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
         raise PreconditionViolated("interval lies outside [0, 1)")
 
     need = 1 if strict else 0
-    fold, finish, lift, add = word_evaluator(system)
-    acc = None
-    for w, state in _dfs(system, n, expand(lo_clamped, system, n)):
-        acc = fold(w) if acc is None else add(acc, lift(pm * system.tail_sup(before), n))
-        left = finish(acc, n)
+    for c in _sweep(system, n, expand(lo_clamped, system, n)):
+        left = c.left
         if compare(left, hi) >= 0:
             break
-        if (compare(left, lo) >= need
-                and compare(left + pm, hi) <= -need
-                and system.is_full_state(state)):
-            return w
-        before = state
+        if c.is_full and compare(left, lo) >= need and compare(left + pm, hi) <= -need:
+            return c.word
     raise InvariantFailure(
         f"no full order-{n} cylinder found inside the interval")

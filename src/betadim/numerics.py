@@ -437,6 +437,8 @@ def _orbit_walk(x: Real, system: BetaSystem,
     refined for the bound.  ``point(step)`` builds T^i x as ``orbit`` yields
     it.  The one place where the exact and the certified walks are chosen.
     """
+    if n < 0:
+        raise ValueError(f"walk length must be >= 0, got {n}")
     x = _unit_point(x)
     if not system.is_exact or isinstance(x, CertifiedReal):
         return _certified_walk(x, system, n)
@@ -518,16 +520,18 @@ def expand(x: Real, system: BetaSystem, n: int) -> Word:
     return tuple(step[0] for step in _orbit_walk(x, system, n)[0])
 
 
-def word_evaluator(system: BetaSystem) -> tuple[Callable, Callable, Callable, Callable]:
-    """The Horner kernel of this base, chosen once, on carried values: (fold,
-    finish, lift, add).  ``fold(word)`` carries a word's value, ``finish(acc,
-    m)`` is the exact value of one carried at order m, ``lift(v, m)`` its
-    inverse and ``add`` the sum of two carried at one order.  A rational p/q
-    carries the value times p**m, an integer on order-m words and lengths;
-    golden phi**m times it as (a, b), a + b*phi in Z[phi]; others the value."""
+def word_evaluator(system: BetaSystem, n: int) -> tuple[Callable, Callable, Callable, Callable]:
+    """The Horner kernel of this base at order n, chosen once, on carried
+    values: (fold, finish, lift, add).  ``fold(word)`` carries a word's
+    value, ``finish(acc)`` is the exact value of one carried, ``lift(v)``
+    its inverse and ``add`` the sum of two.  A rational p/q carries the
+    value times p**n, an integer on order-n words and lengths; golden
+    phi**n times it as (a, b), a + b*phi in Z[phi]; others, and n = 0, the
+    value.  Powers of beta are read from ``system.pow``, phi**-n once."""
     b = system.require_exact("word evaluation")
     if isinstance(b, Fraction):
         p, q = b.numerator, b.denominator
+        pn = p ** n
 
         def rational(word: Sequence[int]) -> int:
             acc, qi = 0, 1
@@ -538,13 +542,13 @@ def word_evaluator(system: BetaSystem) -> tuple[Callable, Callable, Callable, Ca
                     acc += d * qi
             return acc
 
-        def rational_lift(v: Exact, m: int) -> int | Fraction:  # a Fraction off the integers
-            x = v * p ** m
+        def rational_lift(v: Exact) -> int | Fraction:  # a Fraction off the integers
+            x = v * pn
             return x.numerator if x.denominator == 1 else x
 
-        return rational, lambda acc, m: Fraction(acc, p ** m), rational_lift, add
-    if b == GOLDEN:
-        cache = system._pow_cache
+        return rational, lambda acc: Fraction(acc, pn), rational_lift, add
+    if n and b == GOLDEN:  # n = 0: the empty word alone, valued 0 with no field compared
+        X, Y, D = coords(system.pow(-n))  # phi**-n = (X + Y*sqrt(5))/D
 
         def golden(word: Sequence[int]) -> tuple[int, int]:
             a = b = 0  # phi * (a + b*phi) + d = (b + d) + (a + b)*phi
@@ -552,18 +556,16 @@ def word_evaluator(system: BetaSystem) -> tuple[Callable, Callable, Callable, Ca
                 a, b = b + d, a + b
             return a, b
 
-        def golden_finish(acc: tuple[int, int], n: int) -> Exact:
-            a, bb = acc  # times phi**-n = (X + Y*sqrt(5))/D, read from the cache
-            v = cache.get(-n) or system.pow(-n)
-            X, Y = v.X, v.Y
+        def golden_finish(acc: tuple[int, int]) -> Exact:
+            a, bb = acc  # times phi**-n
             u = 2 * a + bb
-            return _in_field(u * X + 5 * bb * Y, u * Y + bb * X, 2 * v.D, 5)
+            return _in_field(u * X + 5 * bb * Y, u * Y + bb * X, 2 * D, 5)
 
-        def golden_lift(v: Exact, m: int) -> tuple[int, int]:
-            X, Y, D = coords(system.pow(m) * v)  # (X - Y)/D + (2Y/D)*phi
-            if (X - Y) % D or 2 * Y % D:
-                raise ValueError(f"phi**{m} * {v!r} is not in Z[phi]")
-            return (X - Y) // D, 2 * Y // D
+        def golden_lift(v: Exact) -> tuple[int, int]:
+            x, y, e = coords(system.pow(n) * v)  # (x - y)/e + (2y/e)*phi
+            if (x - y) % e or 2 * y % e:
+                raise ValueError(f"phi**{n} * {v!r} is not in Z[phi]")
+            return (x - y) // e, 2 * y // e
 
         return golden, golden_finish, golden_lift, lambda x, y: (x[0] + y[0], x[1] + y[1])
 
@@ -571,18 +573,15 @@ def word_evaluator(system: BetaSystem) -> tuple[Callable, Callable, Callable, Ca
         return sum((d * system.pow(-k) for k, d in enumerate(word, 1) if d),
                    _in_field(0, 0, 1, 0))
 
-    return quadratic, lambda acc, m: acc, lambda v, m: v, add
+    return quadratic, lambda acc: acc, lambda v: v, add
 
 
 def eval_word(word: Sequence[int], system: BetaSystem) -> Exact:
-    """Exact value sum(word[i] * beta**-(i+1)); the order-n truncation of
-    any point whose expansion starts with this word.  Evaluating many
-    words of one base, take ``word_evaluator`` once instead."""
-    if not word:  # 0 for every exact beta, before any kernel is chosen
-        system.require_exact("word evaluation")
-        return Fraction(0)
-    fold, finish, _, _ = word_evaluator(system)
-    return finish(fold(word), len(word))
+    """Exact value sum(word[i] * beta**-(i+1)), 0 for the empty word; the
+    order-n truncation of any point whose expansion starts with this word.
+    Evaluating many words of one order, take ``word_evaluator`` once instead."""
+    fold, finish, _, _ = word_evaluator(system, len(word))
+    return finish(fold(word))
 
 
 def make_beta(spec: str) -> BetaSystem:

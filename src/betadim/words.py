@@ -139,13 +139,14 @@ def _dfs(system: BetaSystem, n: int, start: Sequence[int] | None = None
     """The one DFS over the admissible length-n words, in lexicographic order:
     (word, final state).
 
-    Given ``start``, an admissible length-n word, the stream resumes there:
-    it yields ``start``, then every later word.  A negative digit raises
-    ValueError and an inadmissible word NotAdmissible, naming the base.  The
-    steps follow the counter with reset of the module docstring, as
-    ``_walk``'s do, with t_{s+1} read from ``system.star`` when a digit is
-    first read from state s, so a digit of 1 that no step needs is never decided."""
-    if n < 1:
+    Given ``start``, an admissible length-n word (n = 0 too), the stream
+    resumes there: it yields ``start``, then every later word.  A negative
+    digit raises ValueError and an inadmissible word NotAdmissible, naming
+    the base.  The steps follow the counter with reset of the module
+    docstring, as ``_walk``'s do, with t_{s+1} read from ``system.star`` when
+    a digit is first read from state s, so a digit of 1 that no step needs is
+    never decided."""
+    if n < 1 and start is None:
         raise ValueError("order must be >= 1")
     digit = system.star.digit
     top: list[int] = []  # top[s] = t_{s+1}, the largest digit from state s

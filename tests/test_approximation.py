@@ -25,6 +25,24 @@ from test_numerics import lazy_sqrt2_minus_1
 
 PHI = GOLDEN
 
+WALKS = {
+    "orbit": lambda x, b, psi, n: list(orbit(x, b, n)),
+    "detect_hits": lambda x, b, psi, n: detect_hits(x, b, psi, n).hits,
+    "exactness_evidence": lambda x, b, psi, n: exactness_evidence(x, b, psi, horizon=n).hits,
+}
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_a_negative_length_is_named(name):
+    # the one check of _orbit_walk, not islice's own message; 0 walks nothing
+    x = Fraction(1, 3)
+    for spec in ("9/5", "golden", "dec:1.8@200"):
+        b = make_beta(spec)
+        psi = psi_exponential(b, Fraction(1, 2))
+        with pytest.raises(ValueError, match="^walk length must be >= 0, got -1$"):
+            WALKS[name](x, b, psi, -1)
+        assert WALKS[name](x, b, psi, 0) == [], spec
+
 
 def error_two_ways(x, system, n):
     """(x - value(prefix), T^n(x) * beta**-n): must agree exactly."""
@@ -588,11 +606,17 @@ def test_log2_ceiling_matches_the_ln_route():
             assert [ceiling(n) for n in range(1, 2001)] == [want(n) for n in range(1, 2001)], spec
 
 
+# floor(2**(k/2**32) * 2**64)/2**64 for k = 3221225473: 2**32 * log2 of it lies
+# just below k, so a power rounded up in _log2_ceiling gives lam = k, one too many
+NEAR_LAM = "31023601934376901945/18446744073709551616"
+
+
 def test_lam_is_a_lower_bound_on_log2_beta():
     # lam = -m(2**32) for alpha = c = 1.  On every exact and interval family
-    # of the contract matrix it is at least the ln route's, and 2**lam <=
-    # lo**(2**32), lo the low end of beta's enclosure to 2**-32 (equal on 2)
-    for spec in FAMILIES.values():
+    # of the contract matrix, and on NEAR_LAM, it is at least the ln route's,
+    # and 2**lam <= lo**(2**32), lo the low end of beta's enclosure to 2**-32
+    # (equal on 2)
+    for spec in [*FAMILIES.values(), NEAR_LAM]:
         b = make_beta(spec)
         lam = -psi_exponential(b, 1)._log2_ceiling()(2 ** 32)
         assert lam >= -fresh_log2_ceiling(spec, Fraction(1))(2 ** 32), spec

@@ -1,12 +1,13 @@
 """The contract matrix: every spec family the grammar accepts against every
-public orbit, counting and cylinder function.
+public orbit, counting and cylinder function, and ``eval_word``.
 
 Each cell either checks a value or expects the error class the function's
 docstring documents.  The cells where a non-golden quadratic base meets a
-cylinder function are strict expected failures: ``word_evaluator`` compares
-beta with ``GOLDEN`` across fields and raises ``ValueError("mixed
-radicands")`` (ROADMAP, Fix first).  Being strict, they fail the day that
-defect is mended, and must then become plain value cells.
+function that evaluates words (``CYLINDER_COLUMNS``) are strict expected
+failures: ``word_evaluator`` compares beta with ``GOLDEN`` across fields
+and raises ``ValueError("mixed radicands")`` (ROADMAP, Fix first).  Being
+strict, they fail the day that defect is mended, and must then become
+plain value cells.
 """
 
 from fractions import Fraction
@@ -15,10 +16,10 @@ import pytest
 
 from betadim.approximation import detect_hits, exactness_evidence, psi_exponential
 from betadim.cylinders import (cylinder, find_full_in_interval, full_census, is_full,
-                               iter_cylinders, length_by_partition)
+                               iter_cylinders, length_by_partition, successor)
 from betadim.errors import PrecisionExhausted
 from betadim.exact import compare
-from betadim.numerics import expand, make_beta, orbit
+from betadim.numerics import eval_word, expand, make_beta, orbit
 from betadim.words import count_admissible, enumerate_admissible, is_admissible
 
 X = Fraction(1, 3)
@@ -86,6 +87,23 @@ def check_length_by_partition(b):
     assert length_by_partition(w, b) == cylinder(w, b).length  # the follower route
 
 
+def check_successor(b):
+    w = expand(X, b, 8)
+    nxt = successor(w, b)
+    assert nxt is None or (len(nxt) == 8 and nxt > w and is_admissible(nxt, b))
+    assert successor(tuple(b.star.prefix(8)), b) is None  # t1...t8, the last word
+
+
+def check_is_full(b):
+    assert type(is_full(expand(X, b, 8), b)) is bool
+    assert is_full((0,) * 8, b) is True
+
+
+def check_eval_word(b):
+    w = expand(X, b, 8)
+    assert eval_word(w, b) == cylinder(w, b).left
+
+
 def check_find_full_in_interval(b):
     w = find_full_in_interval(LO, HI, 12, b)
     c = cylinder(w, b)
@@ -103,10 +121,13 @@ COLUMNS = {
     "cylinder": check_cylinder,
     "length_by_partition": check_length_by_partition,
     "find_full_in_interval": check_find_full_in_interval,
+    "successor": check_successor,
+    "is_full": check_is_full,
+    "eval_word": check_eval_word,
 }
 
 CYLINDER_COLUMNS = ("iter_cylinders", "cylinder", "length_by_partition",
-                    "find_full_in_interval")
+                    "find_full_in_interval", "eval_word")
 NON_GOLDEN_QUADRATICS = ("pisot-13", "pisot-2", "pisot-7", "non-integer-quadratic")
 MIXED_RADICANDS = pytest.mark.xfail(
     strict=True, raises=ValueError,

@@ -186,6 +186,19 @@ class TestCylinderBasics:
         assert c.length == Fraction(1, 8)
         assert c.is_full
 
+    def test_the_empty_word_is_the_unit_interval(self):
+        # the order-0 stream holds the empty word alone: [0, 1), full, on
+        # every exact beta, (1+sqrt(13))/2 included, whose field order 0
+        # never compares with golden's
+        for spec in ("2", "golden", S13):
+            b = make_beta(spec)
+            c = cylinder((), b)
+            assert c == CylinderInterval((), Fraction(0), b.pow(0) * b.tail_sup(0), True), spec
+            assert (c.left, c.length, c.is_full) == (0, 1, True), spec
+            assert hash(c) == hash(CylinderInterval((), 0, 1, True)), spec
+        with pytest.raises(PrecisionExhausted):
+            cylinder((), make_beta(DEC))
+
     def test_not_admissible_raises(self):
         b = make_beta("golden")
         for call in (cylinder, is_full, successor):
@@ -295,28 +308,28 @@ class TestSweep:
         for spec in SWEEP_BETAS:
             b = make_beta(spec)
             powers = [b.beta_exact ** -i for i in range(1, 9)]
-            fold, finish, lift, add = word_evaluator(b)
             for n in range(1, 9):
+                fold, finish, lift, add = word_evaluator(b, n)
                 for w in enumerate_admissible(n, b):
                     want = sum(d * p for d, p in zip(w, powers))
-                    assert finish(fold(w), n) == want, (spec, w)
-                    assert lift(want, n) == fold(w), (spec, w)  # finish's inverse
+                    assert finish(fold(w)) == want, (spec, w)
+                    assert lift(want) == fold(w), (spec, w)  # finish's inverse
                 assert eval_word(w, b) == want, (spec, w)
 
     def test_a_length_lifts_to_coordinates_that_finish_to_it(self):
         for spec in SWEEP_BETAS:
             b = make_beta(spec)
-            fold, finish, lift, add = word_evaluator(b)
             for n in range(1, 11):
+                fold, finish, lift, add = word_evaluator(b, n)
                 for s in range(n + 1):
                     length = b.pow(-n) * b.tail_sup(s)
-                    assert finish(lift(length, n), n) == length, (spec, n, s)
+                    assert finish(lift(length)) == length, (spec, n, s)
 
     def test_sweep_checks_the_last_left_end_against_its_digits(self, monkeypatch):
         # a Horner fold that is off by beta**-n on every non-empty word: the
         # lengths still sum to 1, so only the digits of t1...tn can see it
-        def corrupted(system):
-            fold, finish, lift, add = word_evaluator(system)
+        def corrupted(system, n):
+            fold, finish, lift, add = word_evaluator(system, n)
 
             def off(word):
                 return add(fold(word), fold((0,) * (len(word) - 1) + (1,))) if word else fold(word)
@@ -368,9 +381,9 @@ class TestLeftEndsBuiltOnRead:
         # the tiling check on the last cylinder compares kernel coordinates
         built = []
 
-        def counted(system):
-            fold, finish, lift, add = word_evaluator(system)
-            return fold, lambda acc, m: built.append(m) or finish(acc, m), lift, add
+        def counted(system, n):
+            fold, finish, lift, add = word_evaluator(system, n)
+            return fold, lambda acc: built.append(n) or finish(acc), lift, add
 
         monkeypatch.setattr(cylinders, "word_evaluator", counted)
         for spec in SWEEP_BETAS:
@@ -622,6 +635,37 @@ class TestFindFull:
                         else:
                             assert find_full_in_interval(lo, hi, n, b, strict) == want, \
                                 (spec, n, lo, hi, strict)
+
+    def test_tail_sup_runs_at_most_once_per_state(self, monkeypatch):
+        # the search lifts the length of each state it reaches once, not once
+        # for every word it steps past.  It steps past its first word and a
+        # run of non-full words, whose states are distinct; with no state
+        # full it steps past every word up to hi, many of each state
+        calls = []
+        tail_sup = BetaSystem.tail_sup
+
+        def counted(self, state):
+            calls.append(state)
+            return tail_sup(self, state)
+
+        monkeypatch.setattr(BetaSystem, "tail_sup", counted)
+        rng = random.Random(7)
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            for n in (4, 8, 60):
+                for _ in range(10):
+                    lo, hi = seeded_interval(rng, (n + 1) * b.pow(-n))
+                    calls.clear()
+                    assert is_full(find_full_in_interval(lo, hi, n, b), b)
+                    assert len(calls) <= n + 1 and len(set(calls)) == len(calls), (spec, n)
+        monkeypatch.setattr(BetaSystem, "is_full_state", lambda self, state: False)
+        for spec in SWEEP_BETAS:
+            b = make_beta(spec)
+            for n in (4, 8):
+                calls.clear()
+                with pytest.raises(InvariantFailure, match="no full"):
+                    find_full_in_interval(Fraction(0), Fraction(1), n, b)
+                assert len(calls) <= n + 1 and len(set(calls)) == len(calls), (spec, n)
 
     def test_quadnum_endpoints(self):
         b = make_beta("golden")
