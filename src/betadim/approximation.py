@@ -15,6 +15,25 @@ psi(n) > c*psi(n) for every c in (0, 1), so n is neither a hit nor a
 violation, and only the n this test cannot clear reach a certified
 comparison (counted as ``compared`` in each report).
 
+That test runs in two stages.  The digits settle almost every n before
+any bound is taken: with z zeros after digit n and a nonzero digit after
+them, T^n x = sum_j d_(n+j) beta**-j >= beta**-(z+1) (Parry 1960).  An
+exact walk states its slack g (``_orbit_walk``): a step with k None or
+k < m has T^n x < 2**g(m).  So beta**-(z+1) >= 2**g(m) makes k >= m, and
+the per-step test clears n; with Lam >= 2**32 * log2 beta, that holds
+when (z + 1) * Lam <= -g(m) * 2**32, i.e. when z < Z = floor(-g(m) *
+2**32 / Lam).  The first stage scans the digits in C (``bytes.find`` for
+Z zeros, then for the next nonzero digit) and proposes the n whose run of
+zeros is at least Z long or still open where the digits read end; only
+those reach the per-step test, unchanged, so the scan drops only n that
+the test clears and every report, ``compared`` included, is the same.
+An exponential psi has a non-increasing m(n), so Z(n) is non-decreasing
+and one segment of n can take the Z of its first n.  The walk is read in
+segments of 1, 2, 4, ..., 64 steps, then 64, each with 64 steps read
+ahead, so at most 128 steps are held whatever the horizon.  A certified
+walk states no slack and a table psi no monotone m, so neither is scanned:
+every n of theirs goes on to the per-step test, in the same loop.
+
 Speeds and reports are immutable ``NamedTuple``s; ``to_json`` loads json
 on first use, so importing this module loads neither it nor dataclasses.
 """
@@ -23,7 +42,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionViolated
 from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue, compare,
@@ -61,7 +82,9 @@ class PsiFunction(_PsiFields):
         if self.family not in ("exponential", "table"):
             raise ValueError(f"unknown psi family {self.family!r}")
         if self.family == "table":
-            if not self.table or (self.alpha, self.c, self.p) != (0, 1, 0):
+            if not self.table:
+                raise ValueError("a table psi needs at least one value")
+            if (self.alpha, self.c, self.p) != (0, 1, 0):
                 raise ValueError("a table psi takes its values only, no alpha, c or p")
             if any(v <= 0 for v in self.table):
                 raise ValueError("psi must be positive")
@@ -274,14 +297,65 @@ class HitRecord(NamedTuple):
         }, sort_keys=True)
 
 
+#: steps of the walk read past each segment of the zero-run scan, and the
+#: longest segment
+_LOOKAHEAD = 64
+
+
+def _long_zero_runs(flags: bytearray, seg: int, least: int) -> Iterator[int]:
+    """The j < seg whose run of zero flags from j + 1 is at least ``least``
+    > 0 long or reaches the end of the flags (an open run).  A run from p
+    to the next nonzero flag at e serves the j from p - 1 to e - least - 1;
+    ``find`` meets each run at least ``least`` long at its start, and every
+    run after the last nonzero flag (``rfind``) is open."""
+    zeros, start = bytes(least), 0
+    while (pos := flags.find(zeros, start, seg + least)) >= 0:
+        end = flags.find(b"\1", pos + least)
+        if end < 0:
+            yield from range(max(pos - 1, 0), seg)
+            return
+        yield from range(max(pos - 1, 0), min(end - least, seg))
+        start = end + 1
+    yield from range(max(flags.rfind(b"\1"), 0), seg)
+
+
+def _scan(steps: Iterable[tuple], least: Callable[[int], int]) -> Iterator[tuple[int, tuple]]:
+    """(n, step) for each n of the walk whose zero run after digit n is at
+    least least(n0) long, n0 the first n of its segment, or open where the
+    digits read end (module docstring): segments of 1, 2, 4, ... steps up
+    to _LOOKAHEAD, each read with _LOOKAHEAD steps after it."""
+    steps, window, flags, n0, size = iter(steps), [], bytearray(), 1, 1
+    while True:
+        new = list(islice(steps, size + _LOOKAHEAD - len(window)))
+        window += new
+        flags.extend(map(bool, map(itemgetter(0), new)))
+        if not window:
+            return
+        seg, z = min(size, len(window)), least(n0)
+        for j in range(seg) if z <= 0 else _long_zero_runs(flags, seg, z):
+            yield n0 + j, window[j]
+        del window[:seg], flags[:seg]
+        n0, size = n0 + seg, min(2 * size, _LOOKAHEAD)
+
+
 def _uncleared(x: Real, system: BetaSystem, psi: PsiFunction,
                horizon: int) -> Iterator[tuple[int, Real, CertifiedReal]]:
     """(n, T^n x, psi(n)) for each n <= horizon that the magnitude test of
     the module docstring cannot clear, with T^n x and psi(n) built there
-    only; the shared loop of ``detect_hits`` and ``exactness_evidence``."""
-    steps, bound, point = _orbit_walk(x, system, horizon)
+    only; the shared loop of ``detect_hits`` and ``exactness_evidence``.
+    The zero-run scan proposes the n, and the per-step test decides them.
+    Lam = e + bitlen(m) for m*2**e, the ``pow_fixed`` of hi**(2**32)
+    rounded up, hi the upper end of beta's enclosure to 2**-32, so 2**32 *
+    log2 beta <= log2(m*2**e) < Lam."""
+    steps, bound, point, slack = _orbit_walk(x, system, horizon)
     ceiling = psi._log2_ceiling()
-    for n, step in enumerate(steps, start=1):
+    if slack is None or psi.family == "table":
+        proposed = enumerate(steps, start=1)
+    else:
+        m, e = pow_fixed(system.beta.enclosure(32)[1], 1 << 32, 64, True)
+        lam = e + m.bit_length()
+        proposed = _scan(steps, lambda n: (-slack(ceiling(n)) << 32) // lam)
+    for n, step in proposed:
         k = bound(step)
         if k is None or k < ceiling(n):
             yield n, point(step), psi.value(n)

@@ -148,23 +148,28 @@ def _sweep(system: BetaSystem, n: int,
     """The one stream of cylinder records (module docstring): the order-n
     cylinders in lexicographic order of their words, from the first or from
     ``start``, the first left end its word's Horner value.  A state's length
-    beta**-n * tail_sup(state), lifted, and fullness are computed when it is
-    first reached.  A stream that runs out ends at t_1...t_n, which must
-    start at its Horner value and end at 1, else InvariantFailure."""
+    beta**-n * tail_sup(state) and fullness are computed when it is first
+    reached, and the length lifted to the kernel's coordinates when the
+    stream first steps past it, so a reader that stops at a record lifts
+    nothing for its state.  A stream that runs out ends at t_1...t_n, which
+    must start at its Horner value and end at 1, else InvariantFailure."""
     fold, finish, lift, add = word_evaluator(system, n)
-    pm, shapes = system.pow(-n), [None] * (n + 1)
+    pm, shapes, steps = system.pow(-n), [None] * (n + 1), [None] * (n + 1)
     acc, new = fold(start or ()), tuple.__new__
 
-    def reach(state: int) -> tuple:  # (length, is_full, lifted length), once a state
-        length = pm * system.tail_sup(state)
-        shapes[state] = shape = (length, system.is_full_state(state), lift(length))
+    def reach(state: int) -> tuple:  # (length, is_full), once a state
+        shapes[state] = shape = (pm * system.tail_sup(state), system.is_full_state(state))
         return shape
 
+    def step_past(state: int):  # the lifted length, once a state; a length > 0 lifts true
+        steps[state] = step = lift(shapes[state][0])
+        return step
+
     for w, state in _dfs(system, n, start):
-        length, full, step = shapes[state] or reach(state)
+        length, full = shapes[state] or reach(state)
         c = new(CylinderInterval, (w, acc, length, full, finish))
         yield c
-        acc = add(acc, step)
+        acc = add(acc, steps[state] or step_past(state))
     if fold(c.word) != c[1]:  # c: the last word t_1...t_n
         raise InvariantFailure(f"the last order-{n} left end {c.left} is not its digits' "
                                f"value {finish(fold(c.word))}, for beta {system.spec!r}")

@@ -36,8 +36,9 @@ point under a rational beta = P/C walks the pair (X, D) of T^i x = X/D
 with no gcd: u = P*X, d = u // (C*D), X = u - d*C*D, D = C*D
 (``_rational_steps``).  ``_orbit_walk`` is the one walk of every point:
 it builds a point only when asked for one, and bounds each T^i x below by
-a power of two from the integers of its step (``orbit`` builds every
-point; ``expand`` none; ``approximation`` only those the bound cannot
+a power of two from the integers of its step, with its slack: how far
+above that power T^i x can lie (``orbit`` builds every point; ``expand``
+none; ``approximation`` only those that its digits and the bound cannot
 clear).
 
 Orbits of points known through enclosures (a lazy real, or any point
@@ -393,12 +394,20 @@ def _rational_steps(x: Fraction, beta: Fraction) -> Iterator[tuple[int, int, int
         yield d, X, D
 
 
-def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Callable]:
+def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Callable, Callable]:
     """The exact walk of x under beta, each step led by its digit, the map
-    from a step to its magnitude bound and the map from a step to its point
-    T^i x (``_orbit_walk``): ``_quad_steps`` when either is quadratic (a
-    ``QuadNum``), else ``_rational_steps``.  The one place where the two
-    walks are chosen."""
+    from a step to its magnitude bound, the map from a step to its point
+    T^i x and the walk's slack (``_orbit_walk``): ``_quad_steps`` when
+    either is quadratic (a ``QuadNum``), else ``_rational_steps``.  The one
+    place where the two walks are chosen.
+
+    The slack g(c) states how small a step whose bound is below c can be:
+    bound None or k < c gives T^i x < 2**g(c).  A rational pair has X <
+    2**bitlen(X) and D >= 2**(bitlen(D) - 1), so T^i x < 2**(k + 2) <=
+    2**(c + 1), and None means X = 0: g(c) = c + 1.  A quadratic triple
+    with low = floor((X + Y*sqrt(r)) * 2**32) >= 1 has T^i x < (low + 1) /
+    (D*2**32) <= 2**(k + 2), and low <= 0 (None) gives T^i x < 2**-32, as
+    D >= 1: g(c) = max(c + 2, -32), one bit to spare on k + 2."""
     if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
         r = radicand(beta, x)
 
@@ -407,10 +416,11 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Call
             low = (step[1] << 32) + _floor_root(step[2] << 32, r)
             return low.bit_length() - step[3].bit_length() - 33 if low > 0 else None
 
-        return _quad_steps(x, beta), quad_bound, lambda step: _in_field(*step[1:], r)
+        return (_quad_steps(x, beta), quad_bound, lambda step: _in_field(*step[1:], r),
+                lambda c: max(c + 2, -32))
     return (_rational_steps(x, beta),
             lambda step: step[1].bit_length() - step[2].bit_length() - 1 if step[1] else None,
-            lambda step: Fraction(step[1], step[2]))
+            lambda step: Fraction(step[1], step[2]), lambda c: c + 1)
 
 
 def _unit_point(x: Real) -> Real:
@@ -424,8 +434,8 @@ def _unit_point(x: Real) -> Real:
 
 def _orbit_walk(x: Real, system: BetaSystem,
                 n: int) -> tuple[Iterable[tuple], Callable[[tuple], int | None],
-                                 Callable[[tuple], Real]]:
-    """The walk of ``orbit`` with no point built: (steps, bound, point).
+                                 Callable[[tuple], Real], Callable[[int], int] | None]:
+    """The walk of ``orbit`` with no point built: (steps, bound, point, slack).
 
     Each of the n steps is a tuple led by digit_i.  ``bound(step)`` is an
     integer k with T^i x >= 2**k, or None when the step holds no such k (T^i
@@ -435,15 +445,19 @@ def _orbit_walk(x: Real, system: BetaSystem,
     bound from low = X*2**32 + floor(Y*sqrt(r)*2**32) over D*2**32; a
     certified step, from the lower end of the enclosure it holds, never
     refined for the bound.  ``point(step)`` builds T^i x as ``orbit`` yields
-    it.  The one place where the exact and the certified walks are chosen.
+    it.  ``slack(c)`` is an integer g with T^i x < 2**g at every step whose
+    bound is None or below c: c + 1 on a rational pair, max(c + 2, -32) on a
+    quadratic triple (``_exact_steps``).  A certified walk states no slack
+    (None): an enclosure's upper end is no function of its lower one.  The
+    one place where the exact and the certified walks are chosen.
     """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
     x = _unit_point(x)
     if not system.is_exact or isinstance(x, CertifiedReal):
         return _certified_walk(x, system, n)
-    steps, bound, point = _exact_steps(x, system.beta_exact)
-    return islice(steps, n), bound, point
+    steps, bound, point, slack = _exact_steps(x, system.beta_exact)
+    return islice(steps, n), bound, point, slack
 
 
 def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
@@ -466,14 +480,15 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     the last walk and the enclosure width reached, which it also carries as
     ``site``, ``bits`` and ``width_log2``.
     """
-    steps, _, point = _orbit_walk(x, system, n)
+    steps, _, point, _ = _orbit_walk(x, system, n)
     for step in steps:
         yield step[0], point(step)
 
 
-def _certified_walk(x: Real, system: BetaSystem, n: int) -> tuple[list, Callable, Callable]:
+def _certified_walk(x: Real, system: BetaSystem,
+                    n: int) -> tuple[list, Callable, Callable, None]:
     """``_orbit_walk`` of a point in [0, 1) that is not walked exactly: each
-    step is (digit_i, lo, hi, i), T^i x in [lo, hi] / 2**B."""
+    step is (digit_i, lo, hi, i), T^i x in [lo, hi] / 2**B, and no slack."""
     guard = system.alphabet_max.bit_length()
     refinable = system.is_exact and x.refinable
     extra = n * guard + system.declared_bits
@@ -507,7 +522,7 @@ def _certified_walk(x: Real, system: BetaSystem, n: int) -> tuple[list, Callable
                              Fraction(hi, 1 << B), B - (hi - lo).bit_length())
 
     return ([(d, lo, hi, i) for i, (d, lo, hi) in enumerate(walk, start=1)],
-            lambda step: step[1].bit_length() - 1 - B if step[1] > 0 else None, point)
+            lambda step: step[1].bit_length() - 1 - B if step[1] > 0 else None, point, None)
 
 
 def expand(x: Real, system: BetaSystem, n: int) -> Word:

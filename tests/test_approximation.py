@@ -118,6 +118,12 @@ class TestPsiFamilies:
         with pytest.raises(ValueError):
             PsiFunction(b, "exponential", alpha=Fraction(1), table=(Fraction(1, 2),))
 
+    def test_an_empty_table_is_named(self):
+        b = make_beta("2")
+        for make in (lambda: psi_table(b, []), lambda: PsiFunction(b, "table")):
+            with pytest.raises(ValueError, match="^a table psi needs at least one value$"):
+                make()
+
     def test_psi_is_an_immutable_value(self):
         b = make_beta("2")
         psi = psi_tempered(b, Fraction(3, 2), Fraction(1, 2), Fraction(7, 8))
@@ -552,7 +558,7 @@ def test_magnitude_bound_does_not_refine_the_lazy_point():
     x = lazy_sqrt2_minus_1()
     refine = x._refiner
     x._refiner = lambda bits: calls.append(bits) or refine(bits)
-    steps, bound, _ = _orbit_walk(x, make_beta("golden"), 60)
+    steps, bound, _, _ = _orbit_walk(x, make_beta("golden"), 60)
     walked = len(calls)
     assert walked and all(bound(step) is not None for step in steps)
     assert len(calls) == walked
@@ -565,7 +571,7 @@ def test_magnitude_bounds_hold():
         b = make_beta(spec)
         psi = case_psi(b, alpha)
         horizon = min(horizon, psi.max_index() or horizon)
-        steps, bound, build = _orbit_walk(point(), b, horizon)
+        steps, bound, build, _ = _orbit_walk(point(), b, horizon)
         ceiling = psi._log2_ceiling()
         for n, step in enumerate(steps, 1):
             k, t, pv = bound(step), build(step), psi.value(n)
@@ -658,3 +664,93 @@ def test_report_json_is_unchanged(row):
     hits_json, evidence_json = JSON_ROWS[row]
     assert detect_hits(point(), b, psi, horizon).to_json() == hits_json
     assert exactness_evidence(point(), b, psi, horizon=horizon).to_json() == evidence_json
+
+
+# The zero-run scan (module docstring) against the magnitude test taken at
+# every n: the exact rows of the contract matrix and two bases with digits
+# above 255, on points whose expansion goes on and on points whose expansion
+# ends (5/8 in base 2, 1/3 in base 300, beta**-5: T^n x = 0 from there on).
+# A point whose expansion has ended by digit 65 stops at horizon 65: each
+# later n reaches a certified comparison of 0 with psi(n)
+SCAN_SPECS = [spec for spec in FAMILIES.values() if make_beta(spec).is_exact] + ["257/2", "300"]
+SCAN_HORIZONS = (0, 1, 2, 63, 64, 65, 1000)
+SCAN_CS = (Fraction(1, 2), Fraction(9, 10))
+
+
+def scan_points(b):
+    """(x, the longest horizon for x) on base b."""
+    points = [Fraction(1, 3), Fraction(5, 8), Fraction(2, 7), b.pow(-5)]
+    if isinstance(b.beta_exact, QuadNum):
+        points.append(QuadNum(Fraction(1, 5), Fraction(1, 9), b.beta_exact.d))
+    return [(x, 65 if [t for _, t in orbit(x, b, 65)][-1] == 0 else 1000) for x in points]
+
+
+def scan_psis(b):
+    return [psi_exponential(b, Fraction(1, 7), Fraction(1, 3)), psi_exponential(b, Fraction(1, 2)),
+            psi_exponential(b, Fraction(3, 2), 7),
+            psi_tempered(b, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))]
+
+
+def per_step_screen(x, system, psi, cs, horizon):
+    """(hits, violations, compared) of exactness_evidence with the magnitude
+    test taken at every n <= horizon, no n dropped before it."""
+    steps, bound, point, _ = _orbit_walk(x, system, horizon)
+    ceiling = psi._log2_ceiling()
+    hits, violations, compared = [], {float(c): [] for c in cs}, 0
+    for n, step in enumerate(steps, start=1):
+        k = bound(step)
+        if k is None or k < ceiling(n):
+            compared += 1
+            err, pv = point(step), psi.value(n)
+            if compare(err, pv) < 0:
+                hits.append(n)
+                for c in cs:
+                    if compare(err, pv.scaled(c)) < 0:
+                        violations[float(c)].append(n)
+    return hits, violations, compared
+
+
+def check_scan(spec, horizons):
+    b = make_beta(spec)
+    for x, last in scan_points(b):
+        for psi in scan_psis(b):
+            for horizon in (h for h in horizons if h <= last):
+                want = per_step_screen(x, b, psi, SCAN_CS, horizon)
+                rep = exactness_evidence(x, b, psi, SCAN_CS, horizon=horizon)
+                rec = detect_hits(x, b, psi, horizon)
+                case = (spec, x, psi.describe(), horizon)
+                assert (rep.hits, rep.violations, rep.compared) == want, case
+                assert (rec.hit_indices(), rec.compared) == (want[0], want[2]), case
+
+
+@pytest.mark.parametrize("spec", SCAN_SPECS)
+def test_the_zero_run_scan_changes_no_report(spec):
+    check_scan(spec, SCAN_HORIZONS)
+
+
+@pytest.mark.parametrize("lookahead", [1, 3, 7])
+def test_the_zero_run_scan_reads_any_lookahead(monkeypatch, lookahead):
+    # shorter segments and windows: runs cut at a window's end stay proposed
+    monkeypatch.setattr(approximation, "_LOOKAHEAD", lookahead)
+    for spec in SCAN_SPECS:
+        check_scan(spec, (2, 9, 65, 300))
+
+
+def test_the_scan_holds_a_window_of_the_walk_not_all_of_it():
+    # a 9/5 walk's unreduced pair grows log2(9) bits a step.  Holding at most
+    # 128 steps, the tracemalloc peak grows with the size of a step alone,
+    # about 3.6x from h = 1000 to h = 4000; a walk held whole grows about 12x
+    import tracemalloc
+
+    b = make_beta("9/5")
+    psi = psi_exponential(b, Fraction(3, 2))
+    detect_hits(Fraction(1, 3), b, psi, 50)
+    peaks = []
+    for horizon in (1000, 4000):
+        tracemalloc.start()
+        try:
+            detect_hits(Fraction(1, 3), b, psi, horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 6 * peaks[0], peaks

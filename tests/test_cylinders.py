@@ -285,6 +285,28 @@ class TestSweep:
                 assert swept == count_admissible(n, b)
                 assert len(calls) <= n + 1 and len(set(calls)) == len(calls), (spec, n)
 
+    def test_a_length_is_lifted_when_the_stream_steps_past_its_state(self, monkeypatch):
+        # a reader that stops at a record lifts nothing for its state: cylinder
+        # reads one record and lifts nothing; a full sweep steps past every
+        # state it reaches and lifts each once, then 1 for its end check
+        lifts = []
+
+        def counted(system, n):
+            fold, finish, lift, add = word_evaluator(system, n)
+            return fold, finish, lambda v: lifts.append(v) or lift(v), add
+
+        monkeypatch.setattr(cylinders, "word_evaluator", counted)
+        for spec in ("2", "golden", "9/5"):
+            b = make_beta(spec)
+            for n in (1, 4, 8):
+                lifts.clear()
+                cylinder(expand(Fraction(1, 3), b, n), b)
+                assert not lifts, (spec, n)
+            lifts.clear()
+            assert sum(1 for _ in iter_cylinders(8, b)) == count_admissible(8, b)
+            states = {state for _, state in words_with_states(b, 8)}
+            assert len(lifts) == len(states) + 1 == 10, (spec, len(lifts))
+
     def test_sweep_checks_that_the_last_cylinder_ends_at_one(self, monkeypatch):
         # the last word t1...tn ends in state n: a wrong tail_sup there moves
         # the last right end off 1, which only the exhausted sweep can see
