@@ -13,7 +13,10 @@ psi(n) is built: the orbit walk gives an integer k with T^n x >= 2**k
 (``PsiFunction._log2_ceiling``).  If k >= m then T^n x >= 2**k >= 2**m >=
 psi(n) > c*psi(n) for every c in (0, 1), so n is neither a hit nor a
 violation, and only the n this test cannot clear reach a certified
-comparison (counted as ``compared`` in each report).
+comparison (counted as ``compared`` in each report).  An exact T^n x = 0
+among them (an ended expansion) is below psi(n) and every c*psi(n) by
+sign alone, as psi > 0 and c > 0: it builds no enclosure of psi(n), which
+can lie below 2**-PRECISION_CAP, and its ratio is 0.0.
 
 That test runs in two stages.  The digits settle almost every n before
 any bound is taken: with z zeros after digit n and a nonzero digit after
@@ -276,7 +279,7 @@ def alpha_of(psi: PsiFunction, horizon: int = 64) -> AlphaEstimate:
 
 class HitRecord(NamedTuple):
     """Indices n <= horizon where the truncation beats psi(n)/beta^n;
-    ``compared`` counts the n that reached a certified comparison.  An
+    ``compared`` counts the n that the magnitude test could not clear.  An
     immutable record, built once; ``to_json`` loads json on first use."""
 
     x_text: str
@@ -361,13 +364,28 @@ def _uncleared(x: Real, system: BetaSystem, psi: PsiFunction,
             yield n, point(step), psi.value(n)
 
 
+def _exact(a: Real) -> Exact | None:
+    """a's exact value, or None when a is known only through enclosures."""
+    return a.exact if isinstance(a, CertifiedReal) else a
+
+
+def _below(err: Real, bound: CertifiedReal) -> bool:
+    """err < bound, for err >= 0 and bound > 0: an exact err = 0 (T^n x = 0,
+    an ended expansion) by sign alone, with no enclosure of the bound, which
+    can lie below 2**-PRECISION_CAP; else by ``compare``."""
+    return _exact(err) == 0 or compare(err, bound) < 0
+
+
 def _ratio(a: Real, b: CertifiedReal) -> float:
     """float(a / b) for a >= 0 and b > 0, from the certified quotient:
     exact for two exact values, else the quotient of enclosures taken s
     bits finer, s the first rung where b's lower end is positive.  It is
     correctly rounded when both sides are exact or refinable, and the
-    midpoint of the quotient interval when either is a fixed interval."""
-    ea = a.exact if isinstance(a, CertifiedReal) else a
+    midpoint of the quotient interval when either is a fixed interval.  An
+    exact a = 0 gives 0.0 with no enclosure of b."""
+    ea = _exact(a)
+    if ea == 0:
+        return 0.0
     if ea is not None and b.exact is not None:
         return float(ea / b.exact)
     ca = CertifiedReal._wrap(a)
@@ -398,7 +416,7 @@ def detect_hits(x: Real, system: BetaSystem, psi: PsiFunction,
     hits, compared = [], 0
     for n, err, pv in _uncleared(x, system, psi, horizon):
         compared += 1
-        if compare(err, pv) < 0:
+        if _below(err, pv):
             hits.append({
                 "n": n,
                 "scaled_error": float(err),
@@ -414,7 +432,7 @@ class EvidenceReport(NamedTuple):
     Consistency at a constant c means: at least one hit of psi and no hit
     of c*psi up to the horizon.  This is evidence only; membership is an
     infinite condition that no finite run can certify.  ``compared`` counts
-    the n that reached a certified comparison.  ``violations`` is keyed by
+    the n that the magnitude test could not clear.  ``violations`` is keyed by
     float(c), and ``consistent`` takes c as a Fraction or a float.  An
     immutable record, built once; ``to_json`` loads json on first use.
     """
@@ -468,10 +486,10 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
     violations: dict[float, list[int]] = {float(c): [] for c in cs}
     for n, err, pv in _uncleared(x, system, psi, horizon):
         compared += 1
-        if compare(err, pv) < 0:
+        if _below(err, pv):
             hits.append(n)
             for c in cs:
-                if compare(err, pv.scaled(c)) < 0:
+                if _below(err, pv.scaled(c)):
                     violations[float(c)].append(n)
     return EvidenceReport(str(x), system.spec, psi.describe(), horizon,
                           [float(c) for c in cs], hits, violations, compared)

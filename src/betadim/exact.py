@@ -43,10 +43,10 @@ X**2 - Y**2*r, and decisions on exact values need no ``Fraction``:
   A = X1*D2 - X2*D1 and B = Y1*D2 - Y2*D1.  Its sign is that of A or B
   when they agree or one is 0, and else costs one test of A**2 against
   B**2*r, never equal for a nonsquare r (``_sign``).
-* the orbit step of ``numerics``: with beta = (P + Q*sqrt(r))/C, beta times
-  a point (X, Y, D) is (u + v*sqrt(r))/E with u = PX + QYr, v = PY + QX and
-  E = CD; its floor is read as above, and dividing out gcd(X, Y, D) keeps D
-  bounded for an algebraic-integer beta.
+* the orbit walk of ``numerics`` reads its floors as above, but on a
+  point's coordinates over a basis (1, omega), omega an algebraic integer
+  (its module docstring), where an algebraic-integer beta keeps D fixed
+  with no gcd a step.
 """
 
 from __future__ import annotations

@@ -29,11 +29,20 @@ fact is decided exactly when the system is built, never by probing digits:
 * an interval beta has no finite expansion that can be certified: its
   digits are decided as they are read, on the interval walk below.
 
-Exact orbits of a quadratic beta, or of a quadratic point, walk the
-integer coordinates (X, Y, D) of ``exact`` (see its module docstring),
-one integer square root and one gcd a step (``_quad_steps``).  A rational
-point under a rational beta = P/C walks the pair (X, D) of T^i x = X/D
-with no gcd: u = P*X, d = u // (C*D), X = u - d*C*D, D = C*D
+Exact orbits of a quadratic beta, or of a quadratic point, in
+Q(sqrt(r)) walk T^i x = (a + b*omega)/D on integers, omega an algebraic
+integer with omega**2 = T*omega + N (``_quad_steps``, ``_omega``): beta
+itself (or -beta) when beta is an irrational algebraic integer, and else
+(1 + sqrt(r))/2 for r = 1 (mod 4) and sqrt(r) otherwise.  beta = (A +
+B*omega)/C, over the gcd taken once, multiplies (a, b) by one fixed 2x2
+integer matrix and D by C, with no gcd a step: C = 1 for every algebraic
+integer beta, Pisot or not, so D never changes, and else D grows by C a
+step, as in the rational walk below.  The digit is floor((a +
+b*omega)/D) from one integer square root while b is short, and past 64
+bits from a fixed-point omega to at least 40 bits more than b, which
+falls back to the exact floor where it cannot prove the digit.
+A rational point under a rational beta = P/C walks the pair (X, D) of
+T^i x = X/D with no gcd: u = P*X, d = u // (C*D), X = u - d*C*D, D = C*D
 (``_rational_steps``).  ``_orbit_walk`` is the one walk of every point:
 it builds a point only when asked for one, and bounds each T^i x below by
 a power of two from the integers of its step, with its slack: how far
@@ -114,8 +123,13 @@ def _is_pisot(beta: Exact) -> bool:
     if isinstance(beta, Fraction):
         return beta.denominator == 1
     (P, Q, C), d = coords(beta), beta.d
-    return (2 * P % C == 0 and (P * P - Q * Q * d) % (C * C) == 0
-            and _sign(P + C, -Q, d) > 0 > _sign(P - C, -Q, d))
+    return _integral(P, Q, C, d) and _sign(P + C, -Q, d) > 0 > _sign(P - C, -Q, d)
+
+
+def _integral(P: int, Q: int, C: int, r: int) -> bool:
+    """Whether (P + Q*sqrt(r))/C, r nonsquare, is an algebraic integer: its
+    trace 2P/C and norm (P*P - Q*Q*r)/C**2 are integers."""
+    return 2 * P % C == 0 and (P * P - Q * Q * r) % (C * C) == 0
 
 
 class StarExpansion:
@@ -168,15 +182,16 @@ class StarExpansion:
         if not _is_pisot(beta):
             self._steps = _exact_steps(Fraction(1), beta)[0]  # t_k, T^k(1) from k = 1
             return
-        # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980);
-        # a point is keyed by its reduced coordinates, which are unique
+        # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980).
+        # A point is keyed by its omega-coordinates (a, b, D), unique as D
+        # stays 1: a Pisot beta is an algebraic integer (``_omega``)
         seen: dict[tuple[int, int, int], int] = {}
         digits, x, steps = self._digits, (1, 0, 1), _quad_steps(Fraction(1), beta)
         while x != (0, 0, 1) and x not in seen:
             seen[x] = len(digits) - 1
-            d, X, Y, D = next(steps)
+            d, a, b, D = next(steps)
             digits.append(d)
-            x = X, Y, D
+            x = a, b, D
         L = len(digits) - 1
         if x == (0, 0, 1):
             self.period = L
@@ -364,22 +379,73 @@ def _interval_steps(x: Real, system: BetaSystem, bits: int) -> Iterator[tuple[in
         yield d, lo, hi
 
 
-def _quad_steps(x: Exact, beta: Exact) -> Iterator[tuple[int, int, int, int]]:
-    """(digit, X, Y, D) of T^i x, i = 1, 2, ..., on the reduced integer
-    coordinates of ``exact.coords``: one isqrt and one gcd a step."""
-    r = radicand(beta, x)
+def _omega(beta: Exact, r: int) -> tuple[int, int, int, int, int]:
+    """(p, q, f, T, N) with q > 0: the algebraic integer omega = (p +
+    q*sqrt(r))/f of the walk in Q(sqrt(r)), omega**2 = T*omega + N.  omega
+    is +-beta when beta = (P + Q*sqrt(r))/C is an irrational algebraic
+    integer (beta**2 = t*beta - n, trace t = 2P/C and norm n = (P*P -
+    Q*Q*r)/C**2 integers), so that D stays fixed whatever the radicand;
+    else (1 + sqrt(r))/2 for r = 1 (mod 4) and sqrt(r) otherwise."""
     P, Q, C = coords(beta)
-    X, Y, D = coords(x)
-    Qr, gcd, isqrt = Q * r, math.gcd, math.isqrt
+    if Q and _integral(P, Q, C, r):
+        s = 1 if Q > 0 else -1  # -beta when Q < 0: (-beta)**2 = -t*(-beta) - n
+        return s * P, s * Q, C, s * 2 * P // C, (Q * Q * r - P * P) // (C * C)
+    return (1, 1, 2, 1, (r - 1) // 4) if r % 4 == 1 else (0, 1, 1, 0, r)
+
+
+def _omega_coords(z: Exact, p: int, q: int, f: int) -> tuple[int, int, int]:
+    """(a, b, D) with z = (a + b*omega)/D, omega = (p + q*sqrt(r))/f, over
+    their gcd: q*(X + Y*sqrt(r)) = (q*X - p*Y) + f*Y*omega."""
+    X, Y, D = coords(z)
+    a, b, D = q * X - p * Y, f * Y, q * D
+    h = math.gcd(a, b, D)
+    return a // h, b // h, D // h
+
+
+#: bit length of b from which ``_quad_steps`` reads its digit in fixed
+#: point, and the fewest bits by which that point's k exceeds b's
+_FIXED_FROM, _GUARD = 64, 40
+
+
+def _quad_steps(x: Exact, beta: Exact) -> Iterator[tuple[int, int, int, int]]:
+    """(digit, a, b, D) of T^i x = (a + b*omega)/D, i = 1, 2, ..., on the
+    omega-coordinates of the module docstring (``_omega``), with no gcd.
+
+    beta = (A + B*omega)/C, its coordinates over their gcd, maps (a, b) to
+    (u, b') by one 2x2 integer matrix and D to D' = C*D.  The digit d =
+    floor((u + b'*omega)/D') is (u + (p*b' + floor(q*b'*sqrt(r))) // f) // D',
+    with floor(q*b'*sqrt(r)) = isqrt(r*q*q*b'*b') (b' >= 0) while b' is
+    shorter than ``_FIXED_FROM`` bits.  Past that it is read from W =
+    floor(omega * 2**k), k at least ``_GUARD`` bits longer than b' and W
+    taken again only when b' outgrows it: F = u*2**k + b'*W lies within
+    |b'| of (u + b'*omega)*2**k, so d = floor(F/(D'*2**k)) is the digit
+    when rem = F - d*D'*2**k has |b'| <= rem < D'*2**k - |b'|; otherwise the
+    exact ``_floor_root`` decides it.  The step is (d, u - d*D', b', D')."""
+    r = radicand(beta, x)
+    p, q, f, T, N = _omega(beta, r)
+    A, B, C = _omega_coords(beta, p, q, f)
+    a, b, D = _omega_coords(x, p, q, f)
+    NB, AT, rqq, isqrt = N * B, A + T * B, r * q * q, math.isqrt
+    k = W = 0
     while True:
-        u, v, E = P * X + Qr * Y, P * Y + Q * X, C * D
-        # exact._floor_root, inlined: a call a step slows the golden walk by about a third
-        s = isqrt(r * v * v)  # floor(v*sqrt(r)) = s, or -s - 1 for v < 0
-        d = (u + (s if v >= 0 else -s - 1)) // E
-        X = u - d * E
-        g = gcd(X, v, E)
-        X, Y, D = X // g, v // g, E // g
-        yield d, X, Y, D
+        u, b, D = A * a + NB * b, B * a + AT * b, C * D  # omega**2 = T*omega + N
+        n = b.bit_length()
+        if n < _FIXED_FROM:
+            # exact._floor_root, inlined: a call a step slows the golden walk by about a third
+            s = isqrt(rqq * b * b)
+            d = (u + (p * b + (s if b >= 0 else -s - 1)) // f) // D
+        else:
+            if k < n + _GUARD:
+                k = n + _GUARD + (n >> 3)
+                W = ((p << k) + isqrt(rqq << 2 * k)) // f
+            F = (u << k) + b * W
+            d = (F >> k) // D
+            rem = F - (d * D << k)
+            m = -b if b < 0 else b
+            if not m <= rem < (D << k) - m:
+                d = (u + (p * b + _floor_root(q * b, r)) // f) // D
+        a = u - d * D
+        yield d, a, b, D
 
 
 def _rational_steps(x: Fraction, beta: Fraction) -> Iterator[tuple[int, int, int]]:
@@ -405,19 +471,25 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Call
     bound None or k < c gives T^i x < 2**g(c).  A rational pair has X <
     2**bitlen(X) and D >= 2**(bitlen(D) - 1), so T^i x < 2**(k + 2) <=
     2**(c + 1), and None means X = 0: g(c) = c + 1.  A quadratic triple
-    with low = floor((X + Y*sqrt(r)) * 2**32) >= 1 has T^i x < (low + 1) /
-    (D*2**32) <= 2**(k + 2), and low <= 0 (None) gives T^i x < 2**-32, as
-    D >= 1: g(c) = max(c + 2, -32), one bit to spare on k + 2."""
+    (a, b, D) of omega = (p + q*sqrt(r))/f with low = floor((a + b*omega)
+    * 2**32) = (((f*a + p*b) << 32) + floor(q*b*sqrt(r)*2**32)) // f >= 1 has
+    T^i x < (low + 1) / (D*2**32) <= 2**(k + 2), and low <= 0 (None) gives
+    T^i x < 2**-32, as D >= 1: g(c) = max(c + 2, -32), one bit to spare on
+    k + 2."""
     if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
         r = radicand(beta, x)
+        p, q, f, _, _ = _omega(beta, r)
 
         def quad_bound(step: tuple) -> int | None:
-            # low/(D*2**32) <= T^i x, low = floor((X + Y*sqrt(r)) * 2**32)
-            low = (step[1] << 32) + _floor_root(step[2] << 32, r)
-            return low.bit_length() - step[3].bit_length() - 33 if low > 0 else None
+            _, a, b, D = step  # low/(D*2**32) <= T^i x
+            low = (((f * a + p * b) << 32) + _floor_root(q * b << 32, r)) // f
+            return low.bit_length() - D.bit_length() - 33 if low > 0 else None
 
-        return (_quad_steps(x, beta), quad_bound, lambda step: _in_field(*step[1:], r),
-                lambda c: max(c + 2, -32))
+        def quad_point(step: tuple) -> QuadNum:
+            _, a, b, D = step  # (a + b*omega)/D = (f*a + p*b + q*b*sqrt(r))/(f*D)
+            return _in_field(f * a + p * b, q * b, f * D, r)
+
+        return _quad_steps(x, beta), quad_bound, quad_point, lambda c: max(c + 2, -32)
     return (_rational_steps(x, beta),
             lambda step: step[1].bit_length() - step[2].bit_length() - 1 if step[1] else None,
             lambda step: Fraction(step[1], step[2]), lambda c: c + 1)
@@ -441,8 +513,9 @@ def _orbit_walk(x: Real, system: BetaSystem,
     integer k with T^i x >= 2**k, or None when the step holds no such k (T^i
     x may be 0), from integers the step already holds: for an unreduced
     rational pair (X, D), X >= 2**(bitlen(X) - 1) and D < 2**bitlen(D) give
-    k = bitlen(X) - bitlen(D) - 1; a quadratic triple (X, Y, D) takes the same
-    bound from low = X*2**32 + floor(Y*sqrt(r)*2**32) over D*2**32; a
+    k = bitlen(X) - bitlen(D) - 1; a quadratic triple (a, b, D) of
+    omega-coordinates takes the same bound from low = floor((a +
+    b*omega)*2**32) over D*2**32, one integer square root; a
     certified step, from the lower end of the enclosure it holds, never
     refined for the bound.  ``point(step)`` builds T^i x as ``orbit`` yields
     it.  ``slack(c)`` is an integer g with T^i x < 2**g at every step whose
@@ -464,10 +537,12 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     """Yield (digit_i, T^i x) for i = 1..n.
 
     An exact point under an exact beta is walked exactly, on the integer
-    coordinates of the module docstring: each yielded point is one
-    ``QuadNum`` of the walk's (X, Y, D) when beta or x is quadratic (a point
-    of another quadratic field than beta raises ``ValueError("mixed
-    radicands")``), and else the reduced ``Fraction`` of its pair (X, D).
+    coordinates of the module docstring: each yielded point is the reduced
+    ``QuadNum`` of the walk's omega-coordinates (a, b, D) when beta or x is
+    quadratic (D fixed for an algebraic-integer beta, each digit read by an
+    isqrt floor or, past 64 bits, a fixed-point one; a point of another
+    quadratic field than beta raises ``ValueError("mixed radicands")``), and
+    else the reduced ``Fraction`` of its pair (X, D).
 
     Any other point walks the ends of one enclosure of x (``_interval_steps``)
     at 2**-B, B from the ladder ``decide``: the rung, plus n *

@@ -393,6 +393,30 @@ class TestEvidence:
             assert not rep.consistent(c)
             assert rep.violations[c]  # zero error beats every c*psi
 
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 8), Fraction(1, 300 ** 5)])
+    def test_an_exact_zero_error_is_below_any_psi(self, x):
+        # under beta = 300, T^n x = 0 from n = 1, 2 or 5 on, and psi(n) = 7 *
+        # 300**(-3n/2) is irrational at odd n and below 2**-8192, the
+        # precision cap, from n = 665: a zero is a hit of psi and a violation
+        # of every c*psi by sign alone, with ratio 0.0, and the other n are
+        # decided as before (t < c*psi(n) iff t**2 * 300**(3n) < 49 c**2)
+        b = make_beta("300")
+        psi = psi_exponential(b, Fraction(3, 2), 7)
+        points = [t for _, t in orbit(x, b, 1000)]
+
+        def below(c):
+            return [n for n, t in enumerate(points, 1)
+                    if t == 0 or t * t * 300 ** (3 * n) < 49 * c * c]
+
+        rec = detect_hits(x, b, psi, 1000)
+        assert rec.hit_indices() == below(1)
+        for h in rec.hits:
+            if points[h["n"] - 1] == 0:
+                assert h["scaled_error"] == h["ratio"] == 0.0, h
+        rep = exactness_evidence(x, b, psi, horizon=1000)
+        assert rep.hits == below(1) and rep.compared == rec.compared
+        assert rep.violations == {float(c): below(c) for c in DEFAULT_C_GRID}
+
     def test_json_shape(self):
         import json
 
@@ -671,7 +695,8 @@ def test_report_json_is_unchanged(row):
 # above 255, on points whose expansion goes on and on points whose expansion
 # ends (5/8 in base 2, 1/3 in base 300, beta**-5: T^n x = 0 from there on).
 # A point whose expansion has ended by digit 65 stops at horizon 65: each
-# later n reaches a certified comparison of 0 with psi(n)
+# later n is a comparison of 0 with psi(n), which per_step_screen makes by
+# enclosures, and psi(n) falls below 2**-8192 at the longer horizons
 SCAN_SPECS = [spec for spec in FAMILIES.values() if make_beta(spec).is_exact] + ["257/2", "300"]
 SCAN_HORIZONS = (0, 1, 2, 63, 64, 65, 1000)
 SCAN_CS = (Fraction(1, 2), Fraction(9, 10))

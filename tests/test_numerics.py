@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import mpmath
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betadim import numerics
 from betadim.errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
-from betadim.exact import CertifiedReal, QuadNum, compare
+from betadim.exact import CertifiedReal, QuadNum, _floor_root, compare, coords
 from betadim.numerics import (
     GOLDEN,
     BetaSystem,
+    _quad_steps,
     eval_word,
     expand,
     make_beta,
@@ -403,6 +406,38 @@ QUAD_STEP_BETAS = {
 }
 
 
+# the rows whose omega-coordinates grow along the walk
+GROWING = ["quad:(1+1*sqrt(13))/2", "quad:(3+1*sqrt(2))/2", "9/5"]
+
+# algebraic-integer bases, Pisot or not, with their radicands
+INTEGRAL_BETAS = {
+    "golden": 5, "quad:(3+1*sqrt(5))/2": 5, "quad:(1+1*sqrt(2))/1": 2, "quad:(2+1*sqrt(7))/1": 7,
+    "quad:(1+1*sqrt(13))/2": 13, "quad:(2+1*sqrt(8))/2": 8, "quad:(3+1*sqrt(45))/6": 45,
+    "quad:(5+-1*sqrt(5))/2": 5,
+}
+
+# (L, p) of star.repeat for each Pisot base of EXPANSION_LENGTHS
+PISOT_REPEATS = {
+    "golden": (2, 2), "quad:(1+1*sqrt(2))/1": (2, 2), "quad:(2+1*sqrt(7))/1": (2, 2),
+    "quad:(1+1*sqrt(3))/1": (2, 2), "quad:(3+1*sqrt(13))/2": (2, 2),
+    "quad:(3+1*sqrt(5))/2": (2, 1), "quad:(2+1*sqrt(2))/1": (2, 1),
+    "quad:(5+1*sqrt(17))/2": (2, 1),
+}
+
+
+def omega_convergents(omega, least):
+    """The first two convergents p/q of omega's continued fraction with q >
+    ``least``, by exact floors: q*omega - p takes either sign."""
+    p0, q0, p1, q1, y, out = 1, 0, math.floor(omega), 1, omega, []
+    while len(out) < 2:
+        y = 1 / (y - math.floor(y))
+        a = math.floor(y)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > least:
+            out.append((p1, q1))
+    return out
+
+
 def seeded_points(rng, d, k):
     """k rational and k quadratic points of Q(sqrt(d)) in [0, 1)."""
     points = [Fraction(rng.randrange(1000), 1000) for _ in range(k)]
@@ -463,6 +498,84 @@ class TestExactOrbit:
             for point, mp_point in ((Fraction(1, 3), lambda: mpmath.mpf(1) / 3), (x, mp_x)):
                 digits, _ = mpmath_orbit(mp_point, beta, 300)
                 assert list(expand(point, make_beta(spec), 300)) == digits, (spec, point)
+
+    def test_growing_coordinates_at_depth(self):
+        # b grows about 0.38 bits a step on (1+sqrt(13))/2, about 1.3 on
+        # (3+sqrt(2))/2 and 3.2 on 9/5 with a point of Q(sqrt(5)): past 64
+        # bits each digit is read in fixed point, and W is taken again as b grows
+        rng = random.Random(29)
+        for spec in GROWING:
+            b = make_beta(spec)
+            for x in seeded_points(rng, QUAD_STEP_BETAS[spec], 1):
+                want = reference_orbit(x, b.beta_exact, 2000)
+                assert list(orbit(x, b, 2000)) == want, (spec, x)
+                assert expand(x, b, 2000) == tuple(d for d, _ in want), (spec, x)
+
+    def test_a_digit_the_fixed_point_floor_cannot_prove(self, monkeypatch):
+        # x = (1 + y)/beta with y = q*omega - p, p/q a convergent of omega with
+        # q > 2**200: beta*x = 1 + y lies within 2**-200 of the integer 1, far
+        # inside the |b| >= q by which F may miss, so the exact floor decides
+        # the first digit.  An ordinary walk past 64 bits never needs it
+        calls = []
+
+        def counted(y, r):
+            calls.append(y)
+            return _floor_root(y, r)
+
+        monkeypatch.setattr(numerics, "_floor_root", counted)
+        for spec, r in (("golden", 5), ("quad:(1+1*sqrt(13))/2", 13)):
+            b = make_beta(spec)
+            beta, omega = b.beta_exact, QuadNum(Fraction(1, 2), Fraction(1, 2), r)
+            for p, q in omega_convergents(omega, 2 ** 200):
+                x = (1 + q * omega - p) / beta
+                assert -Fraction(1, 2 ** 200) < beta * x - 1 < Fraction(1, 2 ** 200)
+                assert 0 <= x < 1
+                del calls[:]
+                want = reference_orbit(x, beta, 400)
+                assert list(orbit(x, b, 400)) == want, (spec, p, q)
+                assert calls, (spec, p, q)
+                assert expand(x, b, 400) == tuple(d for d, _ in want), (spec, p, q)
+            del calls[:]
+            list(orbit(QuadNum(Fraction(1, 5), Fraction(1, 9), r), b, 1000))
+            assert calls == [], spec
+
+    def test_omega_denominator_stays_fixed(self):
+        # an algebraic-integer beta walks on omega = +-beta: D is that of the
+        # first step all the way, so no step divides by a gcd, also where the
+        # radicand has a square factor or beta's sqrt(r) a negative coefficient
+        rng = random.Random(30)
+        for spec, r in INTEGRAL_BETAS.items():
+            b = make_beta(spec)
+            for x in seeded_points(rng, r, 2):
+                Ds = {D for _, _, _, D in islice(_quad_steps(x, b.beta_exact), 2000)}
+                assert len(Ds) == 1, (spec, x)
+                assert list(orbit(x, b, 300)) == reference_orbit(x, b.beta_exact, 300), (spec, x)
+
+    def test_omega_denominator_grows_by_the_reduced_denominator(self):
+        # (3+sqrt(2))/2 = (3 + omega)/2 is no algebraic integer: its D is x's
+        # times 2**i at step i, never a larger factor, and the reduced QuadNum
+        # denominator keeps pace, shedding at most the common factor of x's X
+        # and Y
+        b = make_beta("quad:(3+1*sqrt(2))/2")
+        for x in seeded_points(random.Random(31), 2, 2):
+            X, Y, D0 = coords(x)
+            steps = zip(_quad_steps(x, b.beta_exact), reference_orbit(x, b.beta_exact, 2000))
+            for i, ((_, _, _, D), (_, t)) in enumerate(steps, start=1):
+                assert D == D0 << i, (x, i)
+                gap = D.bit_length() - coords(t)[2].bit_length()
+                assert 0 <= gap <= 2 + math.gcd(X, Y).bit_length(), (x, i)
+
+    def test_pisot_repeats(self):
+        # the walk of 1 keys its points by omega-coordinates, with D = 1; a
+        # radicand with a square factor (sqrt(8), sqrt(12), sqrt(45)) walks on
+        # omega = beta too, and gives the repeat of its squarefree twin
+        for spec, repeat in PISOT_REPEATS.items():
+            assert make_beta(spec).star.repeat == repeat, spec
+        for spec, twin in (("quad:(2+1*sqrt(8))/2", "quad:(1+1*sqrt(2))/1"),
+                           ("quad:(4+1*sqrt(12))/2", "quad:(2+1*sqrt(3))/1"),
+                           ("quad:(3+1*sqrt(45))/6", "golden")):
+            b, t = make_beta(spec), make_beta(twin)
+            assert (b.star.repeat, b.star.prefix(50)) == (t.star.repeat, t.star.prefix(50)), spec
 
     def test_point_of_another_field_raises(self):
         for spec, x in (("golden", QuadNum(Fraction(1, 5), Fraction(1, 9), 13)),
