@@ -7,35 +7,31 @@ to no better order c*psi (0 < c < 1) shows hits of psi and no hits of any
 c*psi.  Desk-scale runs can only certify finite-horizon evidence of that,
 and every report says so explicitly.
 
-Hits and evidence first clear n by magnitude, on integers only, before
-psi(n) is built: the orbit walk gives an integer k with T^n x >= 2**k
-(``numerics._orbit_walk``), and psi an integer m with psi(n) <= 2**m
-(``PsiFunction._log2_ceiling``).  If k >= m then T^n x >= 2**k >= 2**m >=
-psi(n) > c*psi(n) for every c in (0, 1), so n is neither a hit nor a
-violation, and only the n this test cannot clear reach a certified
-comparison (counted as ``compared`` in each report).  An exact T^n x = 0
-among them (an ended expansion) is below psi(n) and every c*psi(n) by
-sign alone, as psi > 0 and c > 0: it builds no enclosure of psi(n), which
-can lie below 2**-PRECISION_CAP, and its ratio is 0.0.
+Hits and evidence first clear n before psi(n) is built, in two stages,
+on integers only.  The digits settle almost every n: with z zeros after
+digit n and a nonzero digit after them, T^n x = sum_j d_(n+j) beta**-j >=
+beta**-(z+1) (Parry 1960).  An exponential or tempered psi(n) <=
+c*beta**(-alpha*n), as n**-p <= 1, so with beta**e >= c (``_log2_ceiling``)
+a run with z + 1 <= Z(n) = floor(alpha*n) - e gives T^n x >= beta**(e -
+floor(alpha*n)) >= psi(n) > c'*psi(n) for every c' in (0, 1): n is
+neither a hit nor a violation.  The zero-run scan proposes the other n,
+whose zero run is at least Z(n) long or still open where the digits read
+end, from the digits in C (``bytes.find`` for Z zeros, then for the next
+nonzero digit).  Z is non-decreasing in n, so one segment of n takes the
+Z of its first n; the walk is read in segments of 1, 2, 4, ..., 64 steps,
+then 64, each with 64 steps read ahead, so at most 128 steps are held
+whatever the horizon.  Every walk is scanned, certified ones too: their
+digits are decided digits of x, for every beta of an interval.  A table
+psi has no such Z, and proposes every n.
 
-That test runs in two stages.  The digits settle almost every n before
-any bound is taken: with z zeros after digit n and a nonzero digit after
-them, T^n x = sum_j d_(n+j) beta**-j >= beta**-(z+1) (Parry 1960).  An
-exact walk states its slack g (``_orbit_walk``): a step with k None or
-k < m has T^n x < 2**g(m).  So beta**-(z+1) >= 2**g(m) makes k >= m, and
-the per-step test clears n; with Lam >= 2**32 * log2 beta, that holds
-when (z + 1) * Lam <= -g(m) * 2**32, i.e. when z < Z = floor(-g(m) *
-2**32 / Lam).  The first stage scans the digits in C (``bytes.find`` for
-Z zeros, then for the next nonzero digit) and proposes the n whose run of
-zeros is at least Z long or still open where the digits read end; only
-those reach the per-step test, unchanged, so the scan drops only n that
-the test clears and every report, ``compared`` included, is the same.
-An exponential psi has a non-increasing m(n), so Z(n) is non-decreasing
-and one segment of n can take the Z of its first n.  The walk is read in
-segments of 1, 2, 4, ..., 64 steps, then 64, each with 64 steps read
-ahead, so at most 128 steps are held whatever the horizon.  A certified
-walk states no slack and a table psi no monotone m, so neither is scanned:
-every n of theirs goes on to the per-step test, in the same loop.
+Each proposed n then takes the magnitude test: the walk gives an integer
+k with T^n x >= 2**k (``numerics._orbit_walk``), and psi an integer m with
+psi(n) <= 2**m.  If k >= m, n is cleared as above, and only the n neither
+stage clears reach a certified comparison (counted as ``compared`` in each
+report).  An exact T^n x = 0 among them (an ended expansion) is below
+psi(n) and every c*psi(n) by sign alone, as psi > 0 and c > 0: it builds
+no enclosure of psi(n), which can lie below 2**-PRECISION_CAP, and its
+ratio is 0.0.
 
 Speeds and reports are immutable ``NamedTuple``s; ``to_json`` loads json
 on first use, so importing this module loads neither it nor dataclasses.
@@ -194,30 +190,38 @@ class PsiFunction(_PsiFields):
         return CertifiedReal.from_interval(*psi(
             w, Fraction(2) ** -elo / mlo, Fraction(2) ** -ehi / mhi))
 
-    def _log2_ceiling(self) -> Callable[[int], int]:
-        """n -> an integer m with psi(n) <= 2**m, on integers only.
+    def _log2_ceiling(self) -> tuple[Callable[[int], int], Callable[[int], int] | None]:
+        """(ceiling, least) on integers only: n -> an integer m with psi(n)
+        <= 2**m, and n -> the zero-run threshold Z(n) of the module
+        docstring, or None when psi has none.
 
         A table entry N/M < 2**(bitlen(N) - bitlen(M) + 1).  An exponential
         psi(n) <= c * beta**(-alpha*n), as n**-p <= 1, and with lam*2**-32 <=
-        log2 beta that is <= 2**(ceil(log2 c) - floor(alpha*n*lam*2**-32)).
-        lam takes no logarithm: it is e + bitlen(m) - 1 for m*2**e, the
-        ``pow_fixed`` of lo**(2**32) rounded down, lo the low end of beta's
-        enclosure to 2**-32 (an interval beta's declared one), so 2**lam <=
-        lo**(2**32) <= beta**(2**32), for an interval beta too.  Its 64-bit
-        roundings move that power by a factor within 1 - 2**-29, so lam is
-        floor(2**32*log2 lo) or one below."""
+        log2 beta that is <= 2**(top - floor(alpha*n*lam*2**-32)), top =
+        ceil(log2 c).  lam takes no logarithm: it is pe + bitlen(pm) - 1 for
+        pm*2**pe, the ``pow_fixed`` of lo**(2**32) rounded down, lo the low end
+        of beta's enclosure to 2**-32 (an interval beta's declared one), so
+        2**lam <= lo**(2**32) <= beta**(2**32), for an interval beta too.
+        Its 64-bit roundings move that power by a factor within 1 - 2**-29,
+        so lam is floor(2**32*log2 lo) or one below.  Z(n) = floor(alpha*n)
+        - e with e = ceil(top*2**32/lam) for top > 0, so e*log2 beta >=
+        e*lam*2**-32 >= top and beta**e >= c, and e = 0 for c <= 1.  A table,
+        and lam = 0 with c > 1, has no Z."""
         if self.family == "table":
             table = self.table
             return lambda n: (table[n - 1].numerator.bit_length()
-                              - table[n - 1].denominator.bit_length() + 1)
-        N, M = self.c.numerator, self.c.denominator  # ceil(log2 c): c <= 2**e iff N <= M*2**e
-        e = N.bit_length() - M.bit_length()
-        top = e + (N > M << e if e >= 0 else N << -e > M)
+                              - table[n - 1].denominator.bit_length() + 1), None
+        N, M = self.c.numerator, self.c.denominator  # ceil(log2 c): c <= 2**k iff N <= M*2**k
+        k = N.bit_length() - M.bit_length()
+        top = k + (N > M << k if k >= 0 else N << -k > M)
         F = 32  # lam to 2**-30 or so: alpha*n*lam loses under a bit below n = 2**29
         pm, pe = pow_fixed(self.system.beta.enclosure(F)[0], 1 << F, 64, False)
         lam = max(0, pe + pm.bit_length() - 1)
-        a, den = self.alpha.numerator * lam, self.alpha.denominator << F
-        return lambda n: top - a * n // den
+        an, ad = self.alpha.numerator, self.alpha.denominator
+        a, den = an * lam, ad << F
+        e = 0 if top <= 0 else -((-top << F) // lam) if lam else None  # ceil(top*2**F/lam)
+        return (lambda n: top - a * n // den,
+                None if e is None else lambda n: an * n // ad - e)
 
     def log_value(self, n: int) -> LogValue:
         """ln psi(n) as an exact log-linear combination (for huge n)."""
@@ -279,7 +283,8 @@ def alpha_of(psi: PsiFunction, horizon: int = 64) -> AlphaEstimate:
 
 class HitRecord(NamedTuple):
     """Indices n <= horizon where the truncation beats psi(n)/beta^n;
-    ``compared`` counts the n that the magnitude test could not clear.  An
+    ``compared`` counts the n that neither the zero-run scan nor the
+    magnitude test cleared (module docstring).  An
     immutable record, built once; ``to_json`` loads json on first use."""
 
     x_text: str
@@ -343,22 +348,13 @@ def _scan(steps: Iterable[tuple], least: Callable[[int], int]) -> Iterator[tuple
 
 def _uncleared(x: Real, system: BetaSystem, psi: PsiFunction,
                horizon: int) -> Iterator[tuple[int, Real, CertifiedReal]]:
-    """(n, T^n x, psi(n)) for each n <= horizon that the magnitude test of
-    the module docstring cannot clear, with T^n x and psi(n) built there
-    only; the shared loop of ``detect_hits`` and ``exactness_evidence``.
-    The zero-run scan proposes the n, and the per-step test decides them.
-    Lam = e + bitlen(m) for m*2**e, the ``pow_fixed`` of hi**(2**32)
-    rounded up, hi the upper end of beta's enclosure to 2**-32, so 2**32 *
-    log2 beta <= log2(m*2**e) < Lam."""
-    steps, bound, point, slack = _orbit_walk(x, system, horizon)
-    ceiling = psi._log2_ceiling()
-    if slack is None or psi.family == "table":
-        proposed = enumerate(steps, start=1)
-    else:
-        m, e = pow_fixed(system.beta.enclosure(32)[1], 1 << 32, 64, True)
-        lam = e + m.bit_length()
-        proposed = _scan(steps, lambda n: (-slack(ceiling(n)) << 32) // lam)
-    for n, step in proposed:
+    """(n, T^n x, psi(n)) for each n <= horizon that neither the zero-run
+    scan nor the magnitude test of the module docstring clears, with T^n x
+    and psi(n) built there only; the shared loop of ``detect_hits`` and
+    ``exactness_evidence``."""
+    steps, bound, point = _orbit_walk(x, system, horizon)
+    ceiling, least = psi._log2_ceiling()
+    for n, step in enumerate(steps, start=1) if least is None else _scan(steps, least):
         k = bound(step)
         if k is None or k < ceiling(n):
             yield n, point(step), psi.value(n)
@@ -409,9 +405,9 @@ def detect_hits(x: Real, system: BetaSystem, psi: PsiFunction,
     ratio is that of the certified quotient, never of the two floats, which
     can both underflow to 0.
 
-    An n with T^n x >= 2**k >= 2**m >= psi(n), k and m the integer bounds of
-    the module docstring, is no hit, so neither T^n x nor psi(n) is built
-    there; ``compared`` counts the others."""
+    An n that the zero-run scan or the magnitude test of the module
+    docstring clears is no hit, so neither T^n x nor psi(n) is built there;
+    ``compared`` counts the others."""
     horizon = min(horizon, psi.max_index() or horizon)  # a table ends at its length
     hits, compared = [], 0
     for n, err, pv in _uncleared(x, system, psi, horizon):
@@ -432,7 +428,8 @@ class EvidenceReport(NamedTuple):
     Consistency at a constant c means: at least one hit of psi and no hit
     of c*psi up to the horizon.  This is evidence only; membership is an
     infinite condition that no finite run can certify.  ``compared`` counts
-    the n that the magnitude test could not clear.  ``violations`` is keyed by
+    the n that neither the zero-run scan nor the magnitude test cleared.
+    ``violations`` is keyed by
     float(c), and ``consistent`` takes c as a Fraction or a float.  An
     immutable record, built once; ``to_json`` loads json on first use.
     """
@@ -470,9 +467,9 @@ def exactness_evidence(x: Real, system: BetaSystem, psi: PsiFunction,
                        horizon: int = 64) -> EvidenceReport:
     """Partition n <= horizon into hits of psi and violations of c*psi.
 
-    An n with T^n x >= 2**k >= 2**m >= psi(n), k and m the integer bounds of
-    the module docstring, is no hit, so neither T^n x nor psi(n) is built
-    there.  c*psi(n) is compared only where psi(n) is hit: c lies in (0, 1)
+    An n that the zero-run scan or the magnitude test of the module
+    docstring clears is no hit, so neither T^n x nor psi(n) is built there.
+    c*psi(n) is compared only where psi(n) is hit: c lies in (0, 1)
     and psi(n) > 0, so T^n x >= psi(n) implies T^n x > c*psi(n), and every
     violation is a hit.  ``compared`` counts the n compared with psi(n)."""
     cs = [Fraction(c) for c in c_values]

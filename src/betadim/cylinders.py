@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvariantFailure, PreconditionViolated
 from .exact import Exact, QuadNum, compare
-from .numerics import BetaSystem, Word, eval_word, expand, word_evaluator
+from .numerics import BetaSystem, Word, expand, word_evaluator
 from .words import _dfs, _renyi, _states, check_cap
 
 
@@ -87,11 +87,11 @@ def successor(word: Sequence[int], system: BetaSystem) -> Word | None:
 
 def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
     """Definitional length: distance to the next left endpoint; an
-    interval beta raises PrecisionExhausted."""
+    interval beta raises PrecisionExhausted.  Both left ends are Horner
+    values of one kernel at the word's order."""
     nxt = successor(word, system)
-    if nxt is None:
-        return 1 - eval_word(word, system)
-    return eval_word(nxt, system) - eval_word(word, system)
+    fold, finish, _, _ = word_evaluator(system, len(word))
+    return (1 if nxt is None else finish(fold(nxt))) - finish(fold(word))
 
 
 class CensusRecord(NamedTuple):

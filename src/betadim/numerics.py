@@ -31,24 +31,24 @@ fact is decided exactly when the system is built, never by probing digits:
 
 Exact orbits of a quadratic beta, or of a quadratic point, in
 Q(sqrt(r)) walk T^i x = (a + b*omega)/D on integers, omega an algebraic
-integer with omega**2 = T*omega + N (``_quad_steps``, ``_omega``): beta
-itself (or -beta) when beta is an irrational algebraic integer, and else
-(1 + sqrt(r))/2 for r = 1 (mod 4) and sqrt(r) otherwise.  beta = (A +
-B*omega)/C, over the gcd taken once, multiplies (a, b) by one fixed 2x2
-integer matrix and D by C, with no gcd a step: C = 1 for every algebraic
-integer beta, Pisot or not, so D never changes, and else D grows by C a
-step, as in the rational walk below.  The digit is floor((a +
-b*omega)/D) from one integer square root while b is short, and past 64
-bits from a fixed-point omega to at least 40 bits more than b, which
-falls back to the exact floor where it cannot prove the digit.
+integer with omega**2 = T*omega + N (``_quad_steps``, ``_omega``): for an
+irrational beta the least integral multiple +-c*beta, c dividing beta's
+denominator, and for a rational beta (1 + sqrt(r))/2 for r = 1 (mod 4)
+and sqrt(r) otherwise.  beta = (A + B*omega)/C, over the gcd taken once,
+multiplies (a, b) by one fixed 2x2 integer matrix and D by C, with no gcd
+a step: C = c for an irrational beta, so D never changes for an algebraic
+integer beta, Pisot or not, and else grows by C a step, as in the
+rational walk below.  The digit is floor((a + b*omega)/D) from one integer square root
+while b is short, and past 64 bits from a fixed-point omega to at least
+40 bits more than b, which falls back to the exact floor where it cannot
+prove the digit.
 A rational point under a rational beta = P/C walks the pair (X, D) of
 T^i x = X/D with no gcd: u = P*X, d = u // (C*D), X = u - d*C*D, D = C*D
 (``_rational_steps``).  ``_orbit_walk`` is the one walk of every point:
 it builds a point only when asked for one, and bounds each T^i x below by
-a power of two from the integers of its step, with its slack: how far
-above that power T^i x can lie (``orbit`` builds every point; ``expand``
-none; ``approximation`` only those that its digits and the bound cannot
-clear).
+a power of two from the integers of its step (``orbit`` builds every
+point; ``expand`` none; ``approximation`` only those that its digits and
+the bound cannot clear).
 
 Orbits of points known through enclosures (a lazy real, or any point
 under an interval beta), and 1 under an interval beta, walk the two ends
@@ -379,17 +379,33 @@ def _interval_steps(x: Real, system: BetaSystem, bits: int) -> Iterator[tuple[in
         yield d, lo, hi
 
 
+def _divisors(n: int) -> Iterator[int]:
+    """The divisors of n >= 1 in ascending order, lazily, by trial division
+    up to sqrt(n)."""
+    small = []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            yield d
+    yield from (n // d for d in reversed(small) if d * d != n)
+
+
 def _omega(beta: Exact, r: int) -> tuple[int, int, int, int, int]:
     """(p, q, f, T, N) with q > 0: the algebraic integer omega = (p +
-    q*sqrt(r))/f of the walk in Q(sqrt(r)), omega**2 = T*omega + N.  omega
-    is +-beta when beta = (P + Q*sqrt(r))/C is an irrational algebraic
-    integer (beta**2 = t*beta - n, trace t = 2P/C and norm n = (P*P -
-    Q*Q*r)/C**2 integers), so that D stays fixed whatever the radicand;
-    else (1 + sqrt(r))/2 for r = 1 (mod 4) and sqrt(r) otherwise."""
+    q*sqrt(r))/f of the walk in Q(sqrt(r)), omega**2 = T*omega + N.  For
+    an irrational beta = (P + Q*sqrt(r))/C, omega = +-c*beta = +-(P +
+    Q*sqrt(r))/f, f = C/c, with c the least divisor of C that makes it an
+    algebraic integer (``_integral``; c = C always does), so that D grows
+    by c a step, and stays fixed for an algebraic-integer beta, whatever
+    the radicand: omega**2 = t*omega - n, trace t = 2P/f and norm n = (P*P
+    - Q*Q*r)/f**2.  A rational beta walking a quadratic point takes (1 +
+    sqrt(r))/2 for r = 1 (mod 4) and sqrt(r) otherwise."""
     P, Q, C = coords(beta)
-    if Q and _integral(P, Q, C, r):
-        s = 1 if Q > 0 else -1  # -beta when Q < 0: (-beta)**2 = -t*(-beta) - n
-        return s * P, s * Q, C, s * 2 * P // C, (Q * Q * r - P * P) // (C * C)
+    if Q:
+        f = C if _integral(P, Q, C, r) else next(  # c = 1: an algebraic integer
+            C // c for c in _divisors(C) if _integral(P, Q, C // c, r))
+        s = 1 if Q > 0 else -1  # -w when Q < 0, w = c*beta: (-w)**2 = -t*(-w) - n
+        return s * P, s * Q, f, s * 2 * P // f, (Q * Q * r - P * P) // (f * f)
     return (1, 1, 2, 1, (r - 1) // 4) if r % 4 == 1 else (0, 1, 1, 0, r)
 
 
@@ -460,22 +476,12 @@ def _rational_steps(x: Fraction, beta: Fraction) -> Iterator[tuple[int, int, int
         yield d, X, D
 
 
-def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Callable, Callable]:
+def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Callable]:
     """The exact walk of x under beta, each step led by its digit, the map
-    from a step to its magnitude bound, the map from a step to its point
-    T^i x and the walk's slack (``_orbit_walk``): ``_quad_steps`` when
-    either is quadratic (a ``QuadNum``), else ``_rational_steps``.  The one
-    place where the two walks are chosen.
-
-    The slack g(c) states how small a step whose bound is below c can be:
-    bound None or k < c gives T^i x < 2**g(c).  A rational pair has X <
-    2**bitlen(X) and D >= 2**(bitlen(D) - 1), so T^i x < 2**(k + 2) <=
-    2**(c + 1), and None means X = 0: g(c) = c + 1.  A quadratic triple
-    (a, b, D) of omega = (p + q*sqrt(r))/f with low = floor((a + b*omega)
-    * 2**32) = (((f*a + p*b) << 32) + floor(q*b*sqrt(r)*2**32)) // f >= 1 has
-    T^i x < (low + 1) / (D*2**32) <= 2**(k + 2), and low <= 0 (None) gives
-    T^i x < 2**-32, as D >= 1: g(c) = max(c + 2, -32), one bit to spare on
-    k + 2."""
+    from a step to its magnitude bound and the map from a step to its point
+    T^i x (``_orbit_walk``): ``_quad_steps`` when either is quadratic (a
+    ``QuadNum``), else ``_rational_steps``.  The one place where the two
+    walks are chosen."""
     if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
         r = radicand(beta, x)
         p, q, f, _, _ = _omega(beta, r)
@@ -489,10 +495,10 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Call
             _, a, b, D = step  # (a + b*omega)/D = (f*a + p*b + q*b*sqrt(r))/(f*D)
             return _in_field(f * a + p * b, q * b, f * D, r)
 
-        return _quad_steps(x, beta), quad_bound, quad_point, lambda c: max(c + 2, -32)
+        return _quad_steps(x, beta), quad_bound, quad_point
     return (_rational_steps(x, beta),
             lambda step: step[1].bit_length() - step[2].bit_length() - 1 if step[1] else None,
-            lambda step: Fraction(step[1], step[2]), lambda c: c + 1)
+            lambda step: Fraction(step[1], step[2]))
 
 
 def _unit_point(x: Real) -> Real:
@@ -506,10 +512,10 @@ def _unit_point(x: Real) -> Real:
 
 def _orbit_walk(x: Real, system: BetaSystem,
                 n: int) -> tuple[Iterable[tuple], Callable[[tuple], int | None],
-                                 Callable[[tuple], Real], Callable[[int], int] | None]:
-    """The walk of ``orbit`` with no point built: (steps, bound, point, slack).
+                                 Callable[[tuple], Real]]:
+    """The walk of ``orbit`` with no point built: (steps, bound, point).
 
-    Each of the n steps is a tuple led by digit_i.  ``bound(step)`` is an
+    Each of the n steps is a tuple led by digit_i, a decided digit of x.  ``bound(step)`` is an
     integer k with T^i x >= 2**k, or None when the step holds no such k (T^i
     x may be 0), from integers the step already holds: for an unreduced
     rational pair (X, D), X >= 2**(bitlen(X) - 1) and D < 2**bitlen(D) give
@@ -518,19 +524,15 @@ def _orbit_walk(x: Real, system: BetaSystem,
     b*omega)*2**32) over D*2**32, one integer square root; a
     certified step, from the lower end of the enclosure it holds, never
     refined for the bound.  ``point(step)`` builds T^i x as ``orbit`` yields
-    it.  ``slack(c)`` is an integer g with T^i x < 2**g at every step whose
-    bound is None or below c: c + 1 on a rational pair, max(c + 2, -32) on a
-    quadratic triple (``_exact_steps``).  A certified walk states no slack
-    (None): an enclosure's upper end is no function of its lower one.  The
-    one place where the exact and the certified walks are chosen.
+    it.  The one place where the exact and the certified walks are chosen.
     """
     if n < 0:
         raise ValueError(f"walk length must be >= 0, got {n}")
     x = _unit_point(x)
     if not system.is_exact or isinstance(x, CertifiedReal):
         return _certified_walk(x, system, n)
-    steps, bound, point, slack = _exact_steps(x, system.beta_exact)
-    return islice(steps, n), bound, point, slack
+    steps, bound, point = _exact_steps(x, system.beta_exact)
+    return islice(steps, n), bound, point
 
 
 def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
@@ -555,15 +557,15 @@ def orbit(x: Real, system: BetaSystem, n: int) -> Iterator[tuple[int, Real]]:
     the last walk and the enclosure width reached, which it also carries as
     ``site``, ``bits`` and ``width_log2``.
     """
-    steps, _, point, _ = _orbit_walk(x, system, n)
+    steps, _, point = _orbit_walk(x, system, n)
     for step in steps:
         yield step[0], point(step)
 
 
 def _certified_walk(x: Real, system: BetaSystem,
-                    n: int) -> tuple[list, Callable, Callable, None]:
+                    n: int) -> tuple[list, Callable, Callable]:
     """``_orbit_walk`` of a point in [0, 1) that is not walked exactly: each
-    step is (digit_i, lo, hi, i), T^i x in [lo, hi] / 2**B, and no slack."""
+    step is (digit_i, lo, hi, i), T^i x in [lo, hi] / 2**B."""
     guard = system.alphabet_max.bit_length()
     refinable = system.is_exact and x.refinable
     extra = n * guard + system.declared_bits
@@ -597,7 +599,7 @@ def _certified_walk(x: Real, system: BetaSystem,
                              Fraction(hi, 1 << B), B - (hi - lo).bit_length())
 
     return ([(d, lo, hi, i) for i, (d, lo, hi) in enumerate(walk, start=1)],
-            lambda step: step[1].bit_length() - 1 - B if step[1] > 0 else None, point, None)
+            lambda step: step[1].bit_length() - 1 - B if step[1] > 0 else None, point)
 
 
 def expand(x: Real, system: BetaSystem, n: int) -> Word:

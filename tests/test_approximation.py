@@ -19,7 +19,7 @@ from betadim.approximation import (
 from betadim.errors import PrecisionExhausted, PreconditionViolated
 from betadim.exact import (PRECISION_START, CertifiedReal, QuadNum, _ln2_fixed,
                            _log2_floor_fraction, compare, ln_interval, root_interval)
-from betadim.numerics import GOLDEN, _orbit_walk, eval_word, make_beta, orbit
+from betadim.numerics import GOLDEN, _orbit_walk, eval_word, expand, make_beta, orbit
 from test_contract import FAMILIES
 from test_numerics import lazy_sqrt2_minus_1
 
@@ -582,7 +582,7 @@ def test_magnitude_bound_does_not_refine_the_lazy_point():
     x = lazy_sqrt2_minus_1()
     refine = x._refiner
     x._refiner = lambda bits: calls.append(bits) or refine(bits)
-    steps, bound, _, _ = _orbit_walk(x, make_beta("golden"), 60)
+    steps, bound, _ = _orbit_walk(x, make_beta("golden"), 60)
     walked = len(calls)
     assert walked and all(bound(step) is not None for step in steps)
     assert len(calls) == walked
@@ -595,8 +595,8 @@ def test_magnitude_bounds_hold():
         b = make_beta(spec)
         psi = case_psi(b, alpha)
         horizon = min(horizon, psi.max_index() or horizon)
-        steps, bound, build, _ = _orbit_walk(point(), b, horizon)
-        ceiling = psi._log2_ceiling()
+        steps, bound, build = _orbit_walk(point(), b, horizon)
+        ceiling = psi._log2_ceiling()[0]
         for n, step in enumerate(steps, 1):
             k, t, pv = bound(step), build(step), psi.value(n)
             if k is not None:  # a lower end of T^n x is at least 2**k
@@ -614,7 +614,7 @@ def test_log2_ceiling_of_c_from_bit_lengths(monkeypatch):
     b = make_beta("9/5")
     for c in {Fraction(N, M) for N in range(1, 300) for M in range(1, 300)}:
         psi = PsiFunction(b, "exponential", c=c)
-        assert psi._log2_ceiling()(1) == -_log2_floor_fraction(1 / c), c
+        assert psi._log2_ceiling()[0](1) == -_log2_floor_fraction(1 / c), c
 
 
 def fresh_log2_ceiling(spec, alpha):
@@ -631,7 +631,7 @@ def test_log2_ceiling_matches_the_ln_route():
     for spec in ("9/5", "golden", S13_SPEC, "dec:1.8@200"):
         b = make_beta(spec)
         for alpha in (Fraction(1, 2), Fraction(3, 2)):
-            ceiling = psi_exponential(b, alpha)._log2_ceiling()
+            ceiling = psi_exponential(b, alpha)._log2_ceiling()[0]
             want = fresh_log2_ceiling(spec, alpha)
             assert [ceiling(n) for n in range(1, 2001)] == [want(n) for n in range(1, 2001)], spec
 
@@ -648,7 +648,7 @@ def test_lam_is_a_lower_bound_on_log2_beta():
     # (equal on 2)
     for spec in [*FAMILIES.values(), NEAR_LAM]:
         b = make_beta(spec)
-        lam = -psi_exponential(b, 1)._log2_ceiling()(2 ** 32)
+        lam = -psi_exponential(b, 1)._log2_ceiling()[0](2 ** 32)
         assert lam >= -fresh_log2_ceiling(spec, Fraction(1))(2 ** 32), spec
         lo = b.beta.enclosure(32)[0]
         with mpmath.workprec(256):
@@ -691,11 +691,12 @@ def test_report_json_is_unchanged(row):
 
 
 # The zero-run scan (module docstring) against the magnitude test taken at
-# every n: the exact rows of the contract matrix and two bases with digits
-# above 255, on points whose expansion goes on and on points whose expansion
-# ends (5/8 in base 2, 1/3 in base 300, beta**-5: T^n x = 0 from there on).
-# A point whose expansion has ended by digit 65 stops at horizon 65: each
-# later n is a comparison of 0 with psi(n), which per_step_screen makes by
+# every n, and against the least that the digits let it compare: the exact
+# rows of the contract matrix and two bases with digits above 255, on
+# points whose expansion goes on and on points whose expansion ends (5/8 in
+# base 2, 1/3 in base 300, beta**-5: T^n x = 0 from there on).  A point
+# whose expansion has ended by digit 65 stops at horizon 65: each later n
+# is a comparison of 0 with psi(n), which per_step_screen makes by
 # enclosures, and psi(n) falls below 2**-8192 at the longer horizons
 SCAN_SPECS = [spec for spec in FAMILIES.values() if make_beta(spec).is_exact] + ["257/2", "300"]
 SCAN_HORIZONS = (0, 1, 2, 63, 64, 65, 1000)
@@ -719,8 +720,8 @@ def scan_psis(b):
 def per_step_screen(x, system, psi, cs, horizon):
     """(hits, violations, compared) of exactness_evidence with the magnitude
     test taken at every n <= horizon, no n dropped before it."""
-    steps, bound, point, _ = _orbit_walk(x, system, horizon)
-    ceiling = psi._log2_ceiling()
+    steps, bound, point = _orbit_walk(x, system, horizon)
+    ceiling = psi._log2_ceiling()[0]
     hits, violations, compared = [], {float(c): [] for c in cs}, 0
     for n, step in enumerate(steps, start=1):
         k = bound(step)
@@ -735,17 +736,40 @@ def per_step_screen(x, system, psi, cs, horizon):
     return hits, violations, compared
 
 
+def zero_run(digits, n):
+    """The zeros after digit n up to the next nonzero digit, or None when
+    they reach the end of the digits (an open run)."""
+    return next((z for z, d in enumerate(digits[n:]) if d), None)
+
+
+def least_compared(x, system, psi, horizon):
+    """The n <= horizon that the magnitude test does not clear and whose
+    zero run, read from ``expand``'s digits, is at least Z(n) long or open:
+    no screen by the digit rule may clear them."""
+    steps, bound, _ = _orbit_walk(x, system, horizon)
+    ceiling, least = psi._log2_ceiling()
+    digits = expand(x, system, horizon) if horizon else ()
+    count = 0
+    for n, step in enumerate(steps, start=1):
+        k, z = bound(step), zero_run(digits, n)
+        count += (k is None or k < ceiling(n)) and (z is None or z >= least(n))
+    return count
+
+
 def check_scan(spec, horizons):
+    # hits and violations are those of the per-step test, and compared lies
+    # between the least the digit rule allows and the per-step count
     b = make_beta(spec)
     for x, last in scan_points(b):
         for psi in scan_psis(b):
             for horizon in (h for h in horizons if h <= last):
-                want = per_step_screen(x, b, psi, SCAN_CS, horizon)
+                hits, violations, most = per_step_screen(x, b, psi, SCAN_CS, horizon)
                 rep = exactness_evidence(x, b, psi, SCAN_CS, horizon=horizon)
                 rec = detect_hits(x, b, psi, horizon)
                 case = (spec, x, psi.describe(), horizon)
-                assert (rep.hits, rep.violations, rep.compared) == want, case
-                assert (rec.hit_indices(), rec.compared) == (want[0], want[2]), case
+                assert (rep.hits, rep.violations) == (hits, violations), case
+                assert least_compared(x, b, psi, horizon) <= rep.compared <= most, case
+                assert (rec.hit_indices(), rec.compared) == (hits, rep.compared), case
 
 
 @pytest.mark.parametrize("spec", SCAN_SPECS)
@@ -779,3 +803,78 @@ def test_the_scan_holds_a_window_of_the_walk_not_all_of_it():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 6 * peaks[0], peaks
+
+
+def test_a_zero_run_shorter_than_z_clears_n():
+    # z < Z(n) gives T^n x >= beta**-(z+1) >= beta**(e - floor(alpha*n)) >=
+    # psi(n): on every exponential and tempered row, exact, quadratic, lazy
+    # and interval walks alike, each n so cleared is no hit
+    for spec, point, alpha, horizon in SCREEN_CASES:
+        b = make_beta(spec)
+        psi = case_psi(b, alpha)
+        least = psi._log2_ceiling()[1]
+        if psi.family == "table":
+            assert least is None
+            continue
+        walk = list(orbit(point(), b, horizon))
+        digits = [d for d, _ in walk]
+        cleared = [n for n in range(1, horizon + 1)
+                   if (z := zero_run(digits, n)) is not None and z < least(n)]
+        for n in cleared:
+            assert compare(walk[n - 1][1], psi.value(n)) >= 0, (spec, n)
+        if psi.alpha and (spec.startswith("dec:") or point is lazy_sqrt2_minus_1):
+            assert cleared, spec
+
+
+def test_beta_to_the_e_is_at_least_c():
+    # e, read as -Z(n) for alpha = 0, against exact powers of beta: beta**e
+    # >= c, and e is at most one above the least k with beta**k >=
+    # 2**ceil(log2 c), lam being rounded down
+    for spec in ("9/5", "golden", S13_SPEC):
+        b = make_beta(spec)
+        least_k = {}
+        for c in {Fraction(N, M) for N in range(1, 61) for M in range(1, 61)}:
+            e = -PsiFunction(b, "exponential", c=c)._log2_ceiling()[1](1)
+            assert compare(b.pow(e), c) >= 0, (spec, c)
+            top = -_log2_floor_fraction(1 / c)
+            if top not in least_k:
+                least_k[top] = next(k for k in range(64) if compare(b.pow(k), Fraction(2) ** top) >= 0)
+            assert e <= least_k[top] + 1, (spec, c)
+
+
+# 1 + 2**-40 < 2**(2**-32): lam = 0, so a psi with c > 1 has no Z
+LAM_ZERO = "1099511627777/1099511627776"
+
+
+def test_a_base_with_lam_zero_takes_the_per_step_test_alone():
+    b = make_beta(LAM_ZERO)
+    assert psi_exponential(b, 1)._log2_ceiling()[0](2 ** 32) == 0  # -lam
+    assert psi_exponential(b, 1)._log2_ceiling()[1] is not None  # c <= 1: e = 0
+    for c in (Fraction(3, 2), 2):
+        psi = psi_exponential(b, 1, c)
+        assert psi._log2_ceiling()[1] is None
+        for x in (Fraction(1, 3), 1 - Fraction(1, 2 ** 41)):
+            rec = detect_hits(x, b, psi, 30)
+            want = hits_at_every_n(x, b, psi, 30)
+            assert [(h["n"], h["scaled_error"], h["psi"]) for h in rec.hits] == want, (c, x)
+            assert want and rec.compared == per_step_screen(x, b, psi, (), 30)[2], (c, x)
+
+
+def test_certified_walks_are_screened(monkeypatch):
+    # the digit rule clears most n of a lazy point and of an interval beta
+    # before their per-step bound is taken
+    calls = []
+
+    def counted(*args):
+        steps, bound, point = _orbit_walk(*args)
+        return steps, lambda step: calls.append(step) or bound(step), point
+
+    monkeypatch.setattr(approximation, "_orbit_walk", counted)
+    for spec, x, alpha, horizon in (("golden", lazy_sqrt2_minus_1, Fraction(1, 2), 60),
+                                    ("dec:1.8@200", lambda: Fraction(1, 3), Fraction(3, 2), 200)):
+        b = make_beta(spec)
+        psi = psi_exponential(b, alpha)
+        del calls[:]
+        rec = detect_hits(x(), b, psi, horizon)
+        assert rec.hits and len(calls) < horizon, (spec, len(calls))
+        assert rec.hit_indices() == [n for n, _, _ in hits_at_every_n(x(), b, psi, horizon)], spec

@@ -424,6 +424,14 @@ PISOT_REPEATS = {
     "quad:(5+1*sqrt(17))/2": (2, 1),
 }
 
+# star.prefix(6) of each Pisot base of EXPANSION_LENGTHS
+PISOT_PREFIXES = {
+    "golden": (1, 0, 1, 0, 1, 0), "quad:(1+1*sqrt(2))/1": (2, 0, 2, 0, 2, 0),
+    "quad:(2+1*sqrt(7))/1": (4, 2, 4, 2, 4, 2), "quad:(1+1*sqrt(3))/1": (2, 1, 2, 1, 2, 1),
+    "quad:(3+1*sqrt(13))/2": (3, 0, 3, 0, 3, 0), "quad:(3+1*sqrt(5))/2": (2, 1, 1, 1, 1, 1),
+    "quad:(2+1*sqrt(2))/1": (3, 1, 1, 1, 1, 1), "quad:(5+1*sqrt(17))/2": (4, 2, 2, 2, 2, 2),
+}
+
 
 def omega_convergents(omega, least):
     """The first two convergents p/q of omega's continued fraction with q >
@@ -565,12 +573,25 @@ class TestExactOrbit:
                 gap = D.bit_length() - coords(t)[2].bit_length()
                 assert 0 <= gap <= 2 + math.gcd(X, Y).bit_length(), (x, i)
 
+    def test_omega_is_the_least_integral_multiple_of_beta(self):
+        # (2+sqrt(8))/4 = (1+sqrt(2))/2 walks on omega = 2*beta in both
+        # spellings, so D grows by 2 a step, not by the 4 of sqrt(8)'s own
+        # generator: identical digits and D = 3*2**i for x = 1/3
+        walks = [list(islice(_quad_steps(Fraction(1, 3), make_beta(spec).beta_exact), 2000))
+                 for spec in ("quad:(2+1*sqrt(8))/4", "quad:(1+1*sqrt(2))/2")]
+        assert [d for d, *_ in walks[0]] == [d for d, *_ in walks[1]]
+        assert [D.bit_length() for *_, D in walks[0]] == [D.bit_length() for *_, D in walks[1]]
+        assert all(D == 3 << i for i, (*_, D) in enumerate(walks[0], start=1))
+        b = make_beta("quad:(2+1*sqrt(8))/4")
+        assert list(orbit(Fraction(1, 3), b, 300)) == reference_orbit(Fraction(1, 3), b.beta_exact, 300)
+
     def test_pisot_repeats(self):
         # the walk of 1 keys its points by omega-coordinates, with D = 1; a
         # radicand with a square factor (sqrt(8), sqrt(12), sqrt(45)) walks on
         # omega = beta too, and gives the repeat of its squarefree twin
         for spec, repeat in PISOT_REPEATS.items():
-            assert make_beta(spec).star.repeat == repeat, spec
+            b = make_beta(spec)
+            assert (b.star.repeat, b.star.prefix(6)) == (repeat, PISOT_PREFIXES[spec]), spec
         for spec, twin in (("quad:(2+1*sqrt(8))/2", "quad:(1+1*sqrt(2))/1"),
                            ("quad:(4+1*sqrt(12))/2", "quad:(2+1*sqrt(3))/1"),
                            ("quad:(3+1*sqrt(45))/6", "golden")):
