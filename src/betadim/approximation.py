@@ -33,21 +33,21 @@ psi(n) and every c*psi(n) by sign alone, as psi > 0 and c > 0: it builds
 no enclosure of psi(n), which can lie below 2**-PRECISION_CAP, and its
 ratio is 0.0.
 
-Speeds and reports are immutable ``NamedTuple``s; ``to_json`` loads json
-on first use, so importing this module loads neither it nor dataclasses.
+Speeds and reports are immutable ``exact.Record`` tuples; ``to_json`` loads
+json on first use, so importing this module loads neither it nor dataclasses.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionViolated
-from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue, compare,
-                    decide, exact_enclosure, iroot, pow_fixed, pow_interval, root_interval)
+from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue, Record,
+                    compare, decide, exact_enclosure, iroot, pow_fixed, pow_interval, root_interval)
 from .numerics import BetaSystem, Real, _orbit_walk
 
 
@@ -56,16 +56,7 @@ from .numerics import BetaSystem, Real, _orbit_walk
 # ---------------------------------------------------------------------------
 
 
-class _PsiFields(NamedTuple):
-    system: BetaSystem
-    family: str
-    alpha: Fraction = Fraction(0)
-    c: Fraction = Fraction(1)
-    p: Fraction = Fraction(0)
-    table: tuple[Fraction, ...] = ()
-
-
-class PsiFunction(_PsiFields):
+class PsiFunction(Record):
     """An immutable, non-increasing approximation speed tied to one base.
 
     Families:
@@ -75,6 +66,12 @@ class PsiFunction(_PsiFields):
     """
 
     __slots__ = ()
+    system: BetaSystem
+    family: str
+    alpha: Fraction = Fraction(0)
+    c: Fraction = Fraction(1)
+    p: Fraction = Fraction(0)
+    table: tuple[Fraction, ...] = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -97,8 +94,6 @@ class PsiFunction(_PsiFields):
             if self.table:
                 raise ValueError("an exponential psi takes no table")
         return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def describe(self) -> str:
         if self.family == "table":
@@ -249,7 +244,8 @@ def psi_table(system: BetaSystem, values: Sequence) -> PsiFunction:
     return PsiFunction(system, "table", table=tuple(Fraction(v) for v in values))
 
 
-class AlphaEstimate(NamedTuple):
+class AlphaEstimate(Record):
+    __slots__ = ()
     value: Fraction | float
     exact: bool
     horizon: int
@@ -281,12 +277,13 @@ def alpha_of(psi: PsiFunction, horizon: int = 64) -> AlphaEstimate:
 # ---------------------------------------------------------------------------
 
 
-class HitRecord(NamedTuple):
+class HitRecord(Record):
     """Indices n <= horizon where the truncation beats psi(n)/beta^n;
     ``compared`` counts the n that neither the zero-run scan nor the
-    magnitude test cleared (module docstring).  An
-    immutable record, built once; ``to_json`` loads json on first use."""
+    magnitude test cleared (module docstring).  An immutable
+    ``exact.Record``, built once; ``to_json`` loads json on first use."""
 
+    __slots__ = ()
     x_text: str
     beta_spec: str
     psi_text: str
@@ -422,7 +419,7 @@ def detect_hits(x: Real, system: BetaSystem, psi: PsiFunction,
     return HitRecord(str(x), system.spec, psi.describe(), horizon, hits, compared)
 
 
-class EvidenceReport(NamedTuple):
+class EvidenceReport(Record):
     """Finite-horizon evidence for exact-order approximation.
 
     Consistency at a constant c means: at least one hit of psi and no hit
@@ -431,9 +428,10 @@ class EvidenceReport(NamedTuple):
     the n that neither the zero-run scan nor the magnitude test cleared.
     ``violations`` is keyed by
     float(c), and ``consistent`` takes c as a Fraction or a float.  An
-    immutable record, built once; ``to_json`` loads json on first use.
+    immutable ``exact.Record``, built once; ``to_json`` loads json on first use.
     """
 
+    __slots__ = ()
     x_text: str
     beta_spec: str
     psi_text: str

@@ -24,13 +24,13 @@ Horner values of ``successor``'s words alone and stays independent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvariantFailure, PreconditionViolated
-from .exact import Exact, QuadNum, compare
+from .exact import Exact, QuadNum, Record, compare
 from .numerics import BetaSystem, Word, expand, word_evaluator
 from .words import _dfs, _renyi, _states, check_cap
 
@@ -94,7 +94,8 @@ def length_by_partition(word: Sequence[int], system: BetaSystem) -> Exact:
     return (1 if nxt is None else finish(fold(nxt))) - finish(fold(word))
 
 
-class CensusRecord(NamedTuple):
+class CensusRecord(Record):
+    __slots__ = ()
     beta_spec: str
     order: int
     count_admissible: int

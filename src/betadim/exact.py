@@ -53,15 +53,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, TypeVar, Union
+from operator import itemgetter
 
 from .errors import PrecisionExhausted
+
+TYPE_CHECKING = False  # typing is loaded by type checkers only, never on import
+if TYPE_CHECKING:
+    from typing import Callable, TypeVar
+    E, A = TypeVar("E"), TypeVar("A")
 
 #: Precision ladder defaults (bits of enclosure width).
 PRECISION_START = 128
 PRECISION_CAP = 8192
-
-Exact = Union[int, Fraction, "QuadNum"]
 
 
 def _is_square(n: int) -> bool:
@@ -327,8 +330,7 @@ def exact_enclosure(x: Exact, bits: int) -> tuple[Fraction, Fraction]:
 # The precision ladder
 # ---------------------------------------------------------------------------
 
-E = TypeVar("E")
-A = TypeVar("A")
+Exact = int | Fraction | QuadNum
 Interval = tuple[Fraction, Fraction]
 _ZERO: Interval = (Fraction(0), Fraction(0))
 
@@ -394,9 +396,6 @@ def _floor_if_agree(enc: Interval) -> int | None:
 # Certified reals
 # ---------------------------------------------------------------------------
 
-Refiner = Callable[[int], tuple[Fraction, Fraction]]
-
-
 class CertifiedReal:
     """A real known exactly or through a (possibly refinable) enclosure.
 
@@ -408,7 +407,7 @@ class CertifiedReal:
 
     __slots__ = ("exact", "_refiner", "_lo", "_hi", "_bits")
 
-    def __init__(self, exact: Exact | None, refiner: Refiner | None,
+    def __init__(self, exact: Exact | None, refiner: Callable[[int], Interval] | None,
                  lo: Fraction | None = None, hi: Fraction | None = None,
                  bits: int = 0):
         self.exact = exact
@@ -435,7 +434,7 @@ class CertifiedReal:
         return cls(None, None, lo, hi, bits=0)
 
     @classmethod
-    def from_refiner(cls, refiner: Refiner) -> "CertifiedReal":
+    def from_refiner(cls, refiner: Callable[[int], Interval]) -> "CertifiedReal":
         return cls(None, refiner)
 
     # -- enclosure ---------------------------------------------------------
@@ -741,3 +740,43 @@ class LogValue:
     def __float__(self) -> float:
         lo, hi = self.enclosure(64)
         return float((lo + hi) / 2)
+
+
+class Record(tuple):
+    """A tuple with the interface of ``typing.NamedTuple`` and no typing object:
+    a subclass annotates its fields in order, a value there being a default,
+    declares ``__slots__ = ()`` and pickles by the name its class binds."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # through __new__: its checks run
+
+    def __init_subclass__(cls):
+        if names := tuple(cls.__dict__.get("__annotations__", ())):  # else the base's fields
+            cls._fields = cls.__match_args__ = names
+            cls._field_defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
+            for i, k in enumerate(names):
+                setattr(cls, k, property(itemgetter(i)))
+
+    def __new__(cls, *args, **kwargs):
+        names = cls._fields
+        if kwargs or len(args) != len(names):  # not every field given, in order
+            given = dict(zip(names, args))
+            values = {**cls._field_defaults, **given, **kwargs}
+            if len(args) > len(given) or given.keys() & kwargs or values.keys() != set(names):
+                raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}, each once")
+            args = map(values.get, names)
+        return tuple.__new__(cls, args)
+
+    def _replace(self, **kwargs):
+        if extra := [k for k in kwargs if k not in self._fields]:
+            raise ValueError(f"Got unexpected field names: {extra!r}")
+        return self._make(map(kwargs.get, self._fields, self))
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self):  # pickle and copy rebuild the record through __new__
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map('%s=%r'.__mod__, zip(self._fields, self)))})"

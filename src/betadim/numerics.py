@@ -4,9 +4,11 @@ A ``BetaSystem`` packages a base beta > 1 together with the machinery the
 rest of the package rests on: the digit alphabet, the quasi-greedy (always
 infinite) expansion of 1, and one cache of exact powers.
 
-Beta specifications (the ``make_beta`` grammar):
+Beta specifications (the ``make_beta`` grammar), read after ``str.strip``;
+a, b, c, D, <bits> and each side of a point in <digits> are runs of Unicode
+decimal digits (``str.isdecimal``, ``\\d`` of ``re``), a minus allowed on a, b, c:
 
-* ``"2"`` or ``"9/5"`` or ``"1.8"``  -- exact rationals
+* ``"2"`` or ``"9/5"`` or ``"1.8"``  -- exact rationals, read by ``Fraction``
 * ``"golden"``                        -- (1 + sqrt(5)) / 2, exact
 * ``"quad:(a+b*sqrt(D))/c"``          -- exact quadratic irrational
 * ``"dec:<digits>@<bits>"``           -- a real known only to +-2**-bits
@@ -66,26 +68,21 @@ systems are safe to share across threads.
 from __future__ import annotations
 
 import math
-import re
-import threading
+from _thread import allocate_lock  # threading.Lock, with no threading module loaded
+from collections.abc import Callable, Iterable, Iterator, Sequence  # loaded by decimal
 from fractions import Fraction
 from itertools import islice
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
 from .exact import (PRECISION_START, CertifiedReal, Exact, QuadNum, _floor_root, _sign, compare,
                     coords, decide, exact_enclosure, radicand)
 
 Word = tuple[int, ...]
-Real = Union[int, Fraction, QuadNum, CertifiedReal]
+Real = int | Fraction | QuadNum | CertifiedReal
 
 GOLDEN = QuadNum(Fraction(1, 2), Fraction(1, 2), 5)
 _in_field = QuadNum._in_field
-
-_QUAD_RE = re.compile(
-    r"^quad:\((-?\d+)\+(-?\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
-_DEC_RE = re.compile(r"^dec:(\d+(?:\.\d+)?)@(\d+)$")
 
 
 def parse_beta_spec(spec: str) -> tuple[Exact | None, tuple[Fraction, Fraction] | None]:
@@ -93,21 +90,24 @@ def parse_beta_spec(spec: str) -> tuple[Exact | None, tuple[Fraction, Fraction] 
     spec = spec.strip()
     if spec == "golden":
         return GOLDEN, None
-    m = _QUAD_RE.match(spec)
-    if m:
-        a, b, d, c = (int(g) for g in m.groups())
-        if c == 0:
-            raise InvalidBeta("zero denominator in quadratic spec")
-        r = math.isqrt(d)
-        if r * r == d or b == 0:  # a square radicand, or none: a rational beta
-            return Fraction(a + b * r, c), None
-        return QuadNum(Fraction(a, c), Fraction(b, c), d), None
-    m = _DEC_RE.match(spec)
-    if m:
-        center = Fraction(m.group(1))
-        bits = int(m.group(2))
-        eps = Fraction(1, 2 ** bits)
-        return None, (center - eps, center + eps)
+    if spec.startswith("quad:("):
+        a, _, rest = spec[6:].partition("+")
+        b, _, rest = rest.partition("*sqrt(")
+        d, _, c = rest.partition("))/")
+        if d.isdecimal() and all(g.removeprefix("-").isdecimal() for g in (a, b, c)):
+            a, b, d, c = int(a), int(b), int(d), int(c)
+            if c == 0:
+                raise InvalidBeta("zero denominator in quadratic spec")
+            r = math.isqrt(d)
+            if r * r == d or b == 0:  # a square radicand, or none: a rational beta
+                return Fraction(a + b * r, c), None
+            return QuadNum(Fraction(a, c), Fraction(b, c), d), None
+    if spec.startswith("dec:"):
+        center, _, bits = spec[4:].partition("@")
+        whole, dot, frac = center.partition(".")
+        if whole.isdecimal() and (not dot or frac.isdecimal()) and bits.isdecimal():
+            center, eps = Fraction(center), Fraction(1, 2 ** int(bits))
+            return None, (center - eps, center + eps)
     try:
         return Fraction(spec), None
     except (ValueError, ZeroDivisionError):
@@ -172,7 +172,7 @@ class StarExpansion:
         self._digits: list[int] = [0]  # 1-indexed; index 0 unused
         self._points: list[Exact] = [Fraction(1)] if system.is_exact else []  # p_0, ...
         self._repeat: tuple[int, int] | None = None  # (L, p): t_i = t_(i-p) for i > L
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()
         self.period: int | None = None
         beta = self._beta = system.beta_exact
         if beta is None:  # 1 is exact, so beta's width outgrows rounding: no guard bits
@@ -186,7 +186,8 @@ class StarExpansion:
         # A point is keyed by its omega-coordinates (a, b, D), unique as D
         # stays 1: a Pisot beta is an algebraic integer (``_omega``)
         seen: dict[tuple[int, int, int], int] = {}
-        digits, x, steps = self._digits, (1, 0, 1), _quad_steps(Fraction(1), beta)
+        r = radicand(beta, 1)
+        digits, x, steps = self._digits, (1, 0, 1), _quad_steps(1, beta, r, _omega(beta, r))
         while x != (0, 0, 1) and x not in seen:
             seen[x] = len(digits) - 1
             d, a, b, D = next(steps)
@@ -280,7 +281,7 @@ class BetaSystem:
             self.declared_bits = (hi - lo).denominator.bit_length()
         self.alphabet_max = ceil_b - 1
         self._pow_cache: dict[int, Exact] = {}
-        self._pow_lock = threading.Lock()
+        self._pow_lock = allocate_lock()
         self.star = StarExpansion(self)
 
     # -- basic properties --------------------------------------------------
@@ -423,9 +424,10 @@ def _omega_coords(z: Exact, p: int, q: int, f: int) -> tuple[int, int, int]:
 _FIXED_FROM, _GUARD = 64, 40
 
 
-def _quad_steps(x: Exact, beta: Exact) -> Iterator[tuple[int, int, int, int]]:
+def _quad_steps(x: Exact, beta: Exact, r: int, omega: tuple) -> Iterator[tuple[int, int, int, int]]:
     """(digit, a, b, D) of T^i x = (a + b*omega)/D, i = 1, 2, ..., on the
-    omega-coordinates of the module docstring (``_omega``), with no gcd.
+    omega-coordinates of the module docstring, with no gcd; the caller takes
+    r = radicand(beta, x) and omega = ``_omega(beta, r)`` once.
 
     beta = (A + B*omega)/C, its coordinates over their gcd, maps (a, b) to
     (u, b') by one 2x2 integer matrix and D to D' = C*D.  The digit d =
@@ -437,8 +439,7 @@ def _quad_steps(x: Exact, beta: Exact) -> Iterator[tuple[int, int, int, int]]:
     |b'| of (u + b'*omega)*2**k, so d = floor(F/(D'*2**k)) is the digit
     when rem = F - d*D'*2**k has |b'| <= rem < D'*2**k - |b'|; otherwise the
     exact ``_floor_root`` decides it.  The step is (d, u - d*D', b', D')."""
-    r = radicand(beta, x)
-    p, q, f, T, N = _omega(beta, r)
+    p, q, f, T, N = omega
     A, B, C = _omega_coords(beta, p, q, f)
     a, b, D = _omega_coords(x, p, q, f)
     NB, AT, rqq, isqrt = N * B, A + T * B, r * q * q, math.isqrt
@@ -484,7 +485,7 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Call
     walks are chosen."""
     if isinstance(beta, QuadNum) or isinstance(x, QuadNum):
         r = radicand(beta, x)
-        p, q, f, _, _ = _omega(beta, r)
+        omega = p, q, f, _, _ = _omega(beta, r)
 
         def quad_bound(step: tuple) -> int | None:
             _, a, b, D = step  # low/(D*2**32) <= T^i x
@@ -495,7 +496,7 @@ def _exact_steps(x: Exact, beta: Exact) -> tuple[Iterator[tuple], Callable, Call
             _, a, b, D = step  # (a + b*omega)/D = (f*a + p*b + q*b*sqrt(r))/(f*D)
             return _in_field(f * a + p * b, q * b, f * D, r)
 
-        return _quad_steps(x, beta), quad_bound, quad_point
+        return _quad_steps(x, beta, r, omega), quad_bound, quad_point
     return (_rational_steps(x, beta),
             lambda step: step[1].bit_length() - step[2].bit_length() - 1 if step[1] else None,
             lambda step: Fraction(step[1], step[2]))

@@ -54,8 +54,8 @@ log2(n) such steps on O(n log n) bits.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator, Sequence
 from operator import sub
-from typing import Iterator, Sequence
 
 from .errors import CapExceeded, NotAdmissible
 from .exact import pow_fixed

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betadim.approximation import AlphaEstimate, EvidenceReport, HitRecord, PsiFunction
+from betadim.cylinders import CensusRecord
 from betadim.errors import PrecisionExhausted
 from betadim.exact import (
     PRECISION_START,
@@ -20,6 +24,7 @@ from betadim.exact import (
     pow_interval,
     root_interval,
 )
+from betadim.numerics import make_beta
 
 PHI = QuadNum(Fraction(1, 2), Fraction(1, 2), 5)
 
@@ -546,3 +551,91 @@ class TestFloat:
     def test_fixed_interval_float_is_its_midpoint(self):
         fixed = CertifiedReal.from_interval(Fraction(1, 4), Fraction(26, 100))
         assert float(fixed) == float(Fraction(51, 200))
+
+
+# ---------------------------------------------------------------------------
+# Records: the interface the typing.NamedTuple records had, field for field
+# ---------------------------------------------------------------------------
+
+
+def _record_rows():
+    """(class, fields, defaults, field values, repr) of each record, the
+    fields, defaults and repr as typing.NamedTuple gave them."""
+    half, zero, one = Fraction(1, 2), Fraction(0), Fraction(1)
+    psi_fields = ("system", "family", "alpha", "c", "p", "table")
+    hit_fields = ("x_text", "beta_spec", "psi_text", "horizon", "hits", "compared")
+    evidence_fields = ("x_text", "beta_spec", "psi_text", "horizon", "c_values", "hits",
+                       "violations", "compared")
+    return [
+        (CensusRecord, ("beta_spec", "order", "count_admissible", "count_full", "max_gap"), {},
+         ("golden", 3, 5, 3, 1),
+         "CensusRecord(beta_spec='golden', order=3, count_admissible=5, count_full=3, max_gap=1)"),
+        (PsiFunction, psi_fields, {"alpha": zero, "c": one, "p": zero, "table": ()},
+         (make_beta("golden"), "exponential", one, half, zero, ()),
+         "PsiFunction(system=BetaSystem('golden'), family='exponential', alpha=Fraction(1, 1), "
+         "c=Fraction(1, 2), p=Fraction(0, 1), table=())"),
+        (AlphaEstimate, ("value", "exact", "horizon"), {}, (half, True, 64),
+         "AlphaEstimate(value=Fraction(1, 2), exact=True, horizon=64)"),
+        (HitRecord, hit_fields, {"compared": 0},
+         ("1/3", "golden", "beta^-1n", 10, [{"n": 1, "psi": 0.5}], 2),
+         "HitRecord(x_text='1/3', beta_spec='golden', psi_text='beta^-1n', horizon=10, "
+         "hits=[{'n': 1, 'psi': 0.5}], compared=2)"),
+        (EvidenceReport, evidence_fields, {"compared": 0},
+         ("1/3", "golden", "beta^-1n", 10, [0.9], [1], {0.9: []}, 1),
+         "EvidenceReport(x_text='1/3', beta_spec='golden', psi_text='beta^-1n', horizon=10, "
+         "c_values=[0.9], hits=[1], violations={0.9: []}, compared=1)"),
+    ]
+
+
+def _hash(t: tuple):
+    """hash(t), or None for a tuple holding a list, which has none."""
+    try:
+        return hash(t)
+    except TypeError:
+        return None
+
+
+_RECORDS = _record_rows()
+
+
+@pytest.mark.parametrize("cls, fields, defaults, values, text", _RECORDS,
+                         ids=[row[0].__name__ for row in _RECORDS])
+def test_record_keeps_the_named_tuple_interface(cls, fields, defaults, values, text):
+    assert cls._fields == cls.__match_args__ == fields
+    assert cls._field_defaults == defaults
+    r = cls(*values)
+    assert type(r) is cls and repr(r) == text
+    assert [getattr(r, k) for k in fields] == list(values)
+    assert r == values and r != values[:-1] and _hash(r) == _hash(values)
+    assert cls(**dict(zip(fields, values))) == r
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == r
+    required = len(fields) - len(defaults)
+    assert cls(*values[:required]) == values[:required] + tuple(defaults.values())
+    for args, kwargs in ((values[:required - 1], {}), (values, {fields[0]: values[0]}),
+                         (values, {"unknown": 0}), (values + (0,), {})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    made = cls._make(iter(values))
+    assert type(made) is cls and made == r
+    with pytest.raises(TypeError):
+        cls._make(values[:required - 1])
+    assert r._asdict() == dict(zip(fields, values)) and type(r._asdict()) is dict
+    again = r._replace(**{fields[0]: values[0]})
+    assert type(again) is cls and again == r and again is not r
+    with pytest.raises(ValueError):
+        r._replace(unknown=0)
+    for k in fields:
+        with pytest.raises(AttributeError):
+            setattr(r, k, values[0])
+    with pytest.raises(AttributeError):
+        r.unknown = 0
+    match r:
+        case cls(first, second):
+            assert (first, second) == values[:2]
+    twins = [copy.copy(r)]
+    if cls is not PsiFunction:  # its system holds a lock, which neither copies
+        twins.append(copy.deepcopy(r))
+        twins += [pickle.loads(pickle.dumps(r, proto))
+                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert type(twin) is cls and twin == r and repr(twin) == text

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betadim import numerics
@@ -18,7 +19,7 @@ from betadim.exact import CertifiedReal, QuadNum, _floor_root, compare, coords
 from betadim.numerics import (
     GOLDEN,
     BetaSystem,
-    _quad_steps,
+    _exact_steps,
     eval_word,
     expand,
     make_beta,
@@ -155,6 +156,96 @@ class TestParseAndMake:
         assert b.alphabet_max == 1
         with pytest.raises(PrecisionExhausted):
             make_beta("dec:2.0@16")  # alphabet undecidable at the boundary
+
+
+# the spec grammar as the two regular expressions it was once parsed by,
+# kept as the reference that parse_beta_spec's str methods must agree with
+QUAD_RE = re.compile(r"^quad:\((-?\d+)\+(-?\d+)\*sqrt\((\d+)\)\)/(-?\d+)$")
+DEC_RE = re.compile(r"^dec:(\d+(?:\.\d+)?)@(\d+)$")
+
+
+def regex_parse_beta_spec(spec: str):
+    """parse_beta_spec as it read the quad and dec forms by QUAD_RE and DEC_RE."""
+    spec = spec.strip()
+    if spec == "golden":
+        return GOLDEN, None
+    m = QUAD_RE.match(spec)
+    if m:
+        a, b, d, c = (int(g) for g in m.groups())
+        if c == 0:
+            raise InvalidBeta("zero denominator in quadratic spec")
+        r = math.isqrt(d)
+        if r * r == d or b == 0:
+            return Fraction(a + b * r, c), None
+        return QuadNum(Fraction(a, c), Fraction(b, c), d), None
+    m = DEC_RE.match(spec)
+    if m:
+        center, eps = Fraction(m.group(1)), Fraction(1, 2 ** int(m.group(2)))
+        return None, (center - eps, center + eps)
+    try:
+        return Fraction(spec), None
+    except (ValueError, ZeroDivisionError):
+        raise InvalidBeta(f"cannot parse beta spec {spec!r}") from None
+
+
+def parse_outcome(parse, spec: str):
+    """What parse gives for spec: each value with its type, or the error
+    raised, by type and message."""
+    try:
+        return [(type(v), v) for v in parse(spec)]
+    except Exception as e:  # compared, not handled: any error must match too
+        return type(e), str(e)
+
+
+GRAMMAR_SEEDS = ("quad:(1+1*sqrt(5))/2", "quad:(-3+2*sqrt(13))/-4", "quad:(2+1*sqrt(4))/3",
+                 "dec:1.8@64", "dec:12@7", "9/5", "golden")
+# signs, Unicode decimal digits (Arabic-Indic one and five), a superscript two
+# (a digit that is not decimal), spaces, underscores and the separators
+GRAMMAR_NOISE = (*"0123456789-+*/().@:_ \t\n", "١", "٥", "²", "))/", ")/",
+                 "*sqrt(", "quad:(", "dec:")
+
+
+class TestSpecGrammar:
+    def test_edge_cases_match_the_regex_grammar(self):
+        cases = [
+            "quad:(-1+1*sqrt(5))/2", "quad:(1+-1*sqrt(5))/2", "quad:(1+1*sqrt(-5))/2",
+            "quad:(1+1*sqrt(5))/-2", "quad:(+1+1*sqrt(5))/2", "quad:(1++1*sqrt(5))/2",
+            "quad:(--1+1*sqrt(5))/2", "quad:(١+١*sqrt(٥))/2",
+            "quad:(1+1*sqrt(5²))/2", "quad:(²+1*sqrt(5))/2", "quad:(1+-²*sqrt(5))/2",
+            "quad:(1+1*sqrt(5))/²", "quad:(1+1*sqrt(5))/-²", "quad:(1 +1*sqrt(5))/2",
+            "quad:(1+1*sqrt( 5))/2",
+            " quad:(1+1*sqrt(5))/2\n", "quad:(1_0+1*sqrt(5))/2", "quad:(1+1*sqrt(5))/1_0",
+            "quad:(+1*sqrt(5))/2", "quad:(1+*sqrt(5))/2", "quad:(1+1*sqrt())/2",
+            "quad:(1+1*sqrt(5))/", "quad:(1+1*sqrt(5))/2)/3", "quad:(1+1*sqrt(5))/)/2",
+            "quad:(1+1*sqrt(5)))/2", "quad:(1+1*sqrt(5))/0", "quad:(1+1*sqrt(5))/-0",
+            "quad:(1+1sqrt(5))/2", "quad:1+1*sqrt(5))/2", "Quad:(1+1*sqrt(5))/2",
+            "dec:1.8@64", "dec:١.٨@٦٤", "dec:.8@64", "dec:1.@64", "dec:1.8@",
+            "dec:1.8@-3", "dec:1.8.1@64", "dec:1_8@64", "dec: 1.8@64", "dec:1.8@6 4",
+            "dec:-1.8@64", "dec:1.8@64@3", "dec:@64", "dec:1.8@²", "dec:1.²@64", "dec:²@64",
+            "dec:18", "dec 1.8@64",
+            "1.8\n", "1_8/5", "golden ", "", "quad:", "dec:",
+        ]
+        for spec in cases:
+            assert parse_outcome(parse_beta_spec, spec) == parse_outcome(
+                regex_parse_beta_spec, spec), repr(spec)
+
+    @given(st.sampled_from(GRAMMAR_SEEDS),
+           st.lists(st.tuples(st.sampled_from("ird"), st.integers(0, 40), st.integers(1, 3),
+                              st.sampled_from(GRAMMAR_NOISE)), max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_specs_match_the_regex_grammar(self, seed, edits):
+        # insert a piece, replace a character by one, or double a short
+        # substring (a doubled "))/"), up to four times
+        spec = seed
+        for op, i, k, piece in edits:
+            i %= len(spec) + 1
+            spec = (spec[:i] + piece + spec[i:] if op == "i" else
+                    spec[:i] + piece + spec[i + 1:] if op == "r" else
+                    spec[:i + k] + spec[i:])
+        # a long run of digits after "@" would ask for 2**bits with a huge bits
+        assume(all(len(run) <= 5 for run in re.findall(r"\d+", spec)))
+        assert parse_outcome(parse_beta_spec, spec) == parse_outcome(
+            regex_parse_beta_spec, spec)
 
 
 class TestPowers:
@@ -555,7 +646,7 @@ class TestExactOrbit:
         for spec, r in INTEGRAL_BETAS.items():
             b = make_beta(spec)
             for x in seeded_points(rng, r, 2):
-                Ds = {D for _, _, _, D in islice(_quad_steps(x, b.beta_exact), 2000)}
+                Ds = {D for _, _, _, D in islice(_exact_steps(x, b.beta_exact)[0], 2000)}
                 assert len(Ds) == 1, (spec, x)
                 assert list(orbit(x, b, 300)) == reference_orbit(x, b.beta_exact, 300), (spec, x)
 
@@ -567,7 +658,7 @@ class TestExactOrbit:
         b = make_beta("quad:(3+1*sqrt(2))/2")
         for x in seeded_points(random.Random(31), 2, 2):
             X, Y, D0 = coords(x)
-            steps = zip(_quad_steps(x, b.beta_exact), reference_orbit(x, b.beta_exact, 2000))
+            steps = zip(_exact_steps(x, b.beta_exact)[0], reference_orbit(x, b.beta_exact, 2000))
             for i, ((_, _, _, D), (_, t)) in enumerate(steps, start=1):
                 assert D == D0 << i, (x, i)
                 gap = D.bit_length() - coords(t)[2].bit_length()
@@ -577,7 +668,8 @@ class TestExactOrbit:
         # (2+sqrt(8))/4 = (1+sqrt(2))/2 walks on omega = 2*beta in both
         # spellings, so D grows by 2 a step, not by the 4 of sqrt(8)'s own
         # generator: identical digits and D = 3*2**i for x = 1/3
-        walks = [list(islice(_quad_steps(Fraction(1, 3), make_beta(spec).beta_exact), 2000))
+        walks = [list(islice(_exact_steps(Fraction(1, 3), make_beta(spec).beta_exact)[0],
+                             2000))
                  for spec in ("quad:(2+1*sqrt(8))/4", "quad:(1+1*sqrt(2))/2")]
         assert [d for d, *_ in walks[0]] == [d for d, *_ in walks[1]]
         assert [D.bit_length() for *_, D in walks[0]] == [D.bit_length() for *_, D in walks[1]]
