@@ -47,7 +47,8 @@ from operator import itemgetter
 
 from .errors import PreconditionViolated
 from .exact import (PRECISION_CAP, PRECISION_START, CertifiedReal, Exact, LogValue, Record,
-                    compare, decide, exact_enclosure, iroot, pow_fixed, pow_interval, root_interval)
+                    compare, decide, exact_enclosure, pow_fixed, pow_interval, rational_power,
+                    root_interval)
 from .numerics import BetaSystem, Real, _orbit_walk
 
 
@@ -117,20 +118,28 @@ class PsiFunction(Record):
             raise PreconditionViolated(f"table psi has no index {n}")
 
     def value_exact(self, n: int) -> Exact | None:
-        """Exact value when representable in the base's field, else None."""
+        """psi(n) exactly where it is found exact, else None: a table entry,
+        or c * beta**(-alpha*n) * n**-p where both powers are, beta**(-alpha*n)
+        at an integer alpha*n (``system.pow``) or, for a rational beta, where
+        it is rational (``rational_power``), as n**-p.  A quadratic beta at a
+        non-integer alpha*n gives None even where its power lies in the field
+        (phi**2 at alpha = 1/2)."""
         self._check_index(n)
         if self.family == "table":
             return self.table[n - 1]
-        e = self.alpha * n
-        if e.denominator != 1 or not self.system.is_exact:
-            return None
-        v = self.system.pow(-int(e))
+        e, beta = self.alpha * n, self.system.beta_exact
+        if e.denominator == 1 and beta is not None:
+            v = self.system.pow(-e.numerator)
+        else:
+            v = rational_power(beta, -e) if isinstance(beta, Fraction) else None
+            if v is None:
+                return None
         if self.c != 1:
             v = self.c * v
         if not self.p:
             return v
-        r = iroot(n, self.p.denominator)  # p = k/m: n**p is rational iff n = r**m
-        return v / r ** self.p.numerator if r ** self.p.denominator == n else None
+        t = rational_power(Fraction(n), -self.p)
+        return None if t is None else v * t
 
     def value(self, n: int) -> CertifiedReal:
         """psi(n) as a certified real: exact when ``value_exact`` is, else

@@ -578,6 +578,16 @@ def pow_interval(x: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fractio
     return root_interval(base, e.denominator, bits)
 
 
+def rational_power(x: Fraction, e: Fraction) -> Fraction | None:
+    """x**e for rational x > 0 and e when it is rational, else None.  With
+    x = N/M and e = k/m in lowest terms, x**e is rational iff N and M are
+    perfect m-th powers: (N/M)**k = q**m with N, M coprime and k prime to m
+    makes m divide the multiplicity of every prime in N and M."""
+    N, M, m = x.numerator, x.denominator, e.denominator
+    r, s = iroot(N, m), iroot(M, m)
+    return Fraction(r, s) ** e.numerator if r ** m == N and s ** m == M else None
+
+
 def pow_fixed(b: Fraction, k: int, bits: int, up: bool) -> tuple[int, int]:
     """(m, e) with m*2**e >= b**k when ``up``, else m*2**e <= b**k, for
     rational b > 0 and integer k >= 0, with no exact power of b.
@@ -656,13 +666,11 @@ def _ln_mantissa_fixed(mn: int, w: int) -> tuple[int, int]:
 
 
 def _log2_floor_fraction(x: Fraction) -> int:
-    """Largest e with 2**e <= x, for rational x > 0."""
+    """Largest e with 2**e <= x, for rational x = N/M > 0.  With e0 =
+    bitlen(N) - bitlen(M), 2**(e0 - 1) < x < 2**(e0 + 1), so e is e0 or
+    e0 - 1."""
     e = x.numerator.bit_length() - x.denominator.bit_length()
-    if Fraction(2) ** e > x:
-        e -= 1
-    if Fraction(2) ** (e + 1) <= x:
-        e += 1
-    return e
+    return e - 1 if Fraction(2) ** e > x else e
 
 
 def ln_interval(x, bits: int) -> tuple[Fraction, Fraction]:

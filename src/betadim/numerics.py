@@ -26,8 +26,8 @@ fact is decided exactly when the system is built, never by probing digits:
 * a quadratic beta can have one only if it is a Pisot number, since every
   quadratic Parry number is Pisot (Frougny-Solomyak 1992).  For a Pisot
   beta the orbit of 1 is eventually periodic (Schmidt, Bull. LMS 1980), so
-  its exact orbit is walked, with the points seen so far, until it reaches
-  0 (giving m) or repeats a point (an infinite expansion);
+  its exact walk (``_exact_steps``) is read, with the points seen so far,
+  until it reaches 0 (giving m) or repeats a point (an infinite expansion);
 * an interval beta has no finite expansion that can be certified: its
   digits are decided as they are read, on the interval walk below.
 
@@ -62,7 +62,8 @@ enclose its image.  ``orbit`` states the precision rule; no
 
 All operations are pure.  The digit store and the power cache grow
 under locks, and the automaton of the ``words`` module holds no state, so
-systems are safe to share across threads.
+systems are safe to share across threads.  A system pickles and copies as
+its spec: the copy is built anew, with its own locks and empty caches.
 """
 
 from __future__ import annotations
@@ -139,13 +140,13 @@ class StarExpansion:
     of 1 ends at length m, it is the block of those m digits with the last
     one lowered by 1, repeated forever.  ``period`` is that m, or None when
     the expansion of 1 is infinite (or, for an interval beta, not known to
-    be finite); it is decided once, when the system is built, as the module
-    docstring explains.  The block of length m has no shorter period: if it
-    were u**k with k >= 2, the shift by |u| of the expansion of 1 would
-    exceed it, against Parry's condition.
+    be finite); it is read off ``repeat``, which is (m, m) then.  The block
+    of length m has no shorter period: if it were u**k with k >= 2, the
+    shift by |u| of the expansion of 1 would exceed it, against Parry's condition.
 
-    ``repeat`` is the pair (L, p) with t_i = t_(i-p) for every i > L, read
-    off the same walk of a Pisot beta: L = p = m for a finite expansion,
+    ``repeat``, the store's one stored fact, is the pair (L, p) with t_i =
+    t_(i-p) for every i > L, decided when the system is built, on the walk
+    of 1 that ``_exact_steps`` gives a Pisot beta: L = p = m for a finite expansion,
     and otherwise the walk stops at T^L(1) = T^(L-p)(1), so the digits
     after t_L repeat those after t_(L-p) (L > p: the expansion of 1 is
     never purely periodic).  It is None for every other beta, whose digits
@@ -171,48 +172,44 @@ class StarExpansion:
     def __init__(self, system: "BetaSystem"):
         self._digits: list[int] = [0]  # 1-indexed; index 0 unused
         self._points: list[Exact] = [Fraction(1)] if system.is_exact else []  # p_0, ...
-        self._repeat: tuple[int, int] | None = None  # (L, p): t_i = t_(i-p) for i > L
         self._lock = allocate_lock()
-        self.period: int | None = None
+        self.repeat: tuple[int, int] | None = None  # (L, p): t_i = t_(i-p) for i > L
         beta = self._beta = system.beta_exact
         if beta is None:  # 1 is exact, so beta's width outgrows rounding: no guard bits
             self._bits = PRECISION_START + system.declared_bits
             self._steps = _interval_steps(Fraction(1), system, self._bits)
             return
+        self._steps = _exact_steps(Fraction(1), beta)[0]  # t_k, T^k(1) from k = 1
         if not _is_pisot(beta):
-            self._steps = _exact_steps(Fraction(1), beta)[0]  # t_k, T^k(1) from k = 1
             return
-        # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980).
-        # A point is keyed by its omega-coordinates (a, b, D), unique as D
-        # stays 1: a Pisot beta is an algebraic integer (``_omega``)
-        seen: dict[tuple[int, int, int], int] = {}
-        r = radicand(beta, 1)
-        digits, x, steps = self._digits, (1, 0, 1), _quad_steps(1, beta, r, _omega(beta, r))
-        while x != (0, 0, 1) and x not in seen:
-            seen[x] = len(digits) - 1
-            d, a, b, D = next(steps)
-            digits.append(d)
-            x = a, b, D
-        L = len(digits) - 1
-        if x == (0, 0, 1):
-            self.period = L
-            self._repeat = L, L
-            digits[-1] -= 1
-        else:
-            self._repeat = L, L - seen[x]
+        # Pisot: the orbit of 1 reaches 0 or repeats a point (Schmidt 1980).  T^k(1)
+        # is keyed by its step's integers after the digit, unique as D stays 1 (a
+        # Pisot beta is an algebraic integer); T^k(1) < 1, so 1 needs no key
+        digits, seen = self._digits, {}
+        for step in self._steps:
+            digits.append(step[0])
+            L, key = len(digits) - 1, step[1:]
+            if not any(key[:-1]):  # T^L(1) = 0: the expansion of 1 has length L
+                self.repeat = L, L
+                digits[-1] -= 1
+                return
+            if key in seen:
+                self.repeat = L, L - seen[key]
+                return
+            seen[key] = L
 
     @property
-    def repeat(self) -> tuple[int, int] | None:
-        """(L, p) with t_i = t_(i-p) for every i > L, or None when no repeat
-        is known (a beta that is not Pisot, or an interval beta)."""
-        return self._repeat
+    def period(self) -> int | None:
+        """m when ``repeat`` is (m, m), a finite expansion of 1; else None."""
+        repeat = self.repeat
+        return repeat[0] if repeat is not None and repeat[0] == repeat[1] else None
 
     def digit(self, i: int) -> int:
         digits = self._digits
         if 0 < i < len(digits):
             return digits[i]
-        if i > 0 and self._repeat is not None:  # i > L: t_i = t_(i-p), from t_1..t_L
-            L, p = self._repeat
+        if i > 0 and self.repeat is not None:  # i > L: t_i = t_(i-p), from t_1..t_L
+            L, p = self.repeat
             return digits[L - (L - i) % p]
         if i < 1:
             raise ValueError("digit index starts at 1")
@@ -229,7 +226,7 @@ class StarExpansion:
     def prefix(self, n: int) -> Word:
         """t_1..t_n in one read: the store extended once and sliced, or past
         t_L of a repeat (L, p) the last p stored digits repeated."""
-        digits, repeat = self._digits, self._repeat
+        digits, repeat = self._digits, self.repeat
         if n >= len(digits):
             if repeat:
                 L, p = repeat
@@ -292,6 +289,9 @@ class BetaSystem:
 
     def __repr__(self):
         return f"BetaSystem({self.spec!r})"
+
+    def __reduce__(self):  # pickles and copies rebuild from the spec, with new locks and caches
+        return BetaSystem, (self.spec,)
 
     def require_exact(self, what: str) -> Exact:
         if self.beta_exact is None:

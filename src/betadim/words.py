@@ -121,17 +121,17 @@ def check_cap(system: BetaSystem, n: int, what: str) -> None:
     """The one cap policy: raise CapExceeded unless beta**(n+1)/(beta-1), an
     upper bound on the number of admissible order-n words, is within the
     fixed ``ENUM_CAP``.  Every beta, exact or interval, takes it at the worst
-    ends [lo, hi] of its enclosure to 2**-64, as hi**(n+1) > cap * (lo - 1):
-    no gcd, and lo <= 1 puts beta - 1 below 2**-64, past any cap anyway.
-    The exponent doubles from 32 up to n + 1, stopping once past it (hi > 1 if lo > 1)."""
+    ends [lo, hi] of its enclosure to 2**-64, as m*2**e <= cap * (lo - 1) on
+    integers, m*2**e >= hi**(n+1) the upward ``pow_fixed`` to 64 bits: lo <= 1
+    puts beta - 1 below 2**-64, past any cap anyway.  m*2**e is hi**(n+1)
+    times a factor in [1, exp(5(n+1)*2**-64)] (hi > 1), so the verdict is
+    that of hi**(n+1) > cap * (lo - 1) but where hi**(n+1) lies within that
+    factor below the cap."""
     lo, hi = system.beta.enclosure(64)
-    cap, k = ENUM_CAP * (lo - 1), min(n + 1, 32)
-    while hi ** k <= cap:
-        if k > n:
-            return
-        k = min(2 * k, n + 1)
-    raise CapExceeded(
-        f"{what} at order {n} may exceed cap {ENUM_CAP} for beta {system.spec!r}")
+    m, e = pow_fixed(hi, n + 1, 64, True)
+    if not _at_most(m * lo.denominator, e, ENUM_CAP * (lo.numerator - lo.denominator)):
+        raise CapExceeded(
+            f"{what} at order {n} may exceed cap {ENUM_CAP} for beta {system.spec!r}")
 
 
 def _dfs(system: BetaSystem, n: int, start: Sequence[int] | None = None
@@ -331,5 +331,8 @@ def _at_most(a: int, s: int, b: int) -> bool:
 
 
 def renyi_bounds(n: int, system: BetaSystem):
-    """The exact pair (beta**n, beta**(n+1)/(beta-1))."""
-    return system.pow(n), system.pow(n + 1) / (system.beta_exact - 1)
+    """The exact pair (beta**n, beta**(n+1)/(beta-1)), from one power of
+    beta taken outside the system's power cache, which keeps none of it."""
+    beta = system.require_exact("growth bounds")
+    power = beta ** n
+    return power, power * beta / (beta - 1)

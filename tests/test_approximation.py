@@ -516,6 +516,22 @@ def hits_at_every_n(x, system, psi, horizon):
             if compare(err, (pv := psi.value(n))) < 0]
 
 
+def test_a_rational_psi_at_a_non_integer_exponent_is_exact():
+    # psi(1) = 4**(-1/2) = 1/2 is rational, so the tie T(1/8) = 1/2 = psi(1)
+    # is decided (no hit) rather than compared through enclosures forever
+    b = make_beta("4")
+    psi = psi_exponential(b, Fraction(1, 2))
+    assert [psi.value_exact(n) for n in (1, 2, 3)] == [Fraction(1, 2), Fraction(1, 4),
+                                                       Fraction(1, 8)]
+    assert psi_exponential(make_beta("9/5"), Fraction(1, 2)).value_exact(1) is None
+    assert psi_tempered(b, 1, Fraction(1, 2)).value_exact(4) == Fraction(1, 512)  # 4**-4 / 2
+    assert psi_tempered(b, 1, Fraction(1, 2)).value_exact(3) is None
+    want = [n for n, _, _ in hits_at_every_n(Fraction(1, 8), b, psi, 5)]
+    assert want == [2, 3, 4, 5]
+    assert detect_hits(Fraction(1, 8), b, psi, 5).hit_indices() == want
+    assert exactness_evidence(Fraction(1, 8), b, psi, horizon=5).hits == want
+
+
 S13_SPEC = "quad:(1+1*sqrt(13))/2"
 
 

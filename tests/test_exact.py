@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadim.approximation import AlphaEstimate, EvidenceReport, HitRecord, PsiFunction
+from betadim.approximation import (AlphaEstimate, EvidenceReport, HitRecord, PsiFunction,
+                                   detect_hits)
 from betadim.cylinders import CensusRecord
 from betadim.errors import PrecisionExhausted
 from betadim.exact import (
@@ -20,8 +21,10 @@ from betadim.exact import (
     compare,
     iroot,
     ln_interval,
+    _log2_floor_fraction,
     pow_fixed,
     pow_interval,
+    rational_power,
     root_interval,
 )
 from betadim.numerics import make_beta
@@ -234,6 +237,18 @@ class TestIntegerRoots:
         r = iroot(n, k)
         assert r ** k <= n < (r + 1) ** k
 
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(-6, 6), st.integers(1, 6),
+           st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=200)
+    def test_rational_power_is_found_where_it_is_rational(self, r, s, k, m, u, v):
+        # (r/s)**m to the power k/m is (r/s)**k, whatever k/m reduces to; the
+        # denominator v**m + 1 lies strictly between v**m and (v + 1)**m, so
+        # it is no m-th power for m > 1; an integer power is always rational
+        assert rational_power(Fraction(r, s) ** m, Fraction(k, m)) == Fraction(r, s) ** k
+        if m > 1:
+            assert rational_power(Fraction(1, v ** m + 1), Fraction(1, m)) is None
+        assert rational_power(Fraction(u, v), Fraction(k)) == Fraction(u, v) ** k
+
     def test_root_interval_brackets(self):
         for x in (Fraction(2), Fraction(10, 7), Fraction(1, 3), Fraction(98, 5)):
             for k in (2, 3, 5):
@@ -285,6 +300,25 @@ class TestIntegerRoots:
 
 
 class TestLn:
+    def test_log2_floor_near_powers_of_two(self):
+        # 2**e <= x < 2**(e + 1), next to powers of 2, where the bit lengths
+        # of the numerator and the denominator leave e0 or e0 - 1
+        for a in range(71):
+            for b in range(71):
+                for t in (-1, 0, 1):
+                    for u in (-1, 0, 1):
+                        if 2 ** a + t > 0 and 2 ** b + u > 0:
+                            x = Fraction(2 ** a + t, 2 ** b + u)
+                            e = _log2_floor_fraction(x)
+                            assert Fraction(2) ** e <= x < Fraction(2) ** (e + 1), x
+
+    @given(st.fractions(min_value=Fraction(1, 2 ** 200), max_value=2 ** 200))
+    @settings(max_examples=300)
+    def test_log2_floor_of_any_fraction(self, x):
+        if x > 0:
+            e = _log2_floor_fraction(x)
+            assert Fraction(2) ** e <= x < Fraction(2) ** (e + 1)
+
     def test_ln_known_values(self):
         for x in (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(10, 7),
                   Fraction(1), Fraction(1000000), Fraction(1, 977)):
@@ -632,10 +666,14 @@ def test_record_keeps_the_named_tuple_interface(cls, fields, defaults, values, t
     match r:
         case cls(first, second):
             assert (first, second) == values[:2]
-    twins = [copy.copy(r)]
-    if cls is not PsiFunction:  # its system holds a lock, which neither copies
-        twins.append(copy.deepcopy(r))
-        twins += [pickle.loads(pickle.dumps(r, proto))
-                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for twin in twins:
-        assert type(twin) is cls and twin == r and repr(twin) == text
+    shallow = copy.copy(r)
+    assert type(shallow) is cls and shallow == r and repr(shallow) == text
+    for twin in [copy.deepcopy(r)] + [pickle.loads(pickle.dumps(r, proto))
+                                      for proto in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert type(twin) is cls and repr(twin) == text
+        if cls is PsiFunction:  # its system is rebuilt, and systems compare by identity
+            assert twin.system is not r.system
+            report = detect_hits(Fraction(1, 1000), r.system, r, 40)
+            assert report.hits and detect_hits(Fraction(1, 1000), twin.system, twin, 40) == report
+        else:
+            assert twin == r

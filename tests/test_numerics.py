@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -14,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betadim import numerics
+from betadim.approximation import detect_hits, psi_exponential
 from betadim.errors import InvalidBeta, PrecisionExhausted, PreconditionViolated
 from betadim.exact import CertifiedReal, QuadNum, _floor_root, compare, coords
 from betadim.numerics import (
@@ -27,6 +30,7 @@ from betadim.numerics import (
     parse_beta_spec,
 )
 from betadim.words import count_admissible
+from test_imports import SPECS
 
 PHI = GOLDEN
 INV_PHI = PHI - 1          # 1/phi
@@ -203,6 +207,23 @@ GRAMMAR_SEEDS = ("quad:(1+1*sqrt(5))/2", "quad:(-3+2*sqrt(13))/-4", "quad:(2+1*s
 # (a digit that is not decimal), spaces, underscores and the separators
 GRAMMAR_NOISE = (*"0123456789-+*/().@:_ \t\n", "١", "٥", "²", "))/", ")/",
                  "*sqrt(", "quad:(", "dec:")
+
+
+class TestPickling:
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_a_system_pickles_and_copies_as_its_spec(self, spec):
+        # the copy is built anew from the spec, with its own locks and caches
+        b = make_beta(spec)
+        psi = psi_exponential(b, Fraction(1, 2))
+        report = detect_hits(Fraction(1, 1000), b, psi, 40)
+        assert report.hits
+        pickled = [pickle.loads(pickle.dumps(b, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [copy.copy(b), copy.deepcopy(b)] + pickled:
+            assert type(twin) is BetaSystem and twin is not b and repr(twin) == repr(b)
+            assert twin.star.prefix(40) == b.star.prefix(40)
+            assert twin._pow_lock is not b._pow_lock and twin.star._lock is not b.star._lock
+            assert detect_hits(Fraction(1, 1000), twin, psi._replace(system=twin), 40) == report
 
 
 class TestSpecGrammar:

@@ -3,6 +3,7 @@ import itertools
 import re
 import sys
 import threading
+import time
 import weakref
 from array import array
 from fractions import Fraction
@@ -226,7 +227,8 @@ class TestEnumerate:
             enumerate_admissible(29, make_beta("dec:1.8@4"))
 
     def test_cap_verdict_is_the_whole_power_of_the_upper_end(self):
-        # the doubled exponent stops early; its verdict is hi**(n+1) > cap*(lo-1)
+        # the upward fixed-point power of hi gives the verdict of the whole
+        # exact power, hi**(n+1) > cap*(lo-1), on every base here
         for spec in ("2", "9/5", "golden", S13, DEC):
             b = make_beta(spec)
             lo, hi = b.beta.enclosure(64)
@@ -237,6 +239,22 @@ class TestEnumerate:
                 except CapExceeded:
                     over = True
                 assert over == (hi ** (n + 1) > ENUM_CAP * (lo - 1)), (spec, n)
+
+    def test_cap_near_beta_one_takes_no_exact_power(self):
+        # no exact power of hi, of millions of digits here, is built: each
+        # verdict is one 64-bit power, tens of microseconds where the exact
+        # powers took seconds to minutes.  1.00001**1000001 > 2.2e4 > 1e8 *
+        # 1e-5 = 1e3, and 1.000001**3000001 < 20.1 < 1e8 * 1e-6 = 100
+        for spec, n, over in (("1.00001", 10 ** 6, True), ("1.000001", 3 * 10 ** 6, False)):
+            b = make_beta(spec)
+            start = time.perf_counter()
+            try:
+                check_cap(b, n, "test")
+                refused = False
+            except CapExceeded:
+                refused = True
+            assert time.perf_counter() - start < 1, spec
+            assert refused == over, spec
 
     def test_cap_far_past_it(self):
         for spec in ("2", "golden", S13, DEC):
@@ -399,6 +417,14 @@ class TestCount:
             _assert_renyi(3 ** (n + 1) // 2, n, three)
             with pytest.raises(AssertionError, match="violates growth bounds"):
                 _assert_renyi(3 ** (n + 1) // 2 + 1, n, three)
+
+    def test_growth_check_keeps_no_power(self):
+        # the exact tie fallback of base 3 (3**n > 2**64) takes beta**n once,
+        # outside the system's power cache
+        three = make_beta("3")
+        for n in (1000, 20000):
+            assert count_admissible(n, three) == 3 ** n
+            assert three._pow_cache == {}, n
 
     def test_renyi_bounds_explicit(self):
         b = make_beta("golden")
