@@ -14,12 +14,16 @@ The follower route is the fast path; the partition route is the
 definitional one and is kept as a cross-check.  Every cylinder record
 comes from one stream, ``_sweep``: the words of ``words._dfs``, from the
 first or resumed at a word, each with the length and fullness of its
-final automaton state, computed once per state.  The cylinders tile
-[0, 1) in lexicographic order (Parry 1960), so the stream adds each length
-to the left end before, one add in the coordinates of the order-n Horner
-kernel, built as a value only when read.  ``iter_cylinders``, ``cylinder``
-and ``find_full_in_interval`` read it; ``length_by_partition`` reads the
-Horner values of ``successor``'s words alone and stays independent.
+final automaton state, computed once per state.  The DFS replays each
+word's last digits from a block recorded per follower state, stored only
+once stepped through whole, so a sweep steps few digits a word and a
+reader that stops early pays only for recording the blocks it reads.  The
+cylinders tile [0, 1) in lexicographic order (Parry 1960), so the stream
+adds each length to the left end before, one add in the coordinates of
+the order-n Horner kernel, built as a value only when read.
+``iter_cylinders``, ``cylinder`` and ``find_full_in_interval`` read it;
+``length_by_partition`` reads the Horner values of ``successor``'s words
+alone and stays independent.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
-from operator import itemgetter
 
 from .errors import InvariantFailure, PreconditionViolated
-from .exact import Exact, QuadNum, Record, compare
+from .exact import CertifiedReal, Exact, QuadNum, Record, _tuplegetter, compare
 from .numerics import BetaSystem, Word, expand, word_evaluator
 from .words import _dfs, _renyi, _states, check_cap
 
@@ -43,7 +46,7 @@ class CylinderInterval(tuple):
     is built when read, as ``_orbit_walk`` builds points; else acc is ``left``."""
 
     __slots__ = ()
-    word, length, is_full = (property(itemgetter(i)) for i in (0, 2, 3))
+    word, length, is_full = (_tuplegetter(i, None) for i in (0, 2, 3))
     left = property(lambda self: self[1] if self[4] is None else self[4](self[1]))
 
     def __new__(cls, word: Sequence[int], left: Exact, length: Exact, is_full: bool):
@@ -193,9 +196,11 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
 
     With ``strict`` the cylinder's closed hull must lie strictly inside;
     otherwise endpoint contact is allowed.  The ends must be exact (int,
-    Fraction or QuadNum): the search adds and subtracts them.  Requires
-    (n+1) * beta**-n < hi - lo, which guarantees existence in the
-    non-strict case.  An interval beta raises PrecisionExhausted.
+    Fraction or QuadNum), the search adds and subtracts them, and lie in one
+    field, beta's or another; lo in another quadratic field than beta's is
+    expanded from its enclosures.  Requires (n+1) * beta**-n < hi - lo,
+    which guarantees existence in the non-strict case.  An interval beta
+    raises PrecisionExhausted.
 
     The search reads the stream of ``_sweep`` resumed at the expansion of
     lo: that word's left end by Horner, each later one by adding the length
@@ -213,6 +218,11 @@ def find_full_in_interval(lo, hi, n: int, system: BetaSystem,
     if compare(lo_clamped, 1) >= 0:
         raise PreconditionViolated("interval lies outside [0, 1)")
 
+    field = getattr(system.beta_exact, "d", 0)  # beta's radicand, 0 for a rational beta
+    if isinstance(lo_clamped, QuadNum) and field and lo_clamped.d not in (0, field):
+        # lo lies in another quadratic field: its exact walk would mix
+        # radicands, and no digit of it ties, so its enclosures decide them
+        lo_clamped = CertifiedReal.from_refiner(lo_clamped.enclosure)
     need = 1 if strict else 0
     for c in _sweep(system, n, expand(lo_clamped, system, n)):
         left = c.left

@@ -53,9 +53,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import PrecisionExhausted
+
+try:  # namedtuple's own read-only field accessor, in C
+    from _collections import _tuplegetter
+except ImportError:  # as ``collections.namedtuple`` falls back
+    from operator import itemgetter
+
+    def _tuplegetter(index: int, doc: str | None) -> property:
+        return property(itemgetter(index), doc=doc)
 
 TYPE_CHECKING = False  # typing is loaded by type checkers only, never on import
 if TYPE_CHECKING:
@@ -763,7 +770,7 @@ class Record(tuple):
             cls._fields = cls.__match_args__ = names
             cls._field_defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
             for i, k in enumerate(names):
-                setattr(cls, k, property(itemgetter(i)))
+                setattr(cls, k, _tuplegetter(i, None))
 
     def __new__(cls, *args, **kwargs):
         names = cls._fields

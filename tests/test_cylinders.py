@@ -8,7 +8,7 @@ import pytest
 
 from betadim.errors import (InvariantFailure, NotAdmissible, PrecisionExhausted,
                             PreconditionViolated)
-from betadim.exact import CertifiedReal, compare
+from betadim.exact import CertifiedReal, QuadNum, compare
 from betadim.numerics import GOLDEN, BetaSystem, eval_word, expand, make_beta, word_evaluator
 from betadim import cylinders
 from betadim.cylinders import (
@@ -688,6 +688,24 @@ class TestFindFull:
                 with pytest.raises(InvariantFailure, match="no full"):
                     find_full_in_interval(Fraction(0), Fraction(1), n, b)
                 assert len(calls) <= n + 1 and len(set(calls)) == len(calls), (spec, n)
+
+    def test_quadnum_end_of_another_field(self):
+        # lo in Q(sqrt 2) or Q(sqrt 3) against a base of the golden field:
+        # no exact walk holds both, so lo is expanded from its enclosures;
+        # the brute-force table compares through ``compare``
+        for spec in ("golden", PHI2, "2", "9/5"):
+            b = make_beta(spec)
+            n = 12 if spec == "golden" else 8
+            table = cylinder_table(n, b)
+            for lo, hi in ((QuadNum(0, Fraction(1, 4), 2), Fraction(1, 2)),
+                           (QuadNum(Fraction(1, 2), Fraction(-1, 4), 3), Fraction(3, 4))):
+                for strict in (False, True):
+                    need = 1 if strict else 0
+                    want = next(w for w, left, length, full in table if full and compare(
+                        left, lo) >= need and compare(left + length, hi) <= -need)
+                    assert find_full_in_interval(lo, hi, n, b, strict) == want, (spec, lo)
+        assert find_full_in_interval(QuadNum(0, Fraction(1, 4), 2), Fraction(1, 2), 12,
+                                     make_beta("golden")) == (0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0)
 
     def test_quadnum_endpoints(self):
         b = make_beta("golden")

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import re
 import sys
 import threading
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_imports import SPECS
 
 from betadim import words
 from betadim.cylinders import iter_cylinders
@@ -23,6 +25,7 @@ from betadim.words import (
     _assert_renyi,
     _coefficients,
     _dfs,
+    _TAIL,
     _pack,
     _unpack,
     _walk,
@@ -521,6 +524,119 @@ class TestWordsWithStates:
                     resumed = list(_dfs(b, n, w))
                     assert resumed[0] == (w, state), (spec, w)
                     assert resumed[1:] == stream[k + 1:], (spec, w)
+
+
+def brute_stream(system, n, start=None):
+    """Independent stream of the admissible length-n words from ``start`` (or
+    0...0) on: every digit tuple over 0..alphabet_max in lexicographic order,
+    an odometer, kept with its final state where ``_walk`` admits it.  Past
+    a tuple whose shortest dead prefix is w[:k] the odometer skips to the
+    next prefix of length k, as no extension of a dead prefix lives."""
+    top = system.alphabet_max
+    w = list(start or (0,) * n)
+    while True:
+        states = _walk(w, system, [])
+        if states is not None:
+            yield tuple(w), states[-1]
+        else:
+            k = next(k for k in range(1, n + 1) if _walk(w[:k], system, []) is None)
+            w[k:] = [top] * (n - k)
+        i = n - 1
+        while i >= 0 and w[i] == top:
+            w[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        w[i] += 1
+
+
+def random_word(system, n, rng):
+    """An admissible length-n word, each digit drawn among those that keep
+    the word admissible (``_walk``)."""
+    w = []
+    for _ in range(n):
+        w.append(rng.choice([d for d in range(system.alphabet_max + 1)
+                             if _walk(w + [d], system, []) is not None]))
+    return tuple(w)
+
+
+class TestReplayedBlocks:
+    """``_dfs`` steps each word down to depth n - _TAIL and replays the rest
+    from the block recorded for the state there.  The orders run from below
+    _TAIL to the first ones whose blocks replay (n = _TAIL + 1 where t1 >= 2,
+    _TAIL + 2 for golden) and past them."""
+
+    ORDERS = range(1, _TAIL + 4)
+    # digit tuples a whole brute-force stream may walk: 11**5, so 10.5 and
+    # 31/3 (digits 0..10) compare whole streams up to order _TAIL + 1 and
+    # fewer resumed windows past it
+    BUDGET = 11 ** 5
+
+    @pytest.mark.parametrize("spec", SPECS + ("3", "10.5", "31/3"))
+    def test_stream_and_resumed_streams_are_the_brute_force_ones(self, spec):
+        b = make_beta(spec)
+        rng = random.Random(spec)
+        # a window from any start steps through the rest of its block, then
+        # records one whole block and reaches the next
+        window = 2 * count_admissible(_TAIL, b) + 1
+        for n in self.ORDERS:
+            m = max(n - _TAIL, 0)
+            # t1...tj 0...0 reaches state j at depth j; a random word lies
+            # anywhere in a block
+            starts = [b.star.prefix(j) + (0,) * (n - j) for j in {0, m, n}]
+            walked = (b.alphabet_max + 1) ** n <= self.BUDGET
+            for _ in range(6 if walked else 2):
+                starts.append(random_word(b, n, rng))
+            if walked:
+                whole = list(brute_stream(b, n))
+                assert list(_dfs(b, n)) == whole, (spec, n)
+                assert list(words_with_states(b, n)) == whole, (spec, n)
+                at = {w: k for k, (w, _) in enumerate(whole)}
+            for w in starts:
+                want = (whole[at[w]:at[w] + window] if walked
+                        else list(itertools.islice(brute_stream(b, n, w), window)))
+                assert list(itertools.islice(_dfs(b, n, w), window)) == want, (spec, n, w)
+
+    @pytest.mark.parametrize("spec", ("2", "golden", "9/5", "5/2"))
+    def test_streamed_words_are_counted(self, spec):
+        # every order up to 20 whose stream stays within 2**20 words: all of
+        # them but 5/2 past order 14
+        b = make_beta(spec)
+        for n in range(1, 21):
+            count = count_admissible(n, b)
+            if count > 2 ** 20:
+                break
+            assert sum(1 for _ in _dfs(b, n)) == count, (spec, n)
+        assert spec == "5/2" or n == 20
+
+    def test_records_belong_to_one_stream(self):
+        # a stream abandoned inside a block leaves nothing that a fresh
+        # stream, or itself resumed, reads
+        for spec in ("golden", "9/5", "5/2", S13):
+            b = make_beta(spec)
+            n = _TAIL + 3
+            whole = list(brute_stream(b, n))
+            m = n - _TAIL
+            second = next(k for k, (w, _) in enumerate(whole) if w[:m] != whole[0][0][:m])
+            for k in (1, second + 1):  # inside the first block, then the second
+                cut = _dfs(b, n)
+                assert list(itertools.islice(cut, k)) == whole[:k], spec
+                assert list(_dfs(b, n)) == whole, spec
+                assert list(_dfs(b, n, whole[k][0])) == whole[k:], spec
+                assert list(cut) == whole[k:], spec
+                cut = _dfs(b, n)
+                next(cut)
+                cut.close()
+                assert list(_dfs(b, n)) == whole, spec
+
+    @pytest.mark.parametrize("spec, n, read", [
+        ("9/5", 12, 13), (DEC, 12, 13), ("5/2", 8, 9), ("golden", 12, 3)])
+    def test_digits_of_1_read_are_those_of_the_per_digit_stream(self, spec, n, read):
+        # a replayed block reads no digit of 1: the store holds what the
+        # stream stepping every digit read
+        b = make_beta(spec)
+        list(words_with_states(b, n))
+        assert len(b.star._digits) == read
 
 
 class TestAutomatonPerSystem:
