@@ -123,8 +123,10 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     last i such that t_i > 0, that trailing run is 0 when t1...tr is full
     and trail_{r-j} + 1 otherwise.  The first block is the whole order r-1
     (t1 >= 1), so the longest run at order n is the longest trailing run
-    at orders 1..n.  Both sums are one call of ``words._renyi``, which reads
-    c_n and f_n alone as the n-th coefficients of two series sharing one
+    at orders 1..n.  t1...tr is full exactly when the length m of a finite
+    expansion of 1 (``star.period``) divides r, so no flag is listed.  Both
+    sums are one call of ``words._renyi``, which reads c_n and f_n alone as
+    the n-th coefficients of two closed-form numerators over one shared
     denominator (the ``words`` module docstring).  The trailing-run fold is
     O(n) steps.
 
@@ -134,17 +136,17 @@ def full_census(n: int, system: BetaSystem) -> CensusRecord:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    full = [int(system.is_full_state(r)) for r in range(n + 1)]  # r = 0: the empty word
+    m = system.star.period  # t1...tr is full when m divides r (``is_full_state``)
     trails, last = [0], 0  # last: the last i <= r with t_i > 0
     for r, t in enumerate(system.star.prefix(n), 1):
         if t:
             last = r
-        trails.append(0 if full[r] else trails[r - last] + 1)
+        trails.append(0 if m and r % m == 0 else trails[r - last] + 1)
     max_gap = max(trails)
     if max_gap > n:
         raise InvariantFailure(
             f"non-full run {max_gap} exceeds order {n} for beta {system.spec!r}")
-    return CensusRecord(system.spec, n, *_renyi(system, n, [1] * (n + 1), full), max_gap)
+    return CensusRecord(system.spec, n, *_renyi(system, n, True), max_gap)
 
 
 def _sweep(system: BetaSystem, n: int,

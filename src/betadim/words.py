@@ -38,22 +38,32 @@ Mori, "A simple and fast algorithm for computing the N-th term of a
 linearly recurrent sequence", SOSA 2021): multiply P and Q by Q(-z), keep
 the half of P(z)Q(-z) of n's parity and the even half of Q(z)Q(-z), read
 both at z^2 and halve n, about log2(n) steps.  Cutting P and Q at degree n
-keeps the coefficient exact.  A step packs the even and odd halves of P
-and Q once into byte slots (``_pack``) and takes four half-size products.
-A slot holds its coefficient in two's complement, so the offset that makes
-every slot non-negative comes on and off the whole integer as one XOR and
-one subtraction; a slot of at most 8 bytes is widened to 1, 2, 4 or 8, whose
-slots ``array`` writes and ``memoryview`` reads in C.
+keeps the coefficient exact.  No list of length n stands for E(z): it is
+1/(1 - z) for the counts, and for the flags 1/(1 - z^m) when the full
+states are the multiples of the length m of a finite expansion of 1
+(``star.period``), else 1 (state 0 alone).
+
 For a Parry beta the digits repeat: ``system.star.repeat`` = (L, p)
 records t_i = t_(i-p) for every i > L when the system is built, so
 D(z) = T(z)(1 - z^p) has degree L and
 
     x_n = [z^n] E(z)(1 - z^p) / (1 - z^p - D(z)),
 
-a denominator of degree L, and only t_1..t_L are read.  A beta with no
-known repeat (a non-integer rational, a non-Pisot quadratic, an interval
-beta) takes 1 - T(z) cut at degree n.  Either way order n costs about
-log2(n) such steps on O(n log n) bits.
+a denominator of degree L over the numerators (1 - z^p)/(1 - z), p ones,
+for the counts and 1 (m = p) or 1 - z^p for the flags; only t_1..t_L are
+read.  A beta with no known repeat (a non-integer rational, a non-Pisot
+quadratic, an interval beta) folds 1/(1 - z) into its denominator,
+(1 - z)(1 - T(z)) cut at degree n, over the numerators 1 and 1 - z.
+
+A long denominator is halved on integers packed in byte slots (``_pack``),
+four half-size products a step.  A slot holds its coefficient in two's
+complement, so the offset that makes every slot non-negative comes on and
+off the whole integer as one XOR and one subtraction; a slot of at most 8
+bytes is widened to 1, 2, 4 or 8, whose slots ``struct`` writes and
+``memoryview`` reads in C.  A denominator of at most ``_SHORT`` terms, a
+Parry beta's as a rule and every one once n is small, is halved on plain
+lists (``_coefficients``).  Order n costs about log2(n) steps on
+O(n log n) bits.
 """
 
 from __future__ import annotations
@@ -241,87 +251,124 @@ def count_admissible(n: int, system: BetaSystem) -> int:
     The Renyi-Parry count c_n = 1 + sum_{i<=n} t_i c_{n-i}, c_0 = 1, over
     the quasi-greedy digits t_i, taken as the n-th coefficient of
     1/((1 - z)(1 - T(z))) by Bostan-Mori halving (``_renyi``, see the module
-    docstring), with no enumeration, no automaton walk and no c_r for r < n.
-    Checked against the bounds beta**n <= count <= beta**(n+1)/(beta-1)
-    when beta is exact.
+    docstring), with no enumeration, no automaton walk, no c_r for r < n
+    and, for a beta whose digits repeat, no list of length n.  Checked
+    against the bounds beta**n <= count <= beta**(n+1)/(beta-1) when beta
+    is exact.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    (total,) = _renyi(system, n, [1] * (n + 1))
+    (total,) = _renyi(system, n)
     _assert_renyi(total, n, system)
     return total
 
 
-def _renyi(system: BetaSystem, n: int, *extras: list[int]) -> list[int]:
-    """x_n = [z^n] E(z)/(1 - T(z)) for each E(z) = sum extra[r] z^r (r <= n),
-    T(z) = sum t_i z^i: the n-th term of x_r = extra[r] + sum_{i<=r} t_i x_{r-i}.
-    The series share their denominator, so it is halved once for all.
+def _renyi(system: BetaSystem, n: int, full: bool = False) -> list[int]:
+    """[c_n], or [c_n, f_n] with ``full``: the n-th terms of the counts
+    c_r = 1 + sum_{i<=r} t_i c_{r-i} and of the full counts f_r = [state r
+    is full] + sum_{i<=r} t_i f_{r-i}, each [z^n] of a closed-form numerator
+    over one shared denominator, halved once for both (module docstring).
 
-    The denominator is that of the module docstring, its digits read in one
-    ``star.prefix`` call (an interval beta raises PrecisionExhausted at the
-    first digit of 1 it cannot decide).
+    The digits are read in one ``star.prefix`` call, of t_1..t_n or, for a
+    repeat (L, p), of t_1..t_L alone (an interval beta raises
+    PrecisionExhausted at the first digit of 1 it cannot decide).
     """
     star, repeat = system.star, system.star.repeat
-    if repeat is None:
-        den = [1] + [-t for t in star.prefix(n)]
-        nums = list(extras)
+    if repeat is None:  # only state 0 is full: (1 - z)/Q for the full counts
+        t = star.prefix(n)
+        den = [1, -1 - t[0], *map(sub, t, t[1:])]  # (1 - z)(1 - T(z)) cut at z**n
+        nums = [[1], [1, -1]]
     else:
         L, p = repeat
         t = [0] * (p + 1) + list(star.prefix(L))  # t[p + i] = t_i
         den = [1] + [t[j] - t[p + j] for j in range(1, L + 1)]  # 1 - z^p - D(z)
         den[p] -= 1
-        nums = []
-        for extra in extras:
-            num = extra[:p] + list(map(sub, extra[p:], extra))  # E(z)(1 - z^p)
-            del num[max(1, len(bytes(map(bool, num)).rstrip(b"\0"))):]  # drop trailing zeros
-            nums.append(num)
-    return _coefficients(nums, den, n)
+        # (1 - z^p)/(1 - z) for the counts; the full states are the multiples
+        # of p when p is the period of a finite expansion of 1, else 0 alone
+        nums = [[1] * p, [1] if star.period else [1] + [0] * (p - 1) + [-1]]
+    return _coefficients(nums[:1 + full], den, n)
 
 
-#: The machine integer widths, in bytes, with their ``array``/``memoryview``
-#: typecodes.  Their native byte order puts slot 0 first only on a
-#: little-endian machine, so elsewhere every width takes the per-slot path.
-_CODES = ({memoryview(bytes(8)).cast(c).itemsize: c for c in "bhiq"}
-          if sys.byteorder == "little" else {})
+#: The longest denominator whose halving steps ``_coefficients`` takes on
+#: plain lists, where packing a step would cost more than its few products
+#: (bounds of 4 to 24 timed alike on the census counts).
+_SHORT = 12
+
+#: The machine integer widths, in bytes, with their ``struct``/``memoryview``
+#: typecodes.  ``struct`` packs them at these standard sizes, little-endian,
+#: on any machine.  ``memoryview`` reads them in native byte order, which
+#: puts slot 0 first only on a little-endian machine (``_NATIVE``), so
+#: elsewhere ``_unpack`` reads every width slot by slot.
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+_NATIVE = sys.byteorder == "little"
 
 
 def _coefficients(ps: list[list[int]], q: list[int], n: int) -> list[int]:
     """[z^n] p(z)/q(z) for each p, integer polynomials, p non-empty, q[0] = 1,
     len(q) >= 2 (Bostan and Mori, SOSA 2021).  With p = p_e(z^2) + z p_o(z^2)
     and q alike, n halves, q becomes q_e**2 - y q_o**2 and p becomes p_e q_e
-    - y p_o q_o (n even) or p_o q_e - p_e q_o (n odd), cut at the new n: four
-    products of halves packed in w-byte slots that fit them, y a slot's shift.
-    A width of at most 8 bytes is rounded up to the next machine width (1, 2,
-    4 or 8), whose slots ``_pack`` and ``_unpack`` convert in C."""
-    from array import array  # once a call: at import it would slow every cold start
-    while n:
+    - y p_o q_o (n even) or p_o q_e - p_e q_o (n odd), cut at the new n.
+
+    Two kernels take the steps.  While q is longer than ``_SHORT``, the four
+    products of halves are taken packed in w-byte slots that fit them, y a
+    slot's shift; a width of at most 8 bytes is rounded up to the next
+    machine width (1, 2, 4 or 8), whose slots ``_pack`` and ``_unpack``
+    convert in C.  q never grows, so once it is that short the rest of the
+    steps multiply p(z) and q(z) by q(-z) on plain lists, term by term and
+    only in the parity kept (``_parity_product``)."""
+    from struct import pack  # once a call: at import it would slow every cold start
+    while n and len(q) > _SHORT:
         half, odd = n >> 1, n & 1
         bq = max(max(q), -min(q)).bit_length()
         bp = max(max(max(p), -min(p)) for p in ps).bit_length()
         w = (max(2 * bq, bp + bq) + len(q).bit_length()) // 8 + 1
         if w <= 8:
             w = 1 << (w - 1).bit_length()  # 1, 2, 4 or 8 bytes, a machine width
-        qe, qo = _pack(q[::2], w, array), _pack(q[1::2], w, array)
-        ps = [_unpack(_pack(p[1::2], w, array) * qe - _pack(p[::2], w, array) * qo if odd
-                      else _pack(p[::2], w, array) * qe
-                      - (_pack(p[1::2], w, array) * qo << 8 * w),
+        qe, qo = _pack(q[::2], w, pack), _pack(q[1::2], w, pack)
+        ps = [_unpack(_pack(p[1::2], w, pack) * qe - _pack(p[::2], w, pack) * qo if odd
+                      else _pack(p[::2], w, pack) * qe
+                      - (_pack(p[1::2], w, pack) * qo << 8 * w),
                       w, min(half, (len(p) + len(q) - 2 - odd) >> 1) + 1) for p in ps]
         q = _unpack(qe * qe - (qo * qo << 8 * w), w, min(half, len(q) - 1) + 1)
+        n = half
+    while n:
+        half, odd = n >> 1, n & 1
+        halves = q[::2], [-c for c in q[1::2]]  # the even and odd halves of q(-z)
+        ps = [_parity_product(p, halves, odd, min(half, (len(p) + len(q) - 2 - odd) >> 1))
+              for p in ps]
+        q = _parity_product(q, halves, 0, min(half, len(q) - 1))
         n = half
     return [p[0] for p in ps]
 
 
-def _pack(c: list[int], w: int, array) -> int:
+def _parity_product(a: list[int], halves: tuple[list[int], list[int]], r: int,
+                    k: int) -> list[int]:
+    """[z^(2m + r)] a(z) b(z) for m <= k, from the halves (b[::2], b[1::2])
+    of b: a_i meets only the half of b of the parity of r - i, so no product
+    of the other parity is taken."""
+    c = [0] * (k + 1)
+    for i, x in enumerate(a):
+        j = (r - i) & 1  # the parity of the b_j that a_i meets
+        m = (i + j - r) >> 1  # the first m it adds to
+        if x and m <= k:
+            for m, y in enumerate(halves[j][:k + 1 - m], m):
+                c[m] += x * y
+    return c
+
+
+def _pack(c: list[int], w: int, pack) -> int:
     """sum c[i] * 2**(8*w*i), every c[i] in [-h, h), h = 2**(8w - 1).
 
     Each c[i] fills a w-byte slot in two's complement.  XOR with the
     repeated-h integer H = sum h * 2**(8*w*i) flips each slot's top bit,
     which turns every slot into c[i] + h, so subtracting H leaves the sum.
-    At a machine width (``_CODES``) the slots are written by ``array``, the
-    type passed in by ``_coefficients`` so that importing this module does
-    not load it; a wider slot is written by its own ``to_bytes``.  A c[i] outside [-h, h) raises OverflowError either way."""
+    At a machine width (``_CODES``) the slots are written by ``struct.pack``,
+    passed in by ``_coefficients`` so that importing this module does not
+    load ``struct``; a wider slot is written by its own ``to_bytes``.  A c[i]
+    outside [-h, h) raises: struct.error at a machine width, OverflowError
+    past it."""
     code = _CODES.get(w)
-    raw = (array(code, c).tobytes() if code
+    raw = (pack(f"<{len(c)}{code}", *c) if code
            else b"".join([x.to_bytes(w, "little", signed=True) for x in c]))
     rep = _repeated_h(w, len(c))
     return (int.from_bytes(raw, "little") ^ rep) - rep
@@ -332,11 +379,11 @@ def _unpack(x: int, w: int, k: int) -> list[int]:
     those past k too, in [-h, h), h = 2**(8w - 1): ``_pack``'s inverse.
     Adding H (see ``_pack``) lifts each slot to c_i + h in [0, 2**(8w)) with
     no carry, the mask keeps k slots and XOR with H gives back their two's
-    complement, read by ``memoryview`` at a machine width and slot by slot
-    past it."""
+    complement, read by ``memoryview`` at a machine width on a little-endian
+    machine and slot by slot otherwise."""
     rep = _repeated_h(w, k)
     raw = (((x + rep) & (1 << 8 * w * k) - 1) ^ rep).to_bytes(w * k, "little")
-    code = _CODES.get(w)
+    code = _NATIVE and _CODES.get(w)
     if code:
         return memoryview(raw).cast(code).tolist()
     return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, w * k, w)]

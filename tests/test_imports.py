@@ -6,8 +6,8 @@ patterns), makes the re functions refuse, imports every module of the
 package and builds a system of each spec form.  It reports which of the
 watched modules are then loaded: none of the heavy standard-library modules
 that records built on dataclasses or an eager json import would pull in,
-nor array, which the Renyi-Parry counts import when they run, nor typing
-or threading; and no regular expression is compiled or matched."""
+nor struct, which the Renyi-Parry counts import when they run, nor array,
+nor typing or threading; and no regular expression is compiled or matched."""
 
 import pkgutil
 import subprocess
@@ -18,9 +18,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("dataclasses", "inspect", "ast", "json")
-# an extension module loaded from disk, about 0.8 ms of every cold start;
-# words._coefficients imports it once a call, for its machine-width slots
-LAZY = ("array",)
+# extension modules loaded from disk: array, about 0.8 ms of every cold
+# start, and struct, about 0.5 ms; words._coefficients imports struct once a
+# call, for its machine-width slots, and no module of the package loads array
+LAZY = ("array", "struct")
 TYPING = ("typing", "threading")
 SPECS = ("2", "9/5", "1.8", "golden", "quad:(1+1*sqrt(13))/2", "dec:1.8@200")
 

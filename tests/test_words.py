@@ -2,11 +2,11 @@ import gc
 import itertools
 import random
 import re
+import struct
 import sys
 import threading
 import time
 import weakref
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from test_imports import SPECS
 
 from betadim import words
-from betadim.cylinders import iter_cylinders
+from betadim.cylinders import full_census, iter_cylinders
 from betadim.errors import CapExceeded, PrecisionExhausted
 from betadim.numerics import expand, make_beta
 from betadim.words import (
     ENUM_CAP,
     _CODES,
+    _SHORT,
     ParryAutomaton,
     _assert_renyi,
     _coefficients,
@@ -136,6 +137,12 @@ def recurrence_term(p, q, n):
         x.append((p[r] if r < len(p) else 0)
                  - sum(q[i] * x[r - i] for i in range(1, min(r, len(q) - 1) + 1)))
     return x[n]
+
+
+def folded(t):
+    """The terms past the constant 1 of (1 - z)(1 - T(z)), T(z) = sum t_i z^i,
+    cut at degree len(t): -1 - t_1, then t_(k-1) - t_k."""
+    return [-1 - t[0]] + [a - b for a, b in zip(t, t[1:])]
 
 
 def count_no_consecutive_ones(n):
@@ -331,6 +338,53 @@ class TestCount:
             # only t_1..t_L are read: the digit store stays at its build size
             assert len(b.star._digits) == b.star.repeat[0] + 1, spec
 
+    def test_closed_form_numerators_are_the_recurrence(self):
+        # one row of each class: integer, simple Parry of period 1 and 2,
+        # non-simple Parry, non-Parry rational, non-Pisot quadratic, interval
+        orders = list(range(1, 65)) + [1000]
+        for spec in ("2", "3", "golden", "quad:(1+1*sqrt(2))/1", "quad:(2+1*sqrt(7))/1",
+                     PHI2, "9/5", "5/2", "10.5", S13, "quad:(3+1*sqrt(2))/2", DEC):
+            b = make_beta(spec)
+            top = 200 if spec == DEC else orders[-1]
+            # x_r = E_r + sum_{i<=r} t_i x_{r-i}, E_r = 1 for the counts and
+            # [state r is full] for the full counts, term by term
+            t = (0,) + b.star.prefix(top)
+            digits = [(i, d) for i, d in enumerate(t) if d]
+            counts, fulls = [1], [1]
+            for r in range(1, top + 1):
+                counts.append(1 + sum(d * counts[r - i] for i, d in digits if i <= r))
+                fulls.append(b.is_full_state(r) + sum(d * fulls[r - i] for i, d in digits
+                                                      if i <= r))
+            for n in orders[:-1] + [top]:
+                assert count_admissible(n, b) == counts[n], (spec, n)
+                record = full_census(n, b)
+                assert (record.count_admissible, record.count_full) == (counts[n], fulls[n]), \
+                    (spec, n)
+        # the interval row decides digits 1..232 of 1, and no count reads past them
+        for read in (count_admissible, full_census):
+            b = make_beta(DEC)
+            read(232, b)
+            with pytest.raises(PrecisionExhausted, match="digit 233 of 1"):
+                read(233, b)
+
+    def test_deep_count_keeps_no_order_n_list(self):
+        # the numerators of a repeating beta are closed forms of degree at
+        # most p, so the peak follows the count's own bits (125 kB for
+        # 2**10**6), not an order-n list of 1s (24 MB at 10**6)
+        import tracemalloc
+
+        n = 10 ** 6
+        for spec, want in (("2", 2 ** n), ("golden", fib(n + 2))):
+            b = make_beta(spec)
+            tracemalloc.start()
+            try:
+                count = count_admissible(n, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert count == want, spec
+            assert peak < 4 * 2 ** 20, (spec, peak)
+
     def test_no_repeat_without_a_pisot_beta(self):
         for spec in ("1.8", "2.5", "9/5", S13, "quad:(3+1*sqrt(2))/2", DEC, B31):
             assert make_beta(spec).star.repeat is None, spec
@@ -357,24 +411,26 @@ class TestCount:
         narrow = max(map(abs, a + b + c)).bit_length() // 8 + 1
         for w in {narrow, min((m for m in _CODES if m >= narrow), default=narrow)}:
             h = 1 << 8 * w - 1
-            codes = []  # array is called at a machine width only
+            formats = []  # struct.pack is called at a machine width only
 
-            def spy(code, c):
-                codes.append(code)
-                return array(code, c)
+            def spy(fmt, *c):
+                formats.append(fmt)
+                return struct.pack(fmt, *c)
 
             for x in (a, b, c, [-h] + c + [h - 1]):
-                codes.clear()
+                formats.clear()
                 # the value itself, which a round trip alone would not pin:
                 # a slip of byte order or sign could still invert
                 assert _pack(x, w, spy) == sum(v << 8 * w * i for i, v in enumerate(x))
-                assert codes == ([_CODES[w]] if w in _CODES else [])
-            assert _unpack(_pack(a, w, array) * _pack(b, w, array), w, k) == (c + [0] * k)[:k]
-            assert _unpack(_pack([-h] + c + [h - 1], w, array), w, len(c) + 2) == [-h] + c + [h - 1]
-            # a coefficient past the slot raises, never wraps into the next one
+                assert formats == ([f"<{len(x)}{_CODES[w]}"] if w in _CODES else [])
+            pack = struct.pack
+            assert _unpack(_pack(a, w, pack) * _pack(b, w, pack), w, k) == (c + [0] * k)[:k]
+            assert _unpack(_pack([-h] + c + [h - 1], w, pack), w, len(c) + 2) == [-h] + c + [h - 1]
+            # a coefficient past the slot raises, never wraps into the next
+            # one: struct refuses it at a machine width, to_bytes past it
             for bad in (h, -h - 1):
-                with pytest.raises(OverflowError):
-                    _pack(c + [bad] + c, w, array)
+                with pytest.raises(struct.error if w in _CODES else OverflowError):
+                    _pack(c + [bad] + c, w, pack)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(COEFFICIENT, min_size=1, max_size=12), min_size=1, max_size=2),
@@ -388,6 +444,16 @@ class TestCount:
     @example([[2 ** 70, -3], [1]], [-1, 0, 2 ** 66, -5], 2 ** 6)
     # q longer than n + 1, its tail past z**n unread
     @example([[1, -(2 ** 65)], [-1] * 30], [2 ** 80] * 40, 21)
+    # q at the list kernel's bound and one past it, with n odd and even: the
+    # packed steps run while q is longer than the bound, the list steps after
+    @example([[1, -2], [5]], ([2, -1, 3] * _SHORT)[:_SHORT - 1], 23)
+    @example([[1, -2], [5]], ([2, -1, 3] * _SHORT)[:_SHORT - 1], 22)
+    @example([[1, -2], [5]], ([2, -1, 3] * _SHORT)[:_SHORT], 23)
+    @example([[1, -2], [5]], ([2, -1, 3] * _SHORT)[:_SHORT], 22)
+    # a long q, (1 - z)(1 - T(z)) for 0/1 digits t, over the short numerators
+    # [1] and 1 - z of a beta with no repeat
+    @example([[1], [1, -1]], folded([1, 0, 1, 1, 0, 0, 1, 0] * 5), 40)
+    @example([[1], [1, -1]], folded([1, 0, 1, 1, 0, 0, 1, 0] * 5), 39)
     def test_coefficients_are_the_recurrence_term(self, ps, tail, n):
         q = [1] + tail
         assert _coefficients(ps, q, n) == [recurrence_term(p, q, n) for p in ps]
